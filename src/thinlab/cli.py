@@ -24,7 +24,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .elements import GroupElement
 from .groups import (
     GeneratorSet,
     bfs_closure,
@@ -32,13 +31,14 @@ from .groups import (
     direct_product_of_cyclic,
     is_prime,
     sl2_generators,
-    sp_order,
     symmetric_generators,
 )
 from .monodromy import (
+    _trivial_mod,
     braid_to_matrix,
     build_chain,
     catalog_json,
+    congruence_report,
     point_pushing_generators,
     standard_symplectic_generators,
 )
@@ -315,6 +315,38 @@ def _sweep_generators(genus: int, gens_choice: str, p: int) -> GeneratorSet:
     return standard_symplectic_generators(genus, p)
 
 
+def _task(name: str, fn: Callable[[], Any]) -> tuple[dict, Any]:
+    """Run one unit of work; returns its manifest entry and fn's result,
+    None if it failed.  A failure is recorded, never raised, so the run
+    goes on and ends with a manifest."""
+    try:
+        result = fn()
+    except Exception as exc:  # noqa: BLE001 - isolate the unit of work
+        return {"name": name, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}, None
+    return {"name": name, "status": "ok"}, result
+
+
+def _sweep(builder: Callable[[int], MultiGraph], params: dict, jobs: int | None, outdir: Path):
+    """family_sweep over the config's primes: one task per prime, plus
+    spectra.csv and the plot files for the primes that were solved."""
+    primes = params["primes"]
+    sweep = family_sweep(builder, primes, method=params["method"], jobs=jobs)
+    tasks = []
+    by_prime: dict[int, SpectralReport] = {}
+    it = iter(sweep.reports)
+    for p in primes:
+        if p in sweep.errors:
+            tasks.append({"name": f"p={p}", "status": "failed", "error": sweep.errors[p]})
+        else:
+            by_prime[p] = next(it)
+            tasks.append({"name": f"p={p}", "status": "ok"})
+
+    solved = [(p, by_prime[p]) for p in primes if p in by_prime]
+    csv_path = outdir / "spectra.csv"
+    write_reports_csv([r for _, r in solved], csv_path, include_seconds=False)
+    return tasks, by_prime, [csv_path, *emit_plotdata(solved, outdir)]
+
+
 def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
     genus, primes = params["genus"], params["primes"]
     built: dict[int, MultiGraph] = {}
@@ -325,24 +357,7 @@ def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
         built[p] = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
         return built[p]
 
-    sweep = family_sweep(builder, primes, method=params["method"], jobs=jobs)
-    tasks = []
-    by_prime = {}
-    it = iter(sweep.reports)
-    for p in primes:
-        if p in sweep.errors:
-            tasks.append({"name": f"p={p}", "status": "failed", "error": sweep.errors[p]})
-        else:
-            by_prime[p] = next(it)
-            tasks.append({"name": f"p={p}", "status": "ok"})
-
-    outputs = []
-    reports = [by_prime[p] for p in primes if p in by_prime]
-    csv_path = outdir / "spectra.csv"
-    write_reports_csv(reports, csv_path, include_seconds=False)
-    outputs.append(csv_path)
-    outputs += emit_plotdata([(p, by_prime[p]) for p in primes if p in by_prime], outdir)
-
+    tasks, _, outputs = _sweep(builder, params, jobs, outdir)
     if params.get("dot"):
         for p in primes:
             graph = built.get(p)
@@ -367,54 +382,42 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         built[p] = schreier_graph(action)
         return built[p]
 
-    sweep = family_sweep(builder, primes, method=params["method"], jobs=jobs)
-    tasks = []
-    by_prime = {}
-    it = iter(sweep.reports)
-    for p in primes:
-        if p in sweep.errors:
-            tasks.append({"name": f"p={p}", "status": "failed", "error": sweep.errors[p]})
-        else:
-            by_prime[p] = next(it)
-            tasks.append({"name": f"p={p}", "status": "ok"})
+    tasks, by_prime, outputs = _sweep(builder, params, jobs, outdir)
+    if not params["compare_cayley"]:
+        return tasks, outputs
 
-    outputs = []
-    reports = [by_prime[p] for p in primes if p in by_prime]
-    csv_path = outdir / "spectra.csv"
-    write_reports_csv(reports, csv_path, include_seconds=False)
-    outputs.append(csv_path)
-    outputs += emit_plotdata([(p, by_prime[p]) for p in primes if p in by_prime], outdir)
+    def compare(p: int) -> list:
+        gens = _sweep_generators(genus, "standard", p)
+        group = bfs_closure(gens, budget=params.get("budget"))
+        cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
+        cay_report = lambda1(cay, method=params["method"])
+        sch = by_prime[p]
+        proj = torsion_projection(group)
+        ok = quotient_check(cay, built[p], proj)
+        return [
+            p,
+            sch.n_vertices,
+            _float(sch.lambda1),
+            _float(cay_report.lambda1),
+            ok,
+            sch.lambda1 >= cay_report.lambda1 - 1e-9,
+        ]
 
-    if params["compare_cayley"]:
-        rows = []
-        for p in primes:
-            if p not in by_prime:
-                continue
-            gens = _sweep_generators(genus, "standard", p)
-            group = bfs_closure(gens, budget=params.get("budget"))
-            cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
-            cay_report = lambda1(cay, method=params["method"])
-            sch = by_prime[p]
-            proj = torsion_projection(group)
-            ok = quotient_check(cay, built[p], proj)
-            rows.append(
-                [
-                    p,
-                    sch.n_vertices,
-                    _float(sch.lambda1),
-                    _float(cay_report.lambda1),
-                    ok,
-                    sch.lambda1 >= cay_report.lambda1 - 1e-9,
-                ]
-            )
-        path = outdir / "comparison.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["p", "N_schreier", "lambda1_schreier", "lambda1_cayley", "quotient_ok", "gap_ok"]
-            )
-            writer.writerows(rows)
-        outputs.append(path)
+    rows = []
+    for i, p in enumerate(primes):
+        if p in by_prime:
+            # the comparison belongs to prime p's task: a failure marks it failed
+            tasks[i], row = _task(f"p={p}", lambda: compare(p))
+            if row is not None:
+                rows.append(row)
+    path = outdir / "comparison.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["p", "N_schreier", "lambda1_schreier", "lambda1_cayley", "quotient_ok", "gap_ok"]
+        )
+        writer.writerows(rows)
+    outputs.append(path)
     return tasks, outputs
 
 
@@ -424,29 +427,25 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
     words = point_pushing_generators(genus)
     mats = [braid_to_matrix(w, chain) for w in words]
 
-    def trivial_mod(k: int) -> bool:
-        return all(not ((m.data - np.eye(2 * genus, dtype=object)) % k).any() for m in mats)
-
     tasks = []
     prime_data = {}
     for p in primes:
-        try:
-            reduced = GeneratorSet([GroupElement.matrix(m.data, p) for m in mats])
-            group = bfs_closure(reduced, budget=params.get("budget"))
-            want = sp_order(genus, p)
+        entry, report = _task(
+            f"p={p}", lambda: congruence_report(mats, [p], budget=params.get("budget"))
+        )
+        tasks.append(entry)
+        if report is not None:
+            order, full_order = report.prime_orders[p]
             prime_data[str(p)] = {
-                "order": group.order,
-                "full_order": want,
-                "surjective": group.order == want,
+                "order": order,
+                "full_order": full_order,
+                "surjective": report.surjective[p],
             }
-            tasks.append({"name": f"p={p}", "status": "ok"})
-        except Exception as exc:  # noqa: BLE001 - isolate per prime
-            tasks.append({"name": f"p={p}", "status": "failed", "error": f"{type(exc).__name__}: {exc}"})
 
     payload = {
         "genus": genus,
-        "mod2_trivial": trivial_mod(2),
-        "mod4_trivial": trivial_mod(4),
+        "mod2_trivial": _trivial_mod(mats, 2),
+        "mod4_trivial": _trivial_mod(mats, 4),
         "primes": prime_data,
     }
     outputs = []
@@ -464,17 +463,16 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
 
 def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
     n, steps = params["arity"], params["steps"]
-    tasks = []
-    outputs = []
-    try:
+
+    def body() -> list[Path]:
         gens = parse_group_spec(params["group"])
         group = bfs_closure(gens, budget=params.get("budget"))
         graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))
-        orbits = pra_mod.transitivity_report(group, n, budget=params.get("budget"))
+        orbits = pra_mod._orbit_sizes(graph)
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
-        walk = pra_mod.pra_walk(group, n, steps, seed, budget=params.get("budget"))
+        walk = pra_mod._walk(graph, steps, seed)
         path = outdir / "pra.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -492,9 +490,8 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
                     ";".join(f"{t}:{_float(tv)}" for t, tv in walk.tv_checkpoints),
                 ]
             )
-        outputs.append(path)
-        path = outdir / "walk.json"
-        path.write_text(
+        walk_path = outdir / "walk.json"
+        walk_path.write_text(
             json.dumps(
                 {
                     "group": params["group"],
@@ -511,17 +508,10 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
             )
             + "\n"
         )
-        outputs.append(path)
-        tasks.append({"name": f"pra({params['group']},n={n})", "status": "ok"})
-    except Exception as exc:  # noqa: BLE001
-        tasks.append(
-            {
-                "name": f"pra({params['group']},n={n})",
-                "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    return tasks, outputs
+        return [path, walk_path]
+
+    entry, outputs = _task(f"pra({params['group']},n={n})", body)
+    return [entry], outputs or []
 
 
 def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path):
@@ -529,9 +519,8 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
     cap = params.get("cap", origami_mod.DEFAULT_DEGREE_CAP)
     mu_filter = params.get("mu")
     image_order = params.get("image_order")
-    tasks = []
-    outputs = []
-    try:
+
+    def body() -> list[Path]:
         classes = origami_mod.census(d, mu=mu_filter, cap=cap)
         if image_order is not None:
             classes = [c for c in classes if c.image_order == image_order]
@@ -563,19 +552,17 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
                         c.rep.encode(),
                     ]
                 )
-        outputs.append(path)
+        written = [path]
         if params.get("dot"):
             for mu, graph in graphs_by_mu.items():
                 if 0 < graph.n_vertices <= 500:
                     path = outdir / f"origami_mu{'_'.join(map(str, mu))}.dot"
                     path.write_text(to_dot(graph))
-                    outputs.append(path)
-        tasks.append({"name": f"census(d={d})", "status": "ok"})
-    except Exception as exc:  # noqa: BLE001
-        tasks.append(
-            {"name": f"census(d={d})", "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
-        )
-    return tasks, outputs
+                    written.append(path)
+        return written
+
+    entry, outputs = _task(f"census(d={d})", body)
+    return [entry], outputs or []
 
 
 _RUNNERS: dict[str, Callable] = {

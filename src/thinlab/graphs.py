@@ -50,7 +50,7 @@ class MultiGraph:
 
     def _check_symmetric(self):
         n, k = self.neighbors.shape
-        if n == 0:
+        if n == 0 or k == 0:
             return
         if self.neighbors.min(initial=0) < 0 or self.neighbors.max(initial=0) >= n:
             raise ValueError("neighbor index out of range")
@@ -125,8 +125,7 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     nbrs = np.stack(cols, axis=1)
     if label is None:
         label = f"cayley({gens.label or group.label})"
-    vertex_labels = [group.encoding(i).hex() for i in range(group.order)]
-    return MultiGraph(nbrs, label=label, vertex_labels=vertex_labels)
+    return MultiGraph(nbrs, label=label)
 
 
 @dataclass
@@ -313,18 +312,6 @@ def _write_uvarint(buf: bytearray, x: int) -> None:
             return
 
 
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    shift = 0
-    out = 0
-    while True:
-        b = data[pos]
-        pos += 1
-        out |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return out, pos
-        shift += 7
-
-
 def save_graph(g: MultiGraph, path) -> None:
     """Binary adjacency dump: magic, u32 N, u32 k, then each row sorted
     ascending and delta-encoded as unsigned LEB128 varints."""
@@ -342,17 +329,37 @@ def save_graph(g: MultiGraph, path) -> None:
 
 
 def load_graph(path, label: str = "") -> MultiGraph:
+    """Inverse of save_graph.  A malformed dump (truncated, trailing bytes,
+    neighbor out of range) raises ValueError, and the header is checked
+    against the file length before anything it sizes is allocated."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _DUMP_MAGIC:
         raise ValueError(f"not a graph dump: bad magic {data[:4]!r}")
-    n, k = np.frombuffer(data[4:12], dtype="<u4")
-    pos = 12
-    nbrs = np.empty((int(n), int(k)), dtype=np.int32)
-    for u in range(int(n)):
-        prev = 0
-        for t in range(int(k)):
-            delta, pos = _read_uvarint(data, pos)
-            prev += delta
-            nbrs[u, t] = prev
+    if len(data) < 12:
+        raise ValueError("graph dump truncated inside its header")
+    n, k = (int(x) for x in np.frombuffer(data[4:12], dtype="<u4"))
+    body = np.frombuffer(data, dtype=np.uint8, offset=12)
+    # every varint takes at least one byte
+    if n * k > body.size:
+        raise ValueError(
+            f"graph dump truncated: header claims {n} x {k} entries, {body.size} bytes follow"
+        )
+    ends = np.flatnonzero(body < 0x80)  # last byte of each varint
+    if ends.size < n * k:
+        raise ValueError(f"graph dump truncated: {ends.size} of {n * k} entries present")
+    used = int(ends[n * k - 1]) + 1 if n * k else 0
+    if used != body.size:
+        raise ValueError(f"graph dump has {body.size - used} trailing bytes")
+    deltas = np.zeros(0, dtype=np.int64)
+    if n * k:
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        widths = ends - starts + 1
+        if widths.max() > 5:
+            raise ValueError("graph dump holds a varint longer than 5 bytes")
+        shifts = 7 * (np.arange(body.size) - np.repeat(starts, widths))
+        deltas = np.add.reduceat((body & 0x7F).astype(np.int64) << shifts, starts)
+    nbrs = np.cumsum(deltas.reshape(n, k), axis=1)
+    if nbrs.size and nbrs.max() >= n:
+        raise ValueError(f"graph dump neighbor {int(nbrs.max())} out of range for {n} vertices")
     return MultiGraph(nbrs, label=label)

@@ -47,9 +47,15 @@ def resolve_budget(budget: int | None = None, default: int = DEFAULT_ELEMENT_BUD
             raise ValueError("budget must be positive")
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return default
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}")
+    return value
 
 
 @dataclass
@@ -228,11 +234,11 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
             encs = _encode_rows(kind, prods, modulus)
             for row, enc in zip(prods, encs):
                 if enc not in index:
+                    if len(encodings) == budget:
+                        raise BudgetExceeded(budget + 1, budget, "bfs_closure")
                     index[enc] = len(encodings)
                     encodings.append(enc)
                     new_rows.append(row)
-        if len(encodings) > budget:
-            raise BudgetExceeded(len(encodings), budget, "bfs_closure")
         frontier = np.stack(new_rows) if new_rows else np.empty((0,) + frontier.shape[1:], dtype=frontier.dtype)
         if new_rows:
             layers.append(frontier)

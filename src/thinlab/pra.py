@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ActionSpec, MultiGraph, schreier_graph
+from .graphs import ActionSpec, MultiGraph, components, schreier_graph
 from .groups import BudgetExceeded, FiniteGroup, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
@@ -136,9 +136,9 @@ def apply_move(t: EpiTuple, move: PraMove) -> EpiTuple:
     return EpiTuple(group, tuple(indices))
 
 
-def _epi_action(
-    group: FiniteGroup, n: int, budget: int | None = None
-) -> tuple[list[EpiTuple], ActionSpec]:
+def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
+    """The move graph on Epi(F_n, G); neighbor column t is the image array
+    of all_moves(n)[t]."""
     epis = enumerate_epi(group, n, budget=budget)
     position = {t.indices: idx for idx, t in enumerate(epis)}
     moves = []
@@ -148,8 +148,7 @@ def _epi_action(
             images[idx] = position[apply_move(t, move).indices]
         moves.append(images)
     label = f"pra({group.label or group.order};n={n})"
-    spec = ActionSpec([t.encoding.hex() for t in epis], moves, label=label)
-    return epis, spec
+    return schreier_graph(ActionSpec([t.encoding.hex() for t in epis], moves, label=label))
 
 
 def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
@@ -159,8 +158,7 @@ def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGra
             "arity 1 admits no product replacement moves; returning a 0-regular graph",
             stacklevel=2,
         )
-    epis, spec = _epi_action(group, n, budget=budget)
-    return schreier_graph(spec)
+    return _move_graph(group, n, budget=budget)
 
 
 @dataclass
@@ -183,22 +181,6 @@ class WalkStats:
                 raise ValueError("total variation distance must lie in [0, 1]")
 
 
-def _component_of(start: int, moves: Sequence[np.ndarray], n_states: int) -> np.ndarray:
-    seen = np.zeros(n_states, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for m in moves:
-                y = int(m[x])
-                if not seen[y]:
-                    seen[y] = True
-                    nxt.append(y)
-        frontier = nxt
-    return np.flatnonzero(seen)
-
-
 def _tv_to_uniform(visits: np.ndarray, total: int, component: np.ndarray, start: int) -> float:
     size = len(component)
     if total == 0:
@@ -218,14 +200,19 @@ def pra_walk(
     """Lazy walk (hold 1/2, else uniform move) from the lexicographically
     least generating tuple; reports visit counts and the total-variation
     distance to uniform on the start tuple's component."""
+    return _walk(_move_graph(group, n, budget=budget), steps, seed, checkpoints)
+
+
+def _walk(
+    graph: MultiGraph, steps: int, seed: int, checkpoints: Sequence[int] | None = None
+) -> WalkStats:
+    """pra_walk on an already built move graph."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    epis, spec = _epi_action(group, n, budget=budget)
-    if not epis:
+    if not graph.n_vertices:
         raise ValueError("Epi set is empty")
-    moves = spec.moves
     start = 0  # epis are sorted by encoding
-    component = _component_of(start, moves, len(epis))
+    component = components(graph)[0]
 
     if checkpoints is None:
         marks = sorted({steps // 4, steps // 2, (3 * steps) // 4, steps} - {0})
@@ -233,16 +220,17 @@ def pra_walk(
         marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= steps})
 
     rng = np.random.default_rng(seed)
-    visits = np.zeros(len(epis), dtype=np.int64)
+    visits = np.zeros(graph.n_vertices, dtype=np.int64)
     tv_marks = []
     state = start
-    if steps and moves:
+    if steps and graph.degree:
         coins = rng.integers(0, 2, size=steps)
-        picks = rng.integers(0, len(moves), size=steps)
+        picks = rng.integers(0, graph.degree, size=steps)
         markset = set(marks)
+        nbrs = graph.neighbors
         for t in range(steps):
             if coins[t]:
-                state = int(moves[picks[t]][state])
+                state = int(nbrs[state, picks[t]])
             visits[state] += 1
             if (t + 1) in markset:
                 tv_marks.append((t + 1, _tv_to_uniform(visits, t + 1, component, start)))
@@ -295,13 +283,18 @@ def transitivity_report(
 ) -> list[int]:
     """Orbit sizes of the move action on Epi(F_n, G), largest first,
     computed by union-find over all moves (independent of the graph BFS)."""
-    epis, spec = _epi_action(group, n, budget=budget)
-    uf = _UnionFind(len(epis))
-    for m in spec.moves:
-        for x in range(len(epis)):
+    return _orbit_sizes(_move_graph(group, n, budget=budget))
+
+
+def _orbit_sizes(graph: MultiGraph) -> list[int]:
+    """transitivity_report's union-find over the move columns of a built
+    move graph."""
+    uf = _UnionFind(graph.n_vertices)
+    for m in graph.neighbors.T:
+        for x in range(graph.n_vertices):
             uf.union(x, int(m[x]))
     sizes: dict[int, int] = {}
-    for x in range(len(epis)):
+    for x in range(graph.n_vertices):
         r = uf.find(x)
         sizes[r] = sizes.get(r, 0) + 1
     return sorted(sizes.values(), reverse=True)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from thinlab import pra as pra_mod
 from thinlab.cli import (
     ConfigError,
     emit_plotdata,
@@ -168,6 +169,20 @@ class TestRun:
         spectra_rows = list(csv.DictReader(open(tmp_path / "out" / "spectra.csv")))
         assert [int(r["N"]) for r in spectra_rows] == [8, 24, 48]
 
+    def test_pra_run_enumerates_epi_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = pra_mod.enumerate_epi
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pra_mod, "enumerate_epi", counting)
+        config = validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 100})
+        manifest = run(config, out_dir=tmp_path / "out")
+        assert not manifest.failed
+        assert len(calls) == 1
+
     def test_task_failure_recorded(self, tmp_path):
         config = validate_config(
             {"kind": "cayley-sweep", "genus": 1, "primes": [3, 11], "budget": 30}
@@ -220,6 +235,38 @@ class TestMainExitCodes:
             {"kind": "cayley-sweep", "genus": 1, "primes": [11], "budget": 30},
         )
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_failed_cayley_comparison_recorded_in_manifest(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "kind": "schreier-sweep",
+                "genus": 1,
+                "primes": [3, 5],
+                "compare_cayley": True,
+                "budget": 30,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [t["name"] for t in manifest["tasks"]] == ["p=3", "p=5"]
+        assert manifest["tasks"][0]["status"] == "ok"
+        assert manifest["tasks"][1]["status"] == "failed"
+        assert "BudgetExceeded" in manifest["tasks"][1]["error"]
+        rows = list(csv.DictReader(open(out / "comparison.csv")))
+        assert [r["p"] for r in rows] == ["3"]
+        assert "comparison.csv" in manifest["outputs"]
+
+    def test_bad_env_budget_fails_the_task(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("THINLAB_BUDGET", "-5")
+        path = write_config(
+            tmp_path, {"kind": "pra", "group": "Z2xZ2", "arity": 2, "steps": 10}
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed" and "THINLAB_BUDGET" in task["error"]
 
     def test_census_subcommand(self, tmp_path):
         out = tmp_path / "census-out"

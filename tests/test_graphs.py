@@ -247,3 +247,71 @@ class TestBinaryDump:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_graph(path)
+
+    @staticmethod
+    def _dump_bytes(tmp_path):
+        graph = from_edges(6, TWO_TRIANGLES)
+        path = tmp_path / "g.bin"
+        save_graph(graph, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("keep", [10, -1, -3])
+    def test_truncated_dump_rejected(self, tmp_path, keep):
+        # 10 bytes end inside the header; -1 and -3 drop the last varints
+        path = tmp_path / "cut.bin"
+        path.write_bytes(self._dump_bytes(tmp_path)[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            load_graph(path)
+
+    def test_truncated_mid_varint_rejected(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(b"TLG1" + np.array([2, 1], dtype="<u4").tobytes() + b"\x01\x80")
+        with pytest.raises(ValueError, match="truncated"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"\x81"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        path = tmp_path / "tail.bin"
+        path.write_bytes(self._dump_bytes(tmp_path) + tail)
+        with pytest.raises(ValueError, match="trailing"):
+            load_graph(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"TLG1" + np.array([2**31, 2**20], dtype="<u4").tobytes() + b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated"):
+            load_graph(path)
+
+    def test_zero_degree_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"TLG1" + np.array([2**31 - 1, 0], dtype="<u4").tobytes())
+        graph = load_graph(path)
+        assert graph.n_vertices == 2**31 - 1 and graph.degree == 0
+
+    def test_neighbor_out_of_range_rejected(self, tmp_path):
+        # two vertices joined by an edge, but the second row points at vertex 2
+        path = tmp_path / "range.bin"
+        path.write_bytes(b"TLG1" + np.array([2, 1], dtype="<u4").tobytes() + b"\x01\x02")
+        with pytest.raises(ValueError, match="out of range"):
+            load_graph(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        r=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_random_regular_multigraphs(self, tmp_path_factory, n, r, seed):
+        # r random permutations and their inverses give a 2r-regular
+        # multigraph with loops and parallel edges
+        rng = np.random.default_rng(seed)
+        cols = []
+        for _ in range(r):
+            perm = rng.permutation(n)
+            cols += [perm, np.argsort(perm)]
+        nbrs = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int32)
+        graph = MultiGraph(nbrs)
+        path = tmp_path_factory.mktemp("dump") / "g.bin"
+        save_graph(graph, path)
+        loaded = load_graph(path)
+        assert np.array_equal(loaded.neighbors, np.sort(graph.neighbors, axis=1))

@@ -68,7 +68,7 @@ class TestBfsClosure:
     def test_budget_exceeded_carries_partial_count(self):
         with pytest.raises(BudgetExceeded) as exc_info:
             bfs_closure(sl2_generators(11), budget=100)
-        assert exc_info.value.partial_count > 100
+        assert exc_info.value.partial_count == 101
         assert exc_info.value.budget == 100
 
     def test_env_budget_override(self, monkeypatch):
@@ -78,6 +78,13 @@ class TestBfsClosure:
             bfs_closure(sl2_generators(11))
         monkeypatch.delenv("THINLAB_BUDGET")
         assert resolve_budget() == 2_000_000
+
+    @pytest.mark.parametrize("value", ["-5", "0", "abc", "1.5"])
+    def test_env_budget_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("THINLAB_BUDGET", value)
+        with pytest.raises(ValueError, match="THINLAB_BUDGET"):
+            resolve_budget()
+        assert resolve_budget(10) == 10  # an explicit budget does not read it
 
     def test_index_roundtrip(self):
         group = bfs_closure(sl2_generators(7))
