@@ -25,11 +25,13 @@ import numpy as np
 
 from . import __version__
 from .groups import (
+    BudgetExceeded,
     GeneratorSet,
     bfs_closure,
     cyclic_generators,
     direct_product_of_cyclic,
     is_prime,
+    resolve_budget,
     sl2_generators,
     symmetric_generators,
 )
@@ -109,6 +111,8 @@ def _want_primes(key: str, value) -> list[int]:
     for p in value:
         if not isinstance(p, int) or not is_prime(p):
             raise ConfigError(f"key {key!r}: {p!r} is not prime")
+    if len(set(value)) != len(value):
+        raise ConfigError(f"key {key!r}: primes must not repeat, got {value!r}")
     return list(value)
 
 
@@ -155,20 +159,46 @@ def parse_mu(text: str) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def parse_group_spec(spec: str) -> GeneratorSet:
-    """Group specs: S<d>, Z<n>, or direct products Z<a>xZ<b>x..."""
+def _group_spec_sizes(spec: str) -> tuple[str, list[int]]:
+    """Family ("S" or "Z") and sizes of a group spec, without building
+    anything: S<d>, Z<n>, or direct products Z<a>xZ<b>x..."""
     s = spec.strip()
-    m = re.fullmatch(r"[Ss](\d+)", s)
-    if m:
-        return symmetric_generators(int(m.group(1)))
-    m = re.fullmatch(r"[Zz](\d+)", s)
-    if m:
-        return cyclic_generators(int(m.group(1)))
-    m = re.fullmatch(r"[Zz]\d+(?:x[Zz]\d+)+", s)
-    if m:
-        orders = [int(x) for x in re.findall(r"\d+", s)]
-        return direct_product_of_cyclic(orders)
-    raise ConfigError(f"unrecognized group spec {spec!r} (use S3, Z5, Z2xZ2, ...)")
+    if re.fullmatch(r"[Ss]\d+", s):
+        family = "S"
+    elif re.fullmatch(r"[Zz]\d+(?:x[Zz]\d+)*", s):
+        family = "Z"
+    else:
+        raise ConfigError(f"unrecognized group spec {spec!r} (use S3, Z5, Z2xZ2, ...)")
+    try:
+        sizes = [int(x) for x in re.findall(r"\d+", s)]
+    except ValueError:  # more digits than int() accepts
+        raise ConfigError(f"group spec {spec!r}: size too large") from None
+    if 0 in sizes:
+        raise ConfigError(f"group spec {spec!r}: sizes must be positive")
+    return family, sizes
+
+
+def _group_order_exceeds(spec: str, budget: int) -> bool:
+    """True iff the closed-form order of the spec's group (n, d!, or the
+    product) exceeds budget.  The product stops at the first factor that
+    crosses budget, so d! is never computed for a huge d."""
+    family, sizes = _group_spec_sizes(spec)
+    order = 1
+    for factor in range(1, sizes[0] + 1) if family == "S" else sizes:
+        order *= factor
+        if order > budget:
+            return True
+    return False
+
+
+def parse_group_spec(spec: str) -> GeneratorSet:
+    """Generators for a group spec: S<d>, Z<n>, or direct products Z<a>xZ<b>x..."""
+    family, sizes = _group_spec_sizes(spec)
+    if family == "S":
+        return symmetric_generators(sizes[0])
+    if len(sizes) == 1:
+        return cyclic_generators(sizes[0])
+    return direct_product_of_cyclic(sizes)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -210,7 +240,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         p["method"] = _want_str("method", raw.get("method", "auto"), ("auto", "dense", "iterative"))
     if kind == "pra":
         p["group"] = _want_str("group", raw["group"])
-        parse_group_spec(p["group"])  # fail early on bad specs
+        _group_spec_sizes(p["group"])  # fail early on bad specs
         p["arity"] = _want_int("arity", raw["arity"], minimum=1)
         p["steps"] = _want_int("steps", raw["steps"], minimum=0)
         if "budget" in raw:
@@ -465,6 +495,9 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
     n, steps = params["arity"], params["steps"]
 
     def body() -> list[Path]:
+        budget = resolve_budget(params.get("budget"))
+        if _group_order_exceeds(params["group"], budget):
+            raise BudgetExceeded(0, budget, f"group {params['group']}")
         gens = parse_group_spec(params["group"])
         group = bfs_closure(gens, budget=params.get("budget"))
         graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))

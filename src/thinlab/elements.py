@@ -16,7 +16,9 @@ import numpy as np
 PERMUTATION = "permutation"
 MATRIX = "matrix"
 
-# int64 products n * m^2 must not wrap; moduli in practice are tiny primes.
+# int64 products n * m^2 must not wrap.  The int64 element code of
+# groups.py needs m^(n^2) < 2^63 as well; above that a group falls back to
+# bytes keys.  Moduli in practice are small primes.
 MAX_MODULUS = 1 << 20
 
 

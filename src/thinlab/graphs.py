@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 
-from .elements import encode_matrix, inverse
+from .elements import encode_matrix
 from .groups import FiniteGroup, GeneratorSet
 
 MAX_VERTICES = 2**31 - 1
@@ -266,7 +266,7 @@ def torsion_projection(
     if group.kind != "matrix" or group.modulus == 0:
         raise ValueError("torsion_projection needs a matrix group with positive modulus")
     m = group.modulus
-    dim = group.element(0).dimension
+    dim = group.stack.shape[1]
     if base_vector is None:
         v0 = np.zeros(dim, dtype=np.int64)
         v0[0] = 1
@@ -274,12 +274,8 @@ def torsion_projection(
         v0 = np.asarray(base_vector, dtype=np.int64) % m
         if not v0.any():
             raise ValueError("base vector must be nonzero")
-    powers = m ** np.arange(dim, dtype=np.int64)
-    proj = np.empty(group.order, dtype=np.int64)
-    for i in range(group.order):
-        w = (inverse(group.element(i)).data @ v0) % m
-        proj[i] = int(w @ powers) - 1
-    return proj
+    w = (group.stack[group.inverse_indices()] @ v0) % m
+    return _vector_codes(w, m) - 1
 
 
 def to_dot(g: MultiGraph, name: str | None = None) -> str:
@@ -301,31 +297,22 @@ def to_dot(g: MultiGraph, name: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_uvarint(buf: bytearray, x: int) -> None:
-    while True:
-        b = x & 0x7F
-        x >>= 7
-        if x:
-            buf.append(b | 0x80)
-        else:
-            buf.append(b)
-            return
-
-
 def save_graph(g: MultiGraph, path) -> None:
     """Binary adjacency dump: magic, u32 N, u32 k, then each row sorted
     ascending and delta-encoded as unsigned LEB128 varints."""
-    buf = bytearray()
-    buf += _DUMP_MAGIC
-    buf += np.array([g.n_vertices, g.degree], dtype="<u4").tobytes()
-    for u in range(g.n_vertices):
-        row = np.sort(g.neighbors[u])
-        prev = 0
-        for v in row:
-            _write_uvarint(buf, int(v) - prev)
-            prev = int(v)
+    rows = np.sort(g.neighbors, axis=1).astype(np.int64)
+    deltas = np.diff(rows, axis=1, prepend=0).ravel()
+    # each delta (below 2^31) as 1 to 5 seven-bit groups, least significant
+    # first, with the high bit set on every group but the last
+    shifted = deltas[:, np.newaxis] >> (7 * np.arange(5))
+    widths = np.maximum((shifted > 0).sum(axis=1), 1)[:, np.newaxis]
+    digit = np.arange(5)
+    varints = (shifted & 0x7F) | np.where(digit < widths - 1, 0x80, 0)
+    body = varints[digit < widths].astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(_DUMP_MAGIC)
+        fh.write(np.array([g.n_vertices, g.degree], dtype="<u4").tobytes())
+        fh.write(body.tobytes())
 
 
 def load_graph(path, label: str = "") -> MultiGraph:

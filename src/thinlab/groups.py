@@ -1,10 +1,16 @@
 """Breadth-first enumeration of finite groups from generator sets.
 
 The enumeration is layered: each BFS layer is a stacked numpy array of
-elements, multiplied against every symmetrized generator in one batched
-operation.  That keeps the per-element Python overhead down to one encode
-plus one hash lookup, which is what makes Sp4(F3) (order 51840) and
-SL2(F47) (order 103776) comfortable at desk scale.
+elements, multiplied against one symmetrized generator at a time in a
+batched operation.  Every element has one key, its mixed-radix int64 code
+(the base-m digits of a matrix's entries, or the base-d digits of a
+permutation's images); where m^(n^2) or d^d does not fit below 2^63, or the
+modulus is 0, the key is the element's bytes encoding in an object array.
+Both kinds go through the same np.unique / np.sort / np.searchsorted code,
+so deduplication, index lookup, Cayley neighbor tables and inverses are
+whole-array operations with no per-element Python work on the int64 path.
+That is what makes SL2(F_p) for p ~ 100 (order ~10^6) a matter of seconds
+at desk scale.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .elements import (
     PERMUTATION,
     GroupElement,
     encode_matrix,
+    encode_permutation,
     identity_like,
     inverse,
     multiply,
@@ -93,90 +100,139 @@ class GeneratorSet:
         return identity_like(self.elements[0])
 
 
-def _batch_right_multiply(stack: np.ndarray, s: GroupElement) -> np.ndarray:
-    """Right-multiply every stacked element by s.
+def _batch_multiply(kind: str, modulus: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Products of a stack of elements with one element, on either side.
 
-    Permutations: (q*s)(x) = q(s(x)), i.e. fancy-index the image rows.
-    Matrices: batched matmul reduced mod m.
+    Exactly one of ``left``/``right`` is a stack (one more axis than an
+    element).  Permutations compose as (a*b)(x) = a(b(x)), so a stack on the
+    left fancy-indexes its image rows and a stack on the right is looked up
+    in the single element's images.  Matrices: batched matmul, reduced mod m
+    unless the modulus is 0 (exact object arithmetic).
     """
-    if s.kind == PERMUTATION:
-        return stack[:, s.data]
-    if s.modulus:
-        return np.matmul(stack, s.data) % s.modulus
-    # object dtype (exact integers): matmul unsupported, go row by row
-    return np.stack([np.dot(stack[i], s.data) for i in range(stack.shape[0])])
-
-
-def _encode_rows(kind: str, stack: np.ndarray, modulus: int) -> list[bytes]:
     if kind == PERMUTATION:
-        flat = stack.astype("<u4")
-        row_bytes = flat.shape[1] * 4
-        blob = flat.tobytes()
-        return [blob[i * row_bytes : (i + 1) * row_bytes] for i in range(flat.shape[0])]
-    if modulus:
-        flat = stack.reshape(stack.shape[0], -1).astype("<u4")
-        row_bytes = flat.shape[1] * 4
-        blob = flat.tobytes()
-        return [blob[i * row_bytes : (i + 1) * row_bytes] for i in range(flat.shape[0])]
-    return [encode_matrix(stack[i], 0) for i in range(stack.shape[0])]
+        return left[:, right] if left.ndim == 2 else left[right]
+    prods = np.matmul(left, right)
+    return prods % modulus if modulus else prods
+
+
+def _key_powers(kind: str, shape: tuple[int, ...], modulus: int) -> np.ndarray | None:
+    """Radix powers of the int64 element code, or None where there is none.
+
+    The code is the mixed-radix number whose base-m digits are a matrix's
+    entries (row-major, least significant first), or whose base-d digits are
+    a permutation's images.  It needs m^(n^2) or d^d below 2^63, and a
+    positive modulus.
+    """
+    base = shape[0] if kind == PERMUTATION else modulus
+    digits = int(np.prod(shape))
+    if base == 0 or base**digits >= 2**63:
+        return None
+    return base ** np.arange(digits, dtype=np.int64)
+
+
+def _encode(data: np.ndarray, kind: str, modulus: int) -> bytes:
+    """The element's bytes encoding, as GroupElement.encoding."""
+    return encode_permutation(data) if kind == PERMUTATION else encode_matrix(data, modulus)
+
+
+def _keys(stack: np.ndarray, kind: str, modulus: int, powers: np.ndarray | None) -> np.ndarray:
+    """One sortable key per stacked element: the int64 code, or, where
+    ``powers`` is None, the element's bytes encoding in an object array."""
+    if powers is not None:
+        return stack.reshape(stack.shape[0], -1) @ powers
+    keys = np.empty(stack.shape[0], dtype=object)
+    keys[:] = [_encode(row, kind, modulus) for row in stack]
+    return keys
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in the nonempty ``sorted_keys`` and a mask of
+    the keys that are there."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.shape[0] - 1)
+    return pos, sorted_keys[pos] == keys
 
 
 class FiniteGroup:
     """A fully enumerated group: elements in BFS discovery order, index 0
-    the identity, plus an encoding -> position map as multiplication oracle."""
+    the identity, plus the BFS tree that found them.
+
+    The elements' keys, sorted, with the index of each, are the one
+    membership structure: every lookup is a ``searchsorted`` against them.
+    """
 
     def __init__(
         self,
-        kind: str,
+        gens: GeneratorSet,
         stack: np.ndarray,
-        modulus: int,
-        encodings: list[bytes],
-        generator_indices: tuple[int, ...],
-        label: str = "",
+        keys: np.ndarray,
+        parents: np.ndarray,
+        steps: np.ndarray,
+        layer_starts: tuple[int, ...],
     ):
-        self.kind = kind
-        self._stack = stack
-        self.modulus = modulus
-        self._encodings = encodings
-        self._index = {enc: i for i, enc in enumerate(encodings)}
-        if len(self._index) != len(encodings):
-            raise ValueError("duplicate encodings in element list")
-        self.generator_indices = generator_indices
-        self.label = label
+        e = gens.identity()
+        self.kind = e.kind
+        self.modulus = e.modulus
+        self.label = gens.label
+        self.stack = stack
+        self.stack.flags.writeable = False
+        self._powers = _key_powers(self.kind, e.data.shape, self.modulus)
+        self._key_index = np.argsort(keys)
+        self._sorted_keys = keys[self._key_index]
+        # element i = element(parents[i]) * symmetrized[steps[i]], layer by layer
+        self._symmetrized = gens.symmetrized
+        self._parents = parents
+        self._steps = steps
+        self._layer_starts = layer_starts
+        self.generator_indices = tuple(self.index_of(g) for g in gens.elements)
         self._mul_table: np.ndarray | None = None
         self._inv_indices: np.ndarray | None = None
 
     @property
     def order(self) -> int:
-        return len(self._encodings)
+        return self.stack.shape[0]
 
     def __len__(self) -> int:
         return self.order
 
     def element(self, i: int) -> GroupElement:
-        return GroupElement(self.kind, np.array(self._stack[i]), self.modulus)
+        return GroupElement(self.kind, np.array(self.stack[i]), self.modulus)
 
     def elements(self) -> Iterator[GroupElement]:
         for i in range(self.order):
             yield self.element(i)
 
     def encoding(self, i: int) -> bytes:
-        return self._encodings[i]
+        """element(i).encoding, without building the element."""
+        return _encode(self.stack[i], self.kind, self.modulus)
+
+    def _lookup(self, stack: np.ndarray) -> np.ndarray:
+        """Indices of stacked elements, -1 for those not in the group."""
+        pos, found = _find(self._sorted_keys, _keys(stack, self.kind, self.modulus, self._powers))
+        return np.where(found, self._key_index[pos], -1)
+
+    def _indices(self, stack: np.ndarray) -> np.ndarray:
+        idx = self._lookup(stack)
+        if (idx < 0).any():
+            raise ValueError(f"{int((idx < 0).sum())} products are not in the group")
+        return idx.astype(np.int32)
+
+    def _position(self, g: GroupElement) -> int:
+        if g.kind != self.kind or g.modulus != self.modulus or g.data.shape != self.stack.shape[1:]:
+            return -1
+        return int(self._lookup(g.data[np.newaxis])[0])
 
     def index_of(self, g: GroupElement) -> int:
-        try:
-            return self._index[g.encoding]
-        except KeyError:
-            raise ValueError(f"element not in group: {g!r}") from None
+        i = self._position(g)
+        if i < 0:
+            raise ValueError(f"element not in group: {g!r}")
+        return i
 
     def __contains__(self, g: GroupElement) -> bool:
-        return isinstance(g, GroupElement) and g.encoding in self._index
+        return isinstance(g, GroupElement) and self._position(g) >= 0
 
     def right_multiplication_indices(self, s: GroupElement) -> np.ndarray:
         """Index array of q -> q*s over all elements q, in one batch."""
-        prods = _batch_right_multiply(self._stack, s)
-        encs = _encode_rows(self.kind, prods, self.modulus)
-        return np.fromiter((self._index[e] for e in encs), dtype=np.int32, count=len(encs))
+        return self._indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
 
     def multiplication_table(self, max_entries: int = 4_000_000) -> np.ndarray:
         """Full N x N index table; only sensible for small groups."""
@@ -193,10 +249,19 @@ class FiniteGroup:
         return self._mul_table
 
     def inverse_indices(self) -> np.ndarray:
+        """inv[i] = index of element(i)^(-1), propagated down the BFS tree
+        one layer at a time: the inverse of q*s is s^(-1) * q^(-1)."""
         if self._inv_indices is None:
-            inv = np.empty(self.order, dtype=np.int32)
-            for i in range(self.order):
-                inv[i] = self.index_of(inverse(self.element(i)))
+            inv = np.zeros(self.order, dtype=np.int32)
+            s_inv = [inverse(s).data for s in self._symmetrized]
+            starts = self._layer_starts
+            for a, b in zip(starts[1:], starts[2:]):
+                for j in range(len(s_inv)):
+                    sel = a + np.flatnonzero(self._steps[a:b] == j)
+                    if sel.size:
+                        q_inv = self.stack[inv[self._parents[sel]]]
+                        prods = _batch_multiply(self.kind, self.modulus, s_inv[j], q_inv)
+                        inv[sel] = self._indices(prods)
             self._inv_indices = inv
         return self._inv_indices
 
@@ -211,41 +276,63 @@ class FiniteGroup:
 
 def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     """Enumerate the subgroup generated by ``gens`` breadth-first from the
-    identity, aborting with BudgetExceeded above the element budget."""
+    identity, aborting with BudgetExceeded above the element budget.
+
+    Each layer is multiplied by one symmetrized generator at a time.  Of a
+    batch of products, the first occurrence of each key survives unless an
+    earlier layer or an earlier batch of this layer holds it; survivors are
+    appended in the order they were found, after the budget check.
+    """
     budget = resolve_budget(budget)
     e = gens.identity()
     kind, modulus = e.kind, e.modulus
-    gen_data = [s.data for s in gens.symmetrized]
+    powers = _key_powers(kind, e.data.shape, modulus)
 
-    layers = [e.data[np.newaxis, ...]]
-    encodings = [e.encoding]
-    index = {e.encoding: 0}
-    frontier = layers[0]
+    frontier = e.data[np.newaxis, ...]
+    layers = [frontier]
+    layer_keys = [_keys(frontier, kind, modulus, powers)]
+    parents = [np.array([-1])]
+    steps = [np.array([-1])]
+    starts = [0, 1]
+    seen = layer_keys[0]  # sorted keys of all finished layers
+    count = 1
 
-    while frontier.shape[0]:
-        new_rows = []
-        for sdata in gen_data:
-            if kind == PERMUTATION:
-                prods = frontier[:, sdata]
-            elif modulus:
-                prods = np.matmul(frontier, sdata) % modulus
-            else:
-                prods = np.stack([np.dot(frontier[i], sdata) for i in range(frontier.shape[0])])
-            encs = _encode_rows(kind, prods, modulus)
-            for row, enc in zip(prods, encs):
-                if enc not in index:
-                    if len(encodings) == budget:
-                        raise BudgetExceeded(budget + 1, budget, "bfs_closure")
-                    index[enc] = len(encodings)
-                    encodings.append(enc)
-                    new_rows.append(row)
-        frontier = np.stack(new_rows) if new_rows else np.empty((0,) + frontier.shape[1:], dtype=frontier.dtype)
-        if new_rows:
-            layers.append(frontier)
+    while True:
+        rows, keys, fresh = [], [], []  # fresh: sorted keys new in this layer
+        for j, s in enumerate(gens.symmetrized):
+            prods = _batch_multiply(kind, modulus, frontier, s.data)
+            prod_keys = _keys(prods, kind, modulus, powers)
+            uniq, first = np.unique(prod_keys, return_index=True)
+            new = ~_find(seen, uniq)[1]
+            for earlier in fresh:
+                new &= ~_find(earlier, uniq)[1]
+            at = np.sort(first[new])
+            if count + at.size > budget:
+                raise BudgetExceeded(budget + 1, budget, "bfs_closure")
+            if at.size:
+                fresh.append(uniq[new])
+                rows.append(prods[at])
+                keys.append(prod_keys[at])
+                parents.append(starts[-2] + at)
+                steps.append(np.full(at.size, j))
+                count += at.size
+        if not rows:
+            break
+        frontier = np.concatenate(rows)
+        layers.append(frontier)
+        layer_keys.append(np.concatenate(keys))
+        starts.append(count)
+        # a stable sort is a timsort here: it merges the sorted runs in linear time
+        seen = np.sort(np.concatenate([seen, *fresh]), kind="stable")
 
-    stack = np.concatenate(layers, axis=0)
-    gen_indices = tuple(index[g.encoding] for g in gens.elements)
-    return FiniteGroup(kind, stack, modulus, encodings, gen_indices, label=gens.label)
+    return FiniteGroup(
+        gens,
+        np.concatenate(layers),
+        np.concatenate(layer_keys),
+        np.concatenate(parents),
+        np.concatenate(steps),
+        tuple(starts),
+    )
 
 
 def is_prime(n: int) -> bool:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from thinlab import cli as cli_mod
 from thinlab import pra as pra_mod
 from thinlab.cli import (
     ConfigError,
@@ -55,6 +56,29 @@ class TestConfigValidation:
     def test_non_prime_rejected(self):
         with pytest.raises(ConfigError, match="not prime"):
             validate_config({"kind": "pointpush", "genus": 1, "primes": [4]})
+
+    def test_repeated_primes_rejected(self):
+        with pytest.raises(ConfigError, match="repeat"):
+            validate_config({"kind": "cayley-sweep", "genus": 1, "primes": [3, 3]})
+
+    @pytest.mark.parametrize("spec", ["Z0", "S0", "Z2xZ0"])
+    def test_zero_size_group_rejected(self, spec):
+        with pytest.raises(ConfigError, match="positive"):
+            validate_config({"kind": "pra", "group": spec, "arity": 2, "steps": 1})
+
+    def test_group_size_beyond_int_parsing_rejected(self):
+        with pytest.raises(ConfigError, match="too large"):
+            validate_config({"kind": "pra", "group": "Z" + "9" * 5000, "arity": 2, "steps": 1})
+
+    def test_validation_builds_no_generators(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generators built during validation")
+
+        for name in ("parse_group_spec", "cyclic_generators", "symmetric_generators",
+                     "direct_product_of_cyclic"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        for spec in ("Z" + "9" * 30, "S" + "9" * 30, "Z2xZ" + "9" * 30):
+            validate_config({"kind": "pra", "group": spec, "arity": 2, "steps": 1})
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -267,6 +291,44 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "THINLAB_BUDGET" in task["error"]
+
+    def test_repeated_primes_exit_2(self, tmp_path):
+        path = write_config(tmp_path, {"kind": "cayley-sweep", "genus": 1, "primes": [3, 3]})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spec,budget",
+        [
+            ("Z" + "9" * 30, None),
+            ("S" + "9" * 30, None),
+            ("Z2xZ" + "9" * 30, None),
+            ("S11", None),  # 11! > 2,000,000
+            ("Z6", 5),
+            ("Z2xZ3", 5),
+            ("S3", 5),
+        ],
+    )
+    def test_group_above_budget_fails_before_building(self, tmp_path, monkeypatch, spec, budget):
+        def refuse(*args):
+            raise AssertionError("generators built for a group above the budget")
+
+        monkeypatch.setattr(cli_mod, "parse_group_spec", refuse)
+        payload = {"kind": "pra", "group": spec, "arity": 2, "steps": 1}
+        if budget is not None:
+            payload["budget"] = budget
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed" and "BudgetExceeded" in task["error"]
+
+    @pytest.mark.filterwarnings("ignore:arity 1")
+    def test_group_at_budget_runs(self, tmp_path):
+        # arity 1: the budget also caps the Epi scan, here at 6^1 candidates
+        path = write_config(
+            tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 1, "steps": 1, "budget": 6}
+        )
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_census_subcommand(self, tmp_path):
         out = tmp_path / "census-out"

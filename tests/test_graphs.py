@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab.elements import GroupElement, identity_matrix, multiply
+from thinlab.elements import GroupElement, identity_matrix, inverse, multiply
 from thinlab.groups import GeneratorSet, bfs_closure, cyclic_generators, sl2_generators
+from thinlab.monodromy import standard_symplectic_generators
 from thinlab.graphs import (
     ActionSpec,
     MultiGraph,
@@ -21,6 +22,29 @@ from thinlab.graphs import (
 )
 
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+
+
+def reference_dump(graph: MultiGraph) -> bytes:
+    """Independent oracle for save_graph: one LEB128 varint at a time."""
+    buf = bytearray(b"TLG1") + np.array([graph.n_vertices, graph.degree], dtype="<u4").tobytes()
+    for row in graph.neighbors:
+        prev = 0
+        for v in sorted(int(x) for x in row):
+            x, prev = v - prev, v
+            while x >= 0x80:
+                buf.append(x & 0x7F | 0x80)
+                x >>= 7
+            buf.append(x)
+    return bytes(buf)
+
+
+def projection_oracle(group, v0) -> np.ndarray:
+    """Independent oracle for torsion_projection: invert each element."""
+    m = group.modulus
+    powers = m ** np.arange(len(v0), dtype=np.int64)
+    return np.array(
+        [int(((inverse(group.element(i)).data @ v0) % m) @ powers) - 1 for i in range(group.order)]
+    )
 
 
 class TestCayley:
@@ -152,6 +176,22 @@ class TestQuotient:
         sch = schreier_graph(torsion_action(gens))
         proj = torsion_projection(group)
         assert quotient_check(cay, sch, proj)
+
+    @pytest.mark.parametrize(
+        "gens,v0",
+        [
+            (sl2_generators(5), [1, 0]),
+            (sl2_generators(7), [3, 5]),
+            (sl2_generators(11), [0, 1]),
+            (standard_symplectic_generators(2, 2), [1, 0, 1, 1]),
+        ],
+    )
+    def test_projection_matches_per_element_inverses(self, gens, v0):
+        group = bfs_closure(gens)
+        proj = torsion_projection(group, v0)
+        assert np.array_equal(proj, projection_oracle(group, np.array(v0)))
+        # any nonzero base vector gives a quotient map onto the orbit graph
+        assert quotient_check(cayley_graph(group, gens), schreier_graph(torsion_action(gens)), proj)
 
     def test_identity_projection(self):
         gens = cyclic_generators(6)
@@ -313,5 +353,14 @@ class TestBinaryDump:
         graph = MultiGraph(nbrs)
         path = tmp_path_factory.mktemp("dump") / "g.bin"
         save_graph(graph, path)
+        assert path.read_bytes() == reference_dump(graph)
         loaded = load_graph(path)
         assert np.array_equal(loaded.neighbors, np.sort(graph.neighbors, axis=1))
+
+    def test_wide_varints_match_reference(self, tmp_path):
+        # deltas needing 1 to 5 bytes; save_graph does not validate neighbors
+        row = [0, 2**7 - 1, 2**7, 2**14, 2**21 - 1, 2**28, 2**31 - 2]
+        graph = MultiGraph(np.array([row, row[::-1]]), check=False)
+        path = tmp_path / "wide.bin"
+        save_graph(graph, path)
+        assert path.read_bytes() == reference_dump(graph)

@@ -29,6 +29,29 @@ def naive_closure_order(gens: GeneratorSet, limit: int = 10**5) -> int:
             raise RuntimeError("oracle exceeded its own limit")
 
 
+def dict_bfs_order(gens: GeneratorSet) -> list[GroupElement]:
+    """Independent oracle for the discovery order: one element at a time
+    through a set, frontier rows in order within each generator in order."""
+    frontier = [gens.identity()]
+    order, seen = list(frontier), set(frontier)
+    while frontier:
+        new = []
+        for s in gens.symmetrized:
+            for q in frontier:
+                x = multiply(q, s)
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        order += new
+        frontier = new
+    return order
+
+
+def z_sl2_s() -> GeneratorSet:
+    """S = [[0, -1], [1, 0]] over the integers (modulus 0): a group of order 4."""
+    return GeneratorSet([GroupElement.matrix([[0, -1], [1, 0]], 0)])
+
+
 class TestSpOrder:
     def test_known_values(self):
         assert sp_order(1, 2) == 6
@@ -128,6 +151,86 @@ class TestBfsClosure:
         assert bfs_closure(symmetric_generators(4)).order == 24
         assert bfs_closure(cyclic_generators(12)).order == 12
         assert bfs_closure(direct_product_of_cyclic([2, 2])).order == 4
+
+
+class TestCodedGroups:
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            sl2_generators(11),
+            symmetric_generators(5),
+            direct_product_of_cyclic([2, 3, 5, 7]),
+            z_sl2_s(),
+            standard_symplectic_generators(2, 2),
+        ],
+        ids=["sl2_11", "S5", "Z2xZ3xZ5xZ7", "sl2Z_S", "sp4_2"],
+    )
+    def test_discovery_order_matches_dict_bfs(self, gens):
+        group = bfs_closure(gens)
+        assert list(group.elements()) == dict_bfs_order(gens)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [sl2_generators(7), symmetric_generators(4), direct_product_of_cyclic([2, 3, 5, 7]), z_sl2_s()],
+        ids=["sl2_7", "S4", "Z2xZ3xZ5xZ7", "sl2Z_S"],
+    )
+    def test_inverse_indices(self, gens):
+        group = bfs_closure(gens)
+        inv = group.inverse_indices()
+        assert all(group.mul(i, int(inv[i])) == 0 for i in range(group.order))
+
+    @pytest.mark.parametrize(
+        "gens,order",
+        [(direct_product_of_cyclic([2, 3, 5, 7]), 210), (z_sl2_s(), 4)],
+        ids=["degree17", "modulus0"],
+    )
+    def test_bytes_key_path(self, gens, order):
+        # 17^17 > 2^63 and modulus 0 have no int64 code: keys are bytes
+        group = bfs_closure(gens)
+        assert group._sorted_keys.dtype == object
+        assert group.order == order
+        for i in range(order):
+            assert group.index_of(group.element(i)) == i
+            assert group.encoding(i) == group.element(i).encoding
+        for s in gens.symmetrized:
+            idx = group.right_multiplication_indices(s)
+            assert [int(j) for j in idx] == [
+                group.index_of(multiply(group.element(i), s)) for i in range(order)
+            ]
+
+    def test_key_kind_boundary(self):
+        # degree 15: 15^15 < 2^63 fits the int64 code; degree 16: 16^16 = 2^64 does not
+        assert bfs_closure(cyclic_generators(15))._sorted_keys.dtype == np.int64
+        assert bfs_closure(cyclic_generators(16))._sorted_keys.dtype == object
+        assert bfs_closure(sl2_generators(7))._sorted_keys.dtype == np.int64
+
+    def test_foreign_elements_not_in_group(self):
+        group = bfs_closure(sl2_generators(5))
+        foreign = [
+            GroupElement.matrix([[1, 1], [0, 1]], 7),  # other modulus
+            identity_matrix(3, 5),  # other dimension
+            GroupElement.permutation([1, 0]),  # other kind
+        ]
+        for g in foreign:
+            assert g not in group
+            with pytest.raises(ValueError, match="not in group"):
+                group.index_of(g)
+
+    def test_product_outside_group_raises(self):
+        group = bfs_closure(sl2_generators(3))
+        with pytest.raises(ValueError, match="not in the group"):
+            group.right_multiplication_indices(GroupElement.matrix([[2, 0], [0, 1]], 3))
+
+    def test_budget_exceeded_mid_layer(self):
+        # layer 1 of SL2(F11) is T, S, T^-1, S^-1, one per generator batch:
+        # budget 2 admits T and stops at the batch holding S
+        with pytest.raises(BudgetExceeded) as exc_info:
+            bfs_closure(sl2_generators(11), budget=2)
+        assert exc_info.value.partial_count == 3
+        assert bfs_closure(sl2_generators(11), budget=1320).order == 1320
+
+    def test_sl2_f101_order(self):
+        assert bfs_closure(sl2_generators(101)).order == 1_030_200 == sp_order(1, 101)
 
 
 class TestSymplecticClosure:
