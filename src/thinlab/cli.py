@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import re
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -84,6 +85,13 @@ class ConfigError(ValueError):
     """Config rejected; the message names the offending key."""
 
 
+# Config values echoed in a ConfigError are cut to about 80 characters, so a
+# huge value does not make a huge message and log line.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxstring = _BRIEF.maxlong = _BRIEF.maxother = 80
+_brief = _BRIEF.repr
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -99,9 +107,9 @@ class ExperimentConfig:
 
 def _want_int(key: str, value, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"key {key!r}: expected integer, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected integer, got {_brief(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"key {key!r}: must be >= {minimum}, got {value}")
+        raise ConfigError(f"key {key!r}: must be >= {minimum}, got {_brief(value)}")
     return value
 
 
@@ -110,23 +118,23 @@ def _want_primes(key: str, value) -> list[int]:
         raise ConfigError(f"key {key!r}: expected a nonempty list of primes")
     for p in value:
         if not isinstance(p, int) or not is_prime(p):
-            raise ConfigError(f"key {key!r}: {p!r} is not prime")
+            raise ConfigError(f"key {key!r}: {_brief(p)} is not prime")
     if len(set(value)) != len(value):
-        raise ConfigError(f"key {key!r}: primes must not repeat, got {value!r}")
+        raise ConfigError(f"key {key!r}: primes must not repeat, got {_brief(value)}")
     return list(value)
 
 
 def _want_str(key: str, value, choices: Sequence[str] | None = None) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"key {key!r}: expected string, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected string, got {_brief(value)}")
     if choices and value not in choices:
-        raise ConfigError(f"key {key!r}: must be one of {choices}, got {value!r}")
+        raise ConfigError(f"key {key!r}: must be one of {choices}, got {_brief(value)}")
     return value
 
 
 def _want_bool(key: str, value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"key {key!r}: expected boolean, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected boolean, got {_brief(value)}")
     return value
 
 
@@ -153,9 +161,9 @@ def parse_mu(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in cleaned.split(","))
     except ValueError:
-        raise ConfigError(f"bad partition string {text!r}") from None
+        raise ConfigError(f"bad partition string {_brief(text)}") from None
     if not parts or any(p < 1 for p in parts):
-        raise ConfigError(f"bad partition string {text!r}")
+        raise ConfigError(f"bad partition string {_brief(text)}")
     return tuple(sorted(parts, reverse=True))
 
 
@@ -168,13 +176,13 @@ def _group_spec_sizes(spec: str) -> tuple[str, list[int]]:
     elif re.fullmatch(r"[Zz]\d+(?:x[Zz]\d+)*", s):
         family = "Z"
     else:
-        raise ConfigError(f"unrecognized group spec {spec!r} (use S3, Z5, Z2xZ2, ...)")
+        raise ConfigError(f"unrecognized group spec {_brief(spec)} (use S3, Z5, Z2xZ2, ...)")
     try:
         sizes = [int(x) for x in re.findall(r"\d+", s)]
     except ValueError:  # more digits than int() accepts
-        raise ConfigError(f"group spec {spec!r}: size too large") from None
+        raise ConfigError(f"group spec {_brief(spec)}: size too large") from None
     if 0 in sizes:
-        raise ConfigError(f"group spec {spec!r}: sizes must be positive")
+        raise ConfigError(f"group spec {_brief(spec)}: sizes must be positive")
     return family, sizes
 
 
@@ -206,12 +214,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"key 'kind': must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+        raise ConfigError(f"key 'kind': must be one of {EXPERIMENT_KINDS}, got {_brief(kind)}")
 
     allowed = _PARAM_KEYS[kind] | _COMMON_KEYS
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys for {kind}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys for {kind}: {_brief(sorted(unknown))}")
     missing = _REQUIRED[kind] - set(raw)
     if missing:
         raise ConfigError(f"missing required keys for {kind}: {sorted(missing)}")
@@ -250,7 +258,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if "mu" in raw:
             p["mu"] = parse_mu(_want_str("mu", raw["mu"]))
             if sum(p["mu"]) != p["degree"]:
-                raise ConfigError(f"key 'mu': {raw['mu']!r} is not a partition of {p['degree']}")
+                raise ConfigError(
+                    f"key 'mu': {_brief(raw['mu'])} is not a partition of {_brief(p['degree'])}"
+                )
         if "image_order" in raw:
             p["image_order"] = _want_int("image_order", raw["image_order"], minimum=1)
         if "cap" in raw:
@@ -269,6 +279,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond int()'s digit limit
+        raise ConfigError(f"config {path}: {exc}") from exc
     return validate_config(raw)
 
 

@@ -3,9 +3,11 @@
 lambda1 is the second-smallest eigenvalue (with multiplicity) of
 L = I - A/k, so it is 0 exactly when the graph is disconnected and the
 zero eigenvalue has multiplicity equal to the component count.  The dense
-path computes the bottom of the spectrum directly; the iterative path
-deflates the known kernel (component indicator vectors) and runs an
-extremal eigensolver on 2I - L restricted to the complement.
+path computes the bottom of the spectrum directly.  The iterative path
+needs no deflation: a disconnected graph has lambda1 = 0 with an exact
+kernel vector, and on a connected graph the components pass proves the top
+eigenvalue 1 of A/k simple, so sparse Lanczos (ARPACK) on A/k for its two
+largest eigenvalues gives lambda1 = 1 - theta_2.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .graphs import MultiGraph, components
 
 DENSE_CUTOFF = 3000
 ITERATIVE_TOL = 1e-6
-# ARPACK needs a 3-dimensional problem; below that a plain power iteration
-# on the deflated operator converges immediately
-_POWER_ITERATION_MAX_N = 2
 _V0_SEED = 0x7A51
 
 CSV_FIELDS = ("graph_id", "N", "k", "lambda1", "zero_mult", "solver", "residual", "seconds")
@@ -73,14 +72,6 @@ class SpectralReport:
         ]
 
 
-def _kernel_basis(comps: list[np.ndarray], n: int) -> np.ndarray:
-    """Orthonormal component indicator vectors spanning ker(L) exactly."""
-    Q = np.zeros((n, len(comps)))
-    for j, c in enumerate(comps):
-        Q[c, j] = 1.0 / math.sqrt(len(c))
-    return Q
-
-
 def _residual(L, lam: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(L @ x - lam * x) / np.linalg.norm(x))
 
@@ -101,41 +92,9 @@ def _lambda1_dense(graph: MultiGraph, comps: list[np.ndarray]) -> tuple[float, f
     return lam, _residual(L, lam, x), x
 
 
-def _deflated_operator(L, Q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def project(x: np.ndarray) -> np.ndarray:
-        return x - Q @ (Q.T @ x)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = project(x)
-        z = 2.0 * y - L @ y
-        return project(z)
-
-    return matvec
-
-
-def _power_iteration(
-    L, matvec, x0: np.ndarray, tol: float, maxiter: int
-) -> tuple[float, float, np.ndarray, int]:
-    x = x0 / np.linalg.norm(x0)
-    lam, res = math.nan, math.inf
-    for it in range(1, maxiter + 1):
-        y = matvec(x)
-        theta = float(x @ y)
-        lam = 2.0 - theta
-        res = _residual(L, lam, x)
-        if res <= tol:
-            return lam, res, x, it
-        ny = np.linalg.norm(y)
-        if ny < 1e-30:
-            break
-        x = y / ny
-    raise ConvergenceError(lam, res, maxiter)
-
-
 def lambda1(
     graph: MultiGraph,
     method: str = "auto",
-    dense_cutoff: int = DENSE_CUTOFF,
     tol: float | None = None,
     maxiter: int | None = None,
     graph_id: str | None = None,
@@ -143,8 +102,9 @@ def lambda1(
     """Spectral gap report for one graph.
 
     method "dense" does a symmetric eigendecomposition of the bottom of the
-    spectrum; "iterative" runs a deflated extremal solve on the sparse
-    matrix; "auto" switches on ``dense_cutoff`` vertices.
+    spectrum; "iterative" runs sparse Lanczos on A/k for its two largest
+    eigenvalues (graphs with N <= 2, too small for ARPACK, are solved
+    densely); "auto" is dense up to ``DENSE_CUTOFF`` vertices.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
@@ -153,7 +113,7 @@ def lambda1(
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if graph.n_vertices <= dense_cutoff else "iterative"
+        method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
 
     name = graph_id if graph_id is not None else graph.label
     comps = components(graph)
@@ -161,13 +121,14 @@ def lambda1(
     n, k = graph.n_vertices, graph.degree
     t0 = time.perf_counter()
 
-    if method == "dense":
+    if method == "dense" or n <= 2:
         lam, res, x = _lambda1_dense(graph, comps)
         return SpectralReport(name, n, k, lam, zm, "dense", res, time.perf_counter() - t0, x)
 
     tol = ITERATIVE_TOL if tol is None else tol
     maxiter = 10 * n if maxiter is None else maxiter
-    L = scipy.sparse.identity(n, format="csr") - graph.adjacency() / k
+    A = graph.adjacency() / k
+    L = scipy.sparse.identity(n, format="csr") - A
 
     if zm >= 2:
         # second eigenvalue is another exact kernel vector; no solve needed
@@ -178,29 +139,17 @@ def lambda1(
         res = _residual(L, 0.0, x)
         return SpectralReport(name, n, k, 0.0, zm, "iterative", res, time.perf_counter() - t0, x)
 
-    Q = _kernel_basis(comps, n)
-    matvec = _deflated_operator(L, Q)
-    rng = np.random.default_rng(_V0_SEED ^ n)
-    v0 = rng.standard_normal(n)
-    v0 -= Q @ (Q.T @ v0)
-
-    if n <= _POWER_ITERATION_MAX_N:
-        lam, res, x, _ = _power_iteration(L, matvec, v0, tol, maxiter)
-        return SpectralReport(name, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
     try:
-        # ARPACK's stopping test is ||r|| <= tol * |theta| with theta <= 2,
-        # so halve the requested tolerance to certify ||r|| <= tol
-        theta, vecs = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=tol / 2, maxiter=maxiter, v0=v0
-        )
+        # ARPACK stops at ||r|| <= tol * |theta| with |theta| <= 1
+        theta, vecs = scipy.sparse.linalg.eigsh(A, k=2, which="LA", tol=tol, maxiter=maxiter, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        best = 2.0 - float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
+        best = 1.0 - float(min(exc.eigenvalues)) if len(exc.eigenvalues) == 2 else math.nan
         raise ConvergenceError(best, math.nan, maxiter) from exc
-    lam = 2.0 - float(theta[0])
-    x = vecs[:, 0]
-    x -= Q @ (Q.T @ x)
+    if abs(theta[1] - 1.0) > 1e-6:
+        raise RuntimeError(f"kernel mismatch: connected graph, top eigenvalue {theta[1]} of A/k")
+    lam = 1.0 - float(theta[0])
+    x = vecs[:, 0] - vecs[:, 0].mean()
     x /= np.linalg.norm(x)
     res = _residual(L, lam, x)
     return SpectralReport(name, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
@@ -223,7 +172,6 @@ def family_sweep(
     primes: Sequence[int],
     method: str = "auto",
     jobs: int | None = None,
-    dense_cutoff: int = DENSE_CUTOFF,
 ) -> SweepResult:
     """Build and solve one graph per prime, concurrently; a failure for one
     prime is recorded and the sweep continues."""
@@ -231,7 +179,7 @@ def family_sweep(
         raise ValueError("need at least one prime")
 
     def task(p: int) -> SpectralReport:
-        return lambda1(builder(p), method=method, dense_cutoff=dense_cutoff)
+        return lambda1(builder(p), method=method)
 
     reports: list[SpectralReport] = []
     errors: dict[int, str] = {}

@@ -67,8 +67,27 @@ class TestConfigValidation:
             validate_config({"kind": "pra", "group": spec, "arity": 2, "steps": 1})
 
     def test_group_size_beyond_int_parsing_rejected(self):
-        with pytest.raises(ConfigError, match="too large"):
+        with pytest.raises(ConfigError, match="too large") as exc_info:
             validate_config({"kind": "pra", "group": "Z" + "9" * 5000, "arity": 2, "steps": 1})
+        assert len(str(exc_info.value)) < 200
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "k" * 5000},
+            {"kind": "pra", "group": "Q" * 5000, "arity": 2, "steps": 1},
+            {"kind": "pra", "group": "S3", "arity": "9" * 5000, "steps": 1},
+            {"kind": "cayley-sweep", "genus": 1, "primes": ["x" * 5000]},
+            {"kind": "cayley-sweep", "genus": 1, "primes": [3] * 5000},
+            {"kind": "cayley-sweep", "genus": 1, "primes": [3], "method": "m" * 5000},
+            {"kind": "origami-census", "degree": 3, "mu": "1," * 5000 + "1"},
+            {"kind": "pra", "group": "S3", "arity": 2, "steps": 1, "k" * 5000: 1},
+        ],
+    )
+    def test_echoed_values_are_shortened(self, raw):
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(raw)
+        assert len(str(exc_info.value)) < 200
 
     def test_validation_builds_no_generators(self, monkeypatch):
         def refuse(*args):
@@ -84,6 +103,12 @@ class TestConfigValidation:
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "pra",\n  oops\n}')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    def test_oversized_integer_literal_rejected(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"kind": "pra", "group": "S3", "arity": ' + "9" * 5000 + ', "steps": 1}')
+        with pytest.raises(ConfigError, match="digits"):
             load_config(path)
 
     def test_sl2_gens_need_genus_one(self):
@@ -329,6 +354,16 @@ class TestMainExitCodes:
             tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 1, "steps": 1, "budget": 6}
         )
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_pra_budget_also_caps_epi_candidates(self, tmp_path):
+        # 6 elements fit the budget, the 6^2 = 36 Epi candidates do not
+        path = write_config(
+            tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 2, "steps": 1, "budget": 6}
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed" and "enumerate_epi" in task["error"]
 
     def test_census_subcommand(self, tmp_path):
         out = tmp_path / "census-out"

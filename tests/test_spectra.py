@@ -5,7 +5,9 @@ import pytest
 
 from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symmetric_generators, direct_product_of_cyclic
 from thinlab.graphs import cayley_graph, components, from_edges, schreier_graph, torsion_action
+from thinlab import spectra
 from thinlab.spectra import (
+    ITERATIVE_TOL,
     ConvergenceError,
     esperantist_fit,
     family_sweep,
@@ -73,6 +75,11 @@ class TestLambda1Exact:
     def test_four_cycle_is_one(self):
         assert abs(lambda1(cyclic_graph(4), method="dense").lambda1 - 1.0) < 1e-12
 
+    def test_triangle(self):
+        graph = from_edges(3, [(0, 1), (1, 2), (0, 2)], label="K3")
+        for method in ("dense", "iterative"):
+            assert abs(lambda1(graph, method=method).lambda1 - 1.5) < 1e-9
+
     def test_single_edge_lambda_two(self):
         graph = from_edges(2, [(0, 1)], label="K2")
         assert abs(lambda1(graph, method="dense").lambda1 - 2.0) < 1e-12
@@ -115,6 +122,16 @@ class TestInvariants:
             assert abs(dense.lambda1 - iterative.lambda1) < 1e-8, graph.label
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_iterative_matches_dense_on_degenerate_sl2(self, p):
+        # N = 1320 and 2184; lambda1 has multiplicity p + 1 (12 and 14)
+        graph = sl2_graph(p)
+        dense = lambda1(graph, method="dense")
+        iterative = lambda1(graph, method="iterative")
+        assert abs(dense.lambda1 - iterative.lambda1) <= 1e-8
+        assert abs(iterative.eigenvector.sum()) <= 1e-8
+        assert iterative.residual <= ITERATIVE_TOL
 
     def test_rayleigh_certificate(self):
         for graph in (sl2_graph(7), cyclic_graph(30)):
@@ -162,10 +179,12 @@ class TestEdgesAndErrors:
             lambda1(graph, method="iterative", maxiter=1, tol=1e-14)
         assert exc_info.value.iterations == 1
 
-    def test_auto_switches_on_cutoff(self):
+    def test_auto_switches_on_cutoff(self, monkeypatch):
         graph = cyclic_graph(12)
-        assert lambda1(graph, method="auto", dense_cutoff=20).solver == "dense"
-        assert lambda1(graph, method="auto", dense_cutoff=5).solver == "iterative"
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 20)
+        assert lambda1(graph, method="auto").solver == "dense"
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 5)
+        assert lambda1(graph, method="auto").solver == "iterative"
 
 
 class TestFamilySweep:
