@@ -46,6 +46,7 @@ from .monodromy import (
     standard_symplectic_generators,
 )
 from .graphs import (
+    DOT_VERTEX_LIMIT,
     MultiGraph,
     cayley_graph,
     components,
@@ -405,12 +406,14 @@ def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
             graph = built.get(p)
             if graph is None:
                 continue
-            if graph.n_vertices <= 500:
+            if graph.n_vertices <= DOT_VERTEX_LIMIT:
                 path = outdir / f"cayley_p{p}.dot"
                 path.write_text(to_dot(graph))
                 outputs.append(path)
             else:
-                logger.warning("skipping DOT for p=%d: %d vertices > 500", p, graph.n_vertices)
+                logger.warning(
+                    "skipping DOT for p=%d: %d vertices > %d", p, graph.n_vertices, DOT_VERTEX_LIMIT
+                )
     return tasks, outputs
 
 
@@ -569,23 +572,23 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
         classes = origami_mod.census(d, mu=mu_filter, cap=cap)
         if image_order is not None:
             classes = [c for c in classes if c.image_order == image_order]
-        mus = sorted({c.mu for c in classes}, reverse=True)
-        comp_ids: dict[str, int] = {}
+        # vertex v of a stratum's move graph is that stratum's v-th class
+        comp_ids: list[int] = [0] * len(classes)
         graphs_by_mu = {}
-        for mu in mus:
+        for mu in sorted({c.mu for c in classes}, reverse=True):
+            positions = [i for i, c in enumerate(classes) if c.mu == mu]
             graph = origami_mod.origami_graph(d, mu, image_order=image_order, cap=cap)
             graphs_by_mu[mu] = graph
-            comps = components(graph)
-            for cid, verts in enumerate(comps):
+            for cid, verts in enumerate(components(graph)):
                 for v in verts:
-                    comp_ids[graph.vertex_labels[v]] = cid
+                    comp_ids[positions[v]] = cid
         path = outdir / "census.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["d", "mu", "image_order", "orbit_size", "genus", "component_id", "representative"]
             )
-            for c in classes:
+            for c, comp_id in zip(classes, comp_ids):
                 writer.writerow(
                     [
                         d,
@@ -593,14 +596,14 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
                         c.image_order,
                         c.orbit_size,
                         c.genus,
-                        comp_ids[c.rep.encode()],
+                        comp_id,
                         c.rep.encode(),
                     ]
                 )
         written = [path]
         if params.get("dot"):
             for mu, graph in graphs_by_mu.items():
-                if 0 < graph.n_vertices <= 500:
+                if 0 < graph.n_vertices <= DOT_VERTEX_LIMIT:
                     path = outdir / f"origami_mu{'_'.join(map(str, mu))}.dot"
                     path.write_text(to_dot(graph))
                     written.append(path)
@@ -683,55 +686,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
 
-    if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            logger.error("config error: %s", exc)
-            return 2
-        manifest = run(config, out_dir=args.out, jobs=args.jobs, seed=args.seed)
-        for t in manifest.tasks:
-            status = t["status"]
-            line = f"{t['name']}: {status}"
-            if status != "ok":
-                line += f" ({t.get('error', '')})"
-            logger.info("%s", line)
-        return 1 if manifest.failed else 0
-
-    if args.command == "census":
-        raw = {"kind": "origami-census", "degree": args.degree, "dot": bool(args.dot)}
-        if args.mu:
-            raw["mu"] = args.mu
-        if args.image_order:
-            raw["image_order"] = args.image_order
-        try:
-            config = validate_config(raw)
-        except ConfigError as exc:
-            logger.error("config error: %s", exc)
-            return 2
-        out = args.out or f"thinlab-census-d{args.degree}"
-        manifest = run(config, out_dir=out)
-        logger.info("census written to %s", out)
-        return 1 if manifest.failed else 0
-
-    if args.command == "pra":
-        raw = {
-            "kind": "pra",
-            "group": args.group,
-            "arity": args.arity,
-            "steps": args.steps,
-            "seed": args.seed,
-        }
-        try:
-            config = validate_config(raw)
-        except ConfigError as exc:
-            logger.error("config error: %s", exc)
-            return 2
-        out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
-        manifest = run(config, out_dir=out)
-        logger.info("pra outputs written to %s", out)
-        return 1 if manifest.failed else 0
-
     if args.command == "spectra":
         try:
             graph = load_graph(args.graph, label=Path(args.graph).stem)
@@ -744,7 +698,40 @@ def main(argv: Sequence[str] | None = None) -> int:
         writer.writerow(report.csv_row())
         return 0
 
-    return 2
+    jobs = seed = None
+    try:
+        if args.command == "run":
+            config = load_config(args.config)
+            out, jobs, seed = args.out, args.jobs, args.seed
+        elif args.command == "census":
+            raw = {"kind": "origami-census", "degree": args.degree, "dot": bool(args.dot)}
+            if args.mu is not None:
+                raw["mu"] = args.mu
+            if args.image_order is not None:
+                raw["image_order"] = args.image_order
+            config = validate_config(raw)
+            out = args.out or f"thinlab-census-d{args.degree}"
+        else:
+            raw = {
+                "kind": "pra",
+                "group": args.group,
+                "arity": args.arity,
+                "steps": args.steps,
+                "seed": args.seed,
+            }
+            config = validate_config(raw)
+            out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
+    except ConfigError as exc:
+        logger.error("config error: %s", exc)
+        return 2
+    manifest = run(config, out_dir=out, jobs=jobs, seed=seed)
+    for t in manifest.tasks:
+        status = t["status"]
+        line = f"{t['name']}: {status}"
+        if status != "ok":
+            line += f" ({t.get('error', '')})"
+        logger.info("%s", line)
+    return 1 if manifest.failed else 0
 
 
 if __name__ == "__main__":

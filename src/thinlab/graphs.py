@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 
-from .elements import encode_matrix
 from .groups import FiniteGroup, GeneratorSet
 
 MAX_VERTICES = 2**31 - 1
@@ -31,7 +30,6 @@ class MultiGraph:
         self,
         neighbors: np.ndarray,
         label: str = "",
-        vertex_labels: Sequence[str] | None = None,
         check: bool = True,
     ):
         nbrs = np.asarray(neighbors, dtype=np.int32)
@@ -39,9 +37,6 @@ class MultiGraph:
             raise ValueError("neighbors must be a 2-d (N, k) array")
         self.neighbors = nbrs
         self.label = label
-        self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
-        if self.vertex_labels is not None and len(self.vertex_labels) != nbrs.shape[0]:
-            raise ValueError("vertex_labels length does not match vertex count")
         if nbrs.shape[0] > MAX_VERTICES:
             raise ValueError("too many vertices for 32-bit ids")
         if check:
@@ -130,9 +125,10 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
 
 @dataclass
 class ActionSpec:
-    """A state set plus an inversion-closed multiset of bijective moves."""
+    """A state set (only its size is read) plus an inversion-closed
+    multiset of bijective moves on its indices."""
 
-    states: Sequence[str]
+    states: Sequence
     moves: Sequence[np.ndarray]
     label: str = ""
 
@@ -167,11 +163,7 @@ def schreier_graph(action: ActionSpec, label: str | None = None) -> MultiGraph:
         nbrs = np.stack(action.moves, axis=1)
     else:
         nbrs = np.empty((n, 0), dtype=np.int32)
-    return MultiGraph(
-        nbrs,
-        label=label if label is not None else action.label,
-        vertex_labels=list(action.states),
-    )
+    return MultiGraph(nbrs, label=label if label is not None else action.label)
 
 
 def components(g: MultiGraph) -> list[np.ndarray]:
@@ -240,7 +232,6 @@ def torsion_action(gens: GeneratorSet, label: str | None = None) -> ActionSpec:
         raise ValueError("torsion_action needs matrix generators with positive modulus")
     m, dim = first.modulus, first.dimension
     vecs = _all_nonzero_vectors(dim, m)
-    states = [encode_matrix(v.reshape(1, -1), m).hex() for v in vecs]
     moves = []
     for s in gens.symmetrized:
         images = (vecs @ s.data.T) % m
@@ -249,7 +240,7 @@ def torsion_action(gens: GeneratorSet, label: str | None = None) -> ActionSpec:
             raise ValueError("generator sends a nonzero vector to zero")
         moves.append((codes - 1).astype(np.int32))
     return ActionSpec(
-        states, moves, label=label or f"torsion({gens.label};m={m})"
+        range(len(vecs)), moves, label=label or f"torsion({gens.label};m={m})"
     )
 
 

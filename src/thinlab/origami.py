@@ -6,7 +6,8 @@ its branching datum is the cycle type mu of the commutator, and its genus
 comes from Riemann-Hurwitz over the torus.  The census enumerates one
 canonical representative per simultaneous-conjugation orbit by fixing the
 lex-least permutation of each cycle type as the sigma part and sweeping
-tau orbits under the centralizer of sigma.
+tau orbits under the centralizer of sigma.  Each degree is swept once per
+process (cached); census(d, mu) and origami_graph filter that one sweep.
 """
 
 from __future__ import annotations
@@ -274,73 +275,87 @@ def _centralizer_order(lam: Sequence[int]) -> int:
     return out
 
 
-@lru_cache(maxsize=8)
-def _census_with_index(
-    d: int, mu: tuple[int, ...] | None, cap: int = DEFAULT_DEGREE_CAP
-) -> tuple[tuple[CensusClass, ...], dict[tuple[Perm, Perm], int]]:
+def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...] | None:
+    """Validate a census request before any sweep; returns mu in
+    canonical descending order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     if d > cap:
         raise BudgetExceeded(0, cap, f"census(d={d})")
-    if mu is not None and (sum(mu) != d or any(p < 1 for p in mu)):
-        raise ValueError(f"mu {mu} is not a partition of {d}")
+    mu_key = tuple(sorted(mu, reverse=True)) if mu is not None else None
+    if mu_key is not None and (sum(mu_key) != d or any(p < 1 for p in mu_key)):
+        raise ValueError(f"mu {mu_key} is not a partition of {d}")
+    return mu_key
 
+
+def _orbit(tau: Perm, cgens: list[Perm]) -> set[Perm]:
+    """Orbit of tau under conjugation by the group that cgens generate."""
+    orbit = {tau}
+    frontier = [tau]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for c in cgens:
+                t2 = _conj(c, t)
+                if t2 not in orbit:
+                    orbit.add(t2)
+                    nxt.append(t2)
+        frontier = nxt
+    return orbit
+
+
+@lru_cache(maxsize=8)
+def _sweep(d: int) -> list[tuple[Perm, Perm, tuple[int, ...], int]]:
+    """The whole degree-d census, one sweep over every cycle type of sigma:
+    each tau orbit under the centralizer of the lex-least sigma0 is one
+    class, listed as (sigma0, least tau, commutator type, full orbit size)
+    and sorted by (sigma0, tau); the list index is the class id."""
     fact_d = math.factorial(d)
-    found: list[tuple[OrigamiPair, frozenset[Perm], int]] = []
+    found = []
     for lam in partitions(d):
-        lam_sorted = sorted(lam)
         sigma0 = lex_least_of_type(lam, d)
-        cgens = _centralizer_generators(sigma0, lam_sorted)
-        cent_order = _centralizer_order(lam)
-        class_size = fact_d // cent_order
+        cgens = _centralizer_generators(sigma0, sorted(lam))
+        class_size = fact_d // _centralizer_order(lam)
         handled: set[Perm] = set()
         for tau in itertools.permutations(range(d)):
-            if tau in handled:
+            if tau in handled or not is_transitive(sigma0, tau):
                 continue
-            if mu is not None and cycle_type(commutator(sigma0, tau)) != mu:
-                continue
-            if not is_transitive(sigma0, tau):
-                continue
-            orbit = {tau}
-            frontier = [tau]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for c in cgens:
-                        t2 = _conj(c, t)
-                        if t2 not in orbit:
-                            orbit.add(t2)
-                            nxt.append(t2)
-                frontier = nxt
+            orbit = _orbit(tau, cgens)
             handled |= orbit
-            rep = OrigamiPair(sigma0, min(orbit))
-            found.append((rep, frozenset(orbit), len(orbit) * class_size))
+            least = min(orbit)
+            mu = cycle_type(commutator(sigma0, least))
+            found.append((sigma0, least, mu, len(orbit) * class_size))
+    found.sort()
+    return found
 
-    found.sort(key=lambda item: (item[0].sigma, item[0].tau))
-    classes = []
-    pair_index: dict[tuple[Perm, Perm], int] = {}
-    for cid, (rep, orbit, full_size) in enumerate(found):
-        classes.append(
-            CensusClass(
-                rep=rep,
-                orbit_size=full_size,
-                image_order=subgroup_order(rep.sigma, rep.tau),
-                genus=genus(rep),
-            )
-        )
-        for t in orbit:
-            pair_index[(rep.sigma, t)] = cid
-    return tuple(classes), pair_index
+
+@lru_cache(maxsize=None)
+def _census_class(d: int, cid: int) -> CensusClass:
+    """The record of one class of the degree-d sweep, built (and its image
+    group closed) on first request only."""
+    sigma, tau, _, orbit_size = _sweep(d)[cid]
+    rep = OrigamiPair(sigma, tau)
+    return CensusClass(
+        rep=rep,
+        orbit_size=orbit_size,
+        image_order=subgroup_order(sigma, tau),
+        genus=genus(rep),
+    )
 
 
 def census(
     d: int, mu: Sequence[int] | None = None, cap: int = DEFAULT_DEGREE_CAP
 ) -> list[CensusClass]:
     """One CensusClass per simultaneous-conjugation orbit of transitive
-    pairs of degree d, optionally filtered by commutator cycle type."""
-    mu_key = tuple(sorted(mu, reverse=True)) if mu is not None else None
-    classes, _ = _census_with_index(d, mu_key, cap)
-    return list(classes)
+    pairs of degree d, optionally filtered by commutator cycle type.  Every
+    call filters the one cached degree-d sweep, and the image-order closure
+    runs only for the classes returned."""
+    mu_key = _check_request(d, mu, cap)
+    return [
+        _census_class(d, cid)
+        for cid, (_, _, m, _) in enumerate(_sweep(d))
+        if mu_key is None or m == mu_key
+    ]
 
 
 def _move_T(p: OrigamiPair) -> OrigamiPair:
@@ -377,11 +392,10 @@ def nielsen_moves(p: OrigamiPair) -> list[OrigamiPair]:
     return out
 
 
-def _canonical_class(pair: OrigamiPair, pair_index: dict) -> int:
-    """Class id of an arbitrary transitive pair: conjugate sigma onto the
-    lex-least permutation of its cycle type, then look the tau part up in
-    the census index (which covers whole centralizer orbits, so any cycle
-    alignment works)."""
+def _canonical_pair(pair: OrigamiPair) -> tuple[Perm, Perm]:
+    """A conjugate (sigma0, tau0) of an arbitrary pair with sigma0 the
+    lex-least permutation of its cycle type; tau0 is determined up to the
+    centralizer of sigma0, so any cycle alignment works."""
     d = pair.degree
     lam = cycle_type(pair.sigma)
     target_cycles = []
@@ -396,8 +410,7 @@ def _canonical_class(pair: OrigamiPair, pair_index: dict) -> int:
             g[a] = b
     g = tuple(g)
     sigma0 = _conj(g, pair.sigma)
-    tau0 = _conj(g, pair.tau)
-    return pair_index[(sigma0, tau0)]
+    return sigma0, _conj(g, pair.tau)
 
 
 def origami_graph(
@@ -408,31 +421,39 @@ def origami_graph(
 ) -> MultiGraph:
     """The 4-regular move graph on census classes with commutator type mu,
     optionally restricted to classes with a given image-group order.
+    Vertex i is the i-th class of census(d, mu) with that image order.
 
     A mu with no admissible pairs gives an explicit empty graph.
     """
-    mu_key = tuple(sorted(mu, reverse=True))
-    classes, pair_index = _census_with_index(d, mu_key, cap)
-    if image_order is not None:
-        keep = [cid for cid, c in enumerate(classes) if c.image_order == image_order]
-    else:
-        keep = list(range(len(classes)))
+    mu_key = _check_request(d, mu, cap)
+    classes = _sweep(d)
+    keep = [
+        cid
+        for cid, (_, _, m, _) in enumerate(classes)
+        if m == mu_key
+        and (image_order is None or _census_class(d, cid).image_order == image_order)
+    ]
     label = f"origami(d={d};mu={'+'.join(map(str, mu_key))}" + (
         f";|G|={image_order})" if image_order is not None else ")"
     )
     if not keep:
         return MultiGraph(np.empty((0, 4), dtype=np.int32), label=label)
-    position = {cid: idx for idx, cid in enumerate(keep)}
+    reps = [OrigamiPair(*classes[cid][:2]) for cid in keep]
+    # every pair (sigma0, tau) of a kept class, mapped to its graph position
+    position: dict[tuple[Perm, Perm], int] = {}
+    for idx, rep in enumerate(reps):
+        cgens = _centralizer_generators(rep.sigma, sorted(cycle_type(rep.sigma)))
+        for t in _orbit(rep.tau, cgens):
+            position[(rep.sigma, t)] = idx
     moves = []
     for fn in _MOVES:
         images = np.empty(len(keep), dtype=np.int32)
-        for idx, cid in enumerate(keep):
-            target = _canonical_class(fn(classes[cid].rep), pair_index)
-            if target not in position:
+        for idx, rep in enumerate(reps):
+            target = position.get(_canonical_pair(fn(rep)))
+            if target is None:
                 raise RuntimeError(
                     "move left the filtered class set: image order not invariant? (unreachable)"
                 )
-            images[idx] = position[target]
+            images[idx] = target
         moves.append(images)
-    states = [classes[cid].rep.encode() for cid in keep]
-    return schreier_graph(ActionSpec(states, moves, label=label))
+    return schreier_graph(ActionSpec(range(len(keep)), moves, label=label))

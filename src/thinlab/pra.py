@@ -148,7 +148,7 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
             images[idx] = position[apply_move(t, move).indices]
         moves.append(images)
     label = f"pra({group.label or group.order};n={n})"
-    return schreier_graph(ActionSpec([t.encoding.hex() for t in epis], moves, label=label))
+    return schreier_graph(ActionSpec(range(len(epis)), moves, label=label))
 
 
 def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
@@ -181,7 +181,7 @@ class WalkStats:
                 raise ValueError("total variation distance must lie in [0, 1]")
 
 
-def _tv_to_uniform(visits: np.ndarray, total: int, component: np.ndarray, start: int) -> float:
+def _tv_to_uniform(visits: np.ndarray, total: int, component: np.ndarray) -> float:
     size = len(component)
     if total == 0:
         return 1.0 - 1.0 / size
@@ -233,16 +233,16 @@ def _walk(
                 state = int(nbrs[state, picks[t]])
             visits[state] += 1
             if (t + 1) in markset:
-                tv_marks.append((t + 1, _tv_to_uniform(visits, t + 1, component, start)))
+                tv_marks.append((t + 1, _tv_to_uniform(visits, t + 1, component)))
     elif steps:
         # no moves (arity 1): the walk sits still
         visits[state] = steps
         for m in marks:
             partial = np.zeros_like(visits)
             partial[state] = m
-            tv_marks.append((m, _tv_to_uniform(partial, m, component, start)))
+            tv_marks.append((m, _tv_to_uniform(partial, m, component)))
 
-    tv = _tv_to_uniform(visits, steps, component, start)
+    tv = _tv_to_uniform(visits, steps, component)
     return WalkStats(
         steps=steps,
         seed=seed,

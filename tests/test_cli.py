@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -371,12 +372,28 @@ class TestMainExitCodes:
         rows = list(csv.DictReader(open(out / "census.csv")))
         assert len(rows) == 3
 
-    def test_pra_subcommand(self, tmp_path):
+    @pytest.mark.parametrize("flag,value", [("--image-order", "0"), ("--mu", "")])
+    def test_census_subcommand_rejects_bad_filter(self, tmp_path, flag, value):
+        out = tmp_path / "census-out"
+        assert main(["census", "--degree", "4", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_census_subcommand_logs_failed_task(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="thinlab")
+        out = tmp_path / "census-out"
+        assert main(["census", "--degree", "9", "--out", str(out)]) == 1
+        assert "census(d=9): failed (BudgetExceeded" in caplog.text
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed"
+
+    def test_pra_subcommand(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="thinlab")
         out = tmp_path / "pra-out"
         code = main(
             ["pra", "--group", "S3", "--arity", "2", "--steps", "1000", "--out", str(out)]
         )
         assert code == 0
+        assert "pra(S3,n=2): ok" in caplog.text
         rows = list(csv.DictReader(open(out / "pra.csv")))
         assert rows[0]["epi_count"] == "18"
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinlab import origami as origami_mod
+from thinlab.cli import run, validate_config
 from thinlab.elements import GroupElement
 from thinlab.graphs import components
 from thinlab.groups import BudgetExceeded, GeneratorSet, bfs_closure, direct_product_of_cyclic
@@ -268,12 +270,80 @@ class TestOrigamiGraph:
                     genera = {classes[int(v)].genus for v in comp}
                     assert len(genera) == 1
 
+    @pytest.mark.parametrize("with_order", [False, True])
+    def test_columns_are_census_positions_of_moved_reps(self, with_order):
+        # vertex i is the i-th class of census(d, mu) with the image order;
+        # column t holds the position of the brute-force canonical form of
+        # move t applied to vertex i's representative
+        d = 4
+        for mu in sorted({c.mu for c in census(d)}):
+            classes = census(d, mu=mu)
+            orders = sorted({c.image_order for c in classes}) if with_order else [None]
+            for order in orders:
+                kept = [c for c in classes if order is None or c.image_order == order]
+                pos = {(c.rep.sigma, c.rep.tau): i for i, c in enumerate(kept)}
+                graph = origami_graph(d, mu, image_order=order)
+                assert graph.n_vertices == len(kept)
+                for v, c in enumerate(kept):
+                    for t, moved in enumerate(nielsen_moves(c.rep)):
+                        assert graph.neighbors[v, t] == pos[brute_canonical(moved)]
+
     def test_image_order_filter(self):
         classes = census(4, mu=(1, 1, 1, 1))
         orders = {c.image_order for c in classes}
         some_order = min(orders)
         graph = origami_graph(4, (1, 1, 1, 1), image_order=some_order)
         assert graph.n_vertices == sum(1 for c in classes if c.image_order == some_order)
+
+
+class TestOneSweepPerDegree:
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """Empty census caches; records every image-group closure."""
+        calls = []
+        closure = origami_mod.subgroup_order
+
+        def counted(sigma, tau):
+            calls.append((sigma, tau))
+            return closure(sigma, tau)
+
+        origami_mod._sweep.cache_clear()
+        origami_mod._census_class.cache_clear()
+        monkeypatch.setattr(origami_mod, "subgroup_order", counted)
+        return calls
+
+    def test_census_run_closes_each_class_once(self, tmp_path, closures):
+        manifest = run(validate_config({"kind": "origami-census", "degree": 5}), out_dir=tmp_path)
+        assert not manifest.failed
+        n_classes = len(census(5))
+        assert len(closures) == n_classes
+        assert len(set(closures)) == n_classes
+
+    def test_stratum_request_closes_only_its_classes(self, closures):
+        origami_graph(5, (3, 1, 1))
+        assert closures == []
+        stratum = census(5, mu=(3, 1, 1))
+        assert sorted(closures) == sorted((c.rep.sigma, c.rep.tau) for c in stratum)
+        origami_graph(5, (3, 1, 1), image_order=60)
+        census(5, mu=(3, 1, 1))
+        assert len(closures) == len(stratum)
+
+    def test_filters_share_one_sweep(self, closures):
+        full = census(4)
+        for mu in {c.mu for c in full}:
+            assert census(4, mu=mu) == [c for c in full if c.mu == mu]
+            origami_graph(4, mu)
+        info = origami_mod._sweep.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_requests_checked_before_the_sweep(self, closures):
+        with pytest.raises(ValueError):
+            origami_graph(4, (3,))
+        with pytest.raises(BudgetExceeded):
+            origami_graph(5, (1,) * 5, cap=4)
+        with pytest.raises(ValueError):
+            census(0)
+        assert origami_mod._sweep.cache_info().misses == 0
 
 
 class TestEncoding:
