@@ -20,7 +20,7 @@ def main() -> int:
         by_mu = Counter(c.mu for c in classes)
         for mu in sorted(by_mu, reverse=True):
             graph = origami_graph(d, mu)
-            ncomp = len(components(graph)) if graph.n_vertices else 0
+            ncomp = len(components(graph))
             genera = sorted({c.genus for c in classes if c.mu == mu})
             print(
                 f"  mu={','.join(map(str, mu))}: {by_mu[mu]} classes, "

@@ -114,6 +114,14 @@ def _want_int(key: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _want_seed(value) -> int:
+    """A seed numpy's default_rng accepts that also fits in 64 bits."""
+    seed = _want_int("seed", value, minimum=0)
+    if seed > MAX_SEED:
+        raise ConfigError(f"key 'seed': must be <= 2**63 - 1, got {_brief(seed)}")
+    return seed
+
+
 def _want_primes(key: str, value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key {key!r}: expected a nonempty list of primes")
@@ -225,9 +233,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required keys for {kind}: {sorted(missing)}")
 
-    seed = _want_int("seed", raw.get("seed", 0))
-    if not -MAX_SEED - 1 <= seed <= MAX_SEED:
-        raise ConfigError("key 'seed': must fit in 64 bits")
+    seed = _want_seed(raw.get("seed", 0))
     output_dir = raw.get("output_dir")
     if output_dir is not None:
         output_dir = _want_str("output_dir", output_dir)
@@ -423,7 +429,7 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
 
     def builder(p: int) -> MultiGraph:
         gens = _sweep_generators(genus, "standard", p)
-        action = torsion_action(gens, label=f"torsion_g{genus}_p{p}")
+        action = torsion_action(gens, label=f"torsion_g{genus}_p{p}", budget=params.get("budget"))
         built[p] = schreier_graph(action)
         return built[p]
 
@@ -516,7 +522,7 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
         gens = parse_group_spec(params["group"])
         group = bfs_closure(gens, budget=params.get("budget"))
         graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))
-        orbits = pra_mod._orbit_sizes(graph)
+        orbits = sorted((len(c) for c in components(graph)), reverse=True)
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
@@ -629,10 +635,17 @@ def run(
     seed: int | None = None,
 ) -> RunManifest:
     """Execute one experiment config; returns the manifest (also written to
-    manifest.json in the output directory)."""
+    manifest.json in the output directory).  A bad jobs or seed override, or
+    an output directory that cannot be created, is a ConfigError raised
+    before anything runs."""
+    if jobs is not None:
+        _want_int("jobs", jobs, minimum=1)
+    effective_seed = config.seed if seed is None else _want_seed(seed)
     outdir = Path(out_dir or config.output_dir or f"thinlab-{config.kind}")
-    outdir.mkdir(parents=True, exist_ok=True)
-    effective_seed = config.seed if seed is None else seed
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {_brief(str(outdir))}: {exc}") from exc
     started = datetime.now(timezone.utc).isoformat()
     tasks, outputs = _RUNNERS[config.kind](config.params, effective_seed, jobs, outdir)
     finished = datetime.now(timezone.utc).isoformat()
@@ -721,10 +734,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
             config = validate_config(raw)
             out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
+        manifest = run(config, out_dir=out, jobs=jobs, seed=seed)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    manifest = run(config, out_dir=out, jobs=jobs, seed=seed)
     for t in manifest.tasks:
         status = t["status"]
         line = f"{t['name']}: {status}"

@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
-from .groups import FiniteGroup, GeneratorSet
+from .groups import BudgetExceeded, FiniteGroup, GeneratorSet, resolve_budget
 
 MAX_VERTICES = 2**31 - 1
 DOT_VERTEX_LIMIT = 500
@@ -78,11 +79,7 @@ class MultiGraph:
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def dense_adjacency(self) -> np.ndarray:
-        n, k = self.neighbors.shape
-        A = np.zeros((n, n), dtype=np.float64)
-        rows = np.repeat(np.arange(n), k)
-        np.add.at(A, (rows, self.neighbors.ravel()), 1.0)
-        return A
+        return self.adjacency().toarray()
 
     def __repr__(self) -> str:
         return (
@@ -167,23 +164,19 @@ def schreier_graph(action: ActionSpec, label: str | None = None) -> MultiGraph:
 
 
 def components(g: MultiGraph) -> list[np.ndarray]:
-    """Connected components by BFS; returned as sorted vertex index arrays."""
-    n = g.n_vertices
-    comp = np.full(n, -1, dtype=np.int64)
-    out: list[np.ndarray] = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        cid = len(out)
-        comp[start] = cid
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            nxt = np.unique(g.neighbors[frontier].ravel().astype(np.int64))
-            nxt = nxt[comp[nxt] < 0]
-            comp[nxt] = cid
-            frontier = nxt
-        out.append(np.flatnonzero(comp == cid))
-    return out
+    """Connected components as sorted vertex index arrays, ordered by their
+    smallest vertex."""
+    if not g.n_vertices:
+        return []
+    _, labels = scipy.sparse.csgraph.connected_components(
+        g.adjacency(), directed=True, connection="weak"
+    )
+    # scipy does not document its label order: key each vertex by the
+    # smallest vertex of its component instead
+    _, smallest = np.unique(labels, return_index=True)
+    roots = smallest[labels]
+    members = np.argsort(roots, kind="stable").astype(np.int64)
+    return np.split(members, np.flatnonzero(np.diff(roots[members])) + 1)
 
 
 def quotient_check(
@@ -223,14 +216,20 @@ def _all_nonzero_vectors(dim: int, modulus: int) -> np.ndarray:
     return digits
 
 
-def torsion_action(gens: GeneratorSet, label: str | None = None) -> ActionSpec:
+def torsion_action(
+    gens: GeneratorSet, label: str | None = None, budget: int | None = None
+) -> ActionSpec:
     """Action of the symmetrized generators on the nonzero vectors of
     (Z/m)^n by left multiplication x -> s.x; the vertex set has m^n - 1
-    states, one per nontrivial torsion point."""
+    states, one per nontrivial torsion point.  Refuses to allocate them
+    above the element budget."""
     first = gens.elements[0]
     if first.kind != "matrix" or first.modulus == 0:
         raise ValueError("torsion_action needs matrix generators with positive modulus")
     m, dim = first.modulus, first.dimension
+    budget = resolve_budget(budget)
+    if m**dim - 1 > budget:
+        raise BudgetExceeded(0, budget, f"torsion_action({m}^{dim} - 1 states)")
     vecs = _all_nonzero_vectors(dim, m)
     moves = []
     for s in gens.symmetrized:

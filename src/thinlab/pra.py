@@ -282,13 +282,9 @@ def transitivity_report(
     group: FiniteGroup, n: int, budget: int | None = None
 ) -> list[int]:
     """Orbit sizes of the move action on Epi(F_n, G), largest first,
-    computed by union-find over all moves (independent of the graph BFS)."""
-    return _orbit_sizes(_move_graph(group, n, budget=budget))
-
-
-def _orbit_sizes(graph: MultiGraph) -> list[int]:
-    """transitivity_report's union-find over the move columns of a built
-    move graph."""
+    computed by union-find over all moves: the independent oracle for the
+    move graph's components."""
+    graph = _move_graph(group, n, budget=budget)
     uf = _UnionFind(graph.n_vertices)
     for m in graph.neighbors.T:
         for x in range(graph.n_vertices):

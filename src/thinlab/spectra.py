@@ -177,6 +177,8 @@ def family_sweep(
     prime is recorded and the sweep continues."""
     if not primes:
         raise ValueError("need at least one prime")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def task(p: int) -> SpectralReport:
         return lambda1(builder(p), method=method)

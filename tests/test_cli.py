@@ -19,7 +19,7 @@ from thinlab.cli import (
 )
 from thinlab.graphs import save_graph, cayley_graph
 from thinlab.groups import bfs_closure, sl2_generators
-from thinlab.spectra import lambda1
+from thinlab.spectra import family_sweep, lambda1
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,6 +123,11 @@ class TestConfigValidation:
             validate_config(
                 {"kind": "pra", "group": "S3", "arity": 2, "steps": 1, "seed": 2**70}
             )
+
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng, which seeds the PRA walk, refuses negative seeds
+        with pytest.raises(ConfigError, match="seed"):
+            validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 1, "seed": -1})
 
     def test_mu_must_partition_degree(self):
         with pytest.raises(ConfigError, match="mu"):
@@ -365,6 +370,57 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "enumerate_epi" in task["error"]
+
+    def test_torsion_states_capped_by_budget(self, tmp_path):
+        # 31^2 - 1 = 960 torsion states are refused before they are allocated
+        path = write_config(
+            tmp_path, {"kind": "schreier-sweep", "genus": 1, "primes": [31], "budget": 10}
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["name"] == "p=31" and task["status"] == "failed"
+        assert "BudgetExceeded" in task["error"] and "torsion_action" in task["error"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, jobs):
+        out = tmp_path / "out"
+        config = str(CONFIG_DIR / "cayley_sweep_small.json")
+        assert main(["run", config, "--jobs", jobs, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_family_sweep_rejects_jobs_below_one_before_building(self):
+        def builder(p):
+            raise AssertionError("built a graph")
+
+        with pytest.raises(ValueError, match="jobs"):
+            family_sweep(builder, [3], jobs=0)
+
+    def test_run_seed_override_checked(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"kind": "pra", "group": "S3", "arity": 2, "steps": 10})
+        assert main(["run", str(path), "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="seed"):
+            run(load_config(path), out_dir=str(out), seed=2**63)
+
+    def test_pra_subcommand_negative_seed_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["pra", "--group", "S3", "--arity", "2", "--steps", "10", "--seed", "-5"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_output_dir_not_creatable_exit_2(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="thinlab")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = write_config(tmp_path, {"kind": "pra", "group": "S3", "arity": 2, "steps": 10})
+        for out in (blocker, blocker / "sub"):
+            caplog.clear()
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            (record,) = caplog.records
+            assert "cannot create output directory" in record.getMessage()
+        assert blocker.read_text() == ""
 
     def test_census_subcommand(self, tmp_path):
         out = tmp_path / "census-out"

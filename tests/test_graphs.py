@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinlab.elements import GroupElement, identity_matrix, inverse, multiply
-from thinlab.groups import GeneratorSet, bfs_closure, cyclic_generators, sl2_generators
+from thinlab.groups import (
+    BudgetExceeded,
+    GeneratorSet,
+    bfs_closure,
+    cyclic_generators,
+    sl2_generators,
+)
 from thinlab.monodromy import standard_symplectic_generators
 from thinlab.graphs import (
     ActionSpec,
@@ -36,6 +42,56 @@ def reference_dump(graph: MultiGraph) -> bytes:
                 x >>= 7
             buf.append(x)
     return bytes(buf)
+
+
+def components_oracle(g: MultiGraph) -> list[np.ndarray]:
+    """Independent oracle for components: a frontier BFS from each unvisited
+    vertex in order."""
+    n = g.n_vertices
+    comp = np.full(n, -1, dtype=np.int64)
+    out: list[np.ndarray] = []
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        cid = len(out)
+        comp[start] = cid
+        frontier = np.array([start], dtype=np.int64)
+        while frontier.size:
+            nxt = np.unique(g.neighbors[frontier].ravel().astype(np.int64))
+            nxt = nxt[comp[nxt] < 0]
+            comp[nxt] = cid
+            frontier = nxt
+        out.append(np.flatnonzero(comp == cid))
+    return out
+
+
+def dense_adjacency_oracle(g: MultiGraph) -> np.ndarray:
+    """Independent oracle for dense_adjacency: every endpoint added with
+    np.add.at."""
+    n, k = g.neighbors.shape
+    A = np.zeros((n, n), dtype=np.float64)
+    rows = np.repeat(np.arange(n), k)
+    np.add.at(A, (rows, g.neighbors.ravel()), 1.0)
+    return A
+
+
+# n vertices, r random permutations and their inverses: a 2r-regular
+# multigraph with loops and parallel edges, empty for n = 0 and 0-regular
+# for r = 0
+REGULAR_MULTIGRAPH_ARGS = dict(
+    n=st.integers(0, 400),
+    r=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_regular_multigraph(n: int, r: int, seed: int) -> MultiGraph:
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(r):
+        perm = rng.permutation(n)
+        cols += [perm, np.argsort(perm)]
+    return MultiGraph(np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int32))
 
 
 def projection_oracle(group, v0) -> np.ndarray:
@@ -136,6 +192,20 @@ class TestComponents:
         assert len(comps) == full.order // closure.order
         assert all(len(c) == closure.order for c in comps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(**REGULAR_MULTIGRAPH_ARGS)
+    @example(n=0, r=2, seed=0)  # empty graph
+    @example(n=7, r=0, seed=0)  # k = 0: one component per vertex
+    @example(n=3, r=3, seed=0)  # loops and parallel edges
+    @example(n=12, r=1, seed=0)  # interleaved cycle components
+    def test_matches_bfs_oracle(self, n, r, seed):
+        graph = random_regular_multigraph(n, r, seed)
+        got, want = components(graph), components_oracle(graph)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert np.array_equal(graph.dense_adjacency(), dense_adjacency_oracle(graph))
+
 
 class TestSchreier:
     @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -145,6 +215,15 @@ class TestSchreier:
         assert graph.n_vertices == ell**2 - 1
         assert graph.degree == 4
         assert len(components(graph)) == 1  # SL2 transitive on nonzero vectors
+
+    def test_torsion_states_capped_by_budget(self, monkeypatch):
+        gens = sl2_generators(31)  # 31^2 - 1 = 960 states
+        with pytest.raises(BudgetExceeded, match="torsion_action"):
+            torsion_action(gens, budget=959)
+        assert torsion_action(gens, budget=960).n_states == 960
+        monkeypatch.setenv("THINLAB_BUDGET", "10")
+        with pytest.raises(BudgetExceeded):
+            torsion_action(gens)
 
     def test_identity_moves_give_loops(self):
         n = 5
@@ -336,21 +415,9 @@ class TestBinaryDump:
             load_graph(path)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(0, 400),
-        r=st.integers(0, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**REGULAR_MULTIGRAPH_ARGS)
     def test_roundtrip_random_regular_multigraphs(self, tmp_path_factory, n, r, seed):
-        # r random permutations and their inverses give a 2r-regular
-        # multigraph with loops and parallel edges
-        rng = np.random.default_rng(seed)
-        cols = []
-        for _ in range(r):
-            perm = rng.permutation(n)
-            cols += [perm, np.argsort(perm)]
-        nbrs = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int32)
-        graph = MultiGraph(nbrs)
+        graph = random_regular_multigraph(n, r, seed)
         path = tmp_path_factory.mktemp("dump") / "g.bin"
         save_graph(graph, path)
         assert path.read_bytes() == reference_dump(graph)
