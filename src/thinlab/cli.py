@@ -25,6 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
+from .elements import MAX_MODULUS
 from .groups import (
     BudgetExceeded,
     GeneratorSet,
@@ -37,7 +38,6 @@ from .groups import (
     symmetric_generators,
 )
 from .monodromy import (
-    _trivial_mod,
     braid_to_matrix,
     build_chain,
     catalog_json,
@@ -126,6 +126,8 @@ def _want_primes(key: str, value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key {key!r}: expected a nonempty list of primes")
     for p in value:
+        if isinstance(p, int) and p > MAX_MODULUS:
+            raise ConfigError(f"key {key!r}: {_brief(p)} exceeds the modulus limit {MAX_MODULUS}")
         if not isinstance(p, int) or not is_prime(p):
             raise ConfigError(f"key {key!r}: {_brief(p)} is not prime")
     if len(set(value)) != len(value):
@@ -480,6 +482,7 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
 
     tasks = []
     prime_data = {}
+    flags = congruence_report(mats, [])
     for p in primes:
         entry, report = _task(
             f"p={p}", lambda: congruence_report(mats, [p], budget=params.get("budget"))
@@ -495,8 +498,8 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
 
     payload = {
         "genus": genus,
-        "mod2_trivial": _trivial_mod(mats, 2),
-        "mod4_trivial": _trivial_mod(mats, 4),
+        "mod2_trivial": flags.mod2_trivial,
+        "mod4_trivial": flags.mod4_trivial,
         "primes": prime_data,
     }
     outputs = []

@@ -111,9 +111,6 @@ class GroupElement:
                 self._encoding = encode_matrix(self.data, self.modulus)
         return self._encoding
 
-    def is_identity(self) -> bool:
-        return self == identity_like(self)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
 

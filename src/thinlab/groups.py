@@ -11,6 +11,10 @@ so deduplication, index lookup, Cayley neighbor tables and inverses are
 whole-array operations with no per-element Python work on the int64 path.
 That is what makes SL2(F_p) for p ~ 100 (order ~10^6) a matter of seconds
 at desk scale.
+
+Inside an enumerated group, ``closure_order`` gives the order of the
+subgroup some elements generate; the Epi(F_n, G) scan and the census's
+image orders both use it.
 """
 
 from __future__ import annotations
@@ -207,8 +211,12 @@ class FiniteGroup:
 
     def _lookup(self, stack: np.ndarray) -> np.ndarray:
         """Indices of stacked elements, -1 for those not in the group."""
-        pos, found = _find(self._sorted_keys, _keys(stack, self.kind, self.modulus, self._powers))
-        return np.where(found, self._key_index[pos], -1)
+        keys = _keys(stack, self.kind, self.modulus, self._powers)
+        order = np.argsort(keys)  # searchsorted is several times faster on sorted queries
+        pos, found = _find(self._sorted_keys, keys[order])
+        idx = np.empty_like(order)
+        idx[order] = np.where(found, self._key_index[pos], -1)
+        return idx
 
     def _indices(self, stack: np.ndarray) -> np.ndarray:
         idx = self._lookup(stack)
@@ -333,6 +341,23 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
         np.concatenate(steps),
         tuple(starts),
     )
+
+
+def closure_order(columns: np.ndarray) -> int:
+    """Order of the subgroup that k elements of an enumerated group
+    generate, from the N x k array of their right-multiplication indices:
+    the size of the identity's (index 0's) orbit.  A BFS layer marks the
+    frontier's images in a boolean array and keeps the unseen ones; the
+    group is finite, so no inverse columns are needed."""
+    seen = np.zeros(columns.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[columns[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    return int(np.count_nonzero(seen))
 
 
 def is_prime(n: int) -> bool:

@@ -8,6 +8,8 @@ canonical representative per simultaneous-conjugation orbit by fixing the
 lex-least permutation of each cycle type as the sigma part and sweeping
 tau orbits under the centralizer of sigma.  Each degree is swept once per
 process (cached); census(d, mu) and origami_graph filter that one sweep.
+Image groups <sigma, tau> close inside S_d, enumerated once per degree
+under the element budget: a d! above the budget is refused before a sweep.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .elements import GroupElement
 from .graphs import ActionSpec, MultiGraph, schreier_graph
-from .groups import BudgetExceeded
+from .groups import BudgetExceeded, FiniteGroup, bfs_closure, closure_order
+from .groups import resolve_budget, symmetric_generators
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -94,22 +98,17 @@ def is_transitive(sigma: Perm, tau: Perm) -> bool:
     return count == d
 
 
+@lru_cache(maxsize=8)
+def _symmetric_group(d: int) -> FiniteGroup:
+    """S_d, enumerated once per degree under the element budget."""
+    return bfs_closure(symmetric_generators(d))
+
+
 def subgroup_order(sigma: Perm, tau: Perm) -> int:
-    """Order of <sigma, tau> by plain closure over products."""
-    gens = (sigma, tau)
-    ident = tuple(range(len(sigma)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    """Order of <sigma, tau>, closed inside the enumerated S_d."""
+    group = _symmetric_group(len(sigma))
+    cols = [group.right_multiplication_indices(GroupElement.permutation(p)) for p in (sigma, tau)]
+    return closure_order(np.stack(cols, axis=1))
 
 
 def encode_pair(sigma: Perm, tau: Perm) -> str:
@@ -282,6 +281,10 @@ def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...
         raise ValueError("degree must be >= 1")
     if d > cap:
         raise BudgetExceeded(0, cap, f"census(d={d})")
+    budget, order = resolve_budget(), 1
+    for factor in range(2, d + 1):  # image groups close inside S_d: d! must fit the budget
+        if (order := order * factor) > budget:
+            raise BudgetExceeded(0, budget, f"census(d={d}): S_{d} has {d}! elements")
     mu_key = tuple(sorted(mu, reverse=True)) if mu is not None else None
     if mu_key is not None and (sum(mu_key) != d or any(p < 1 for p in mu_key)):
         raise ValueError(f"mu {mu_key} is not a partition of {d}")
@@ -358,37 +361,23 @@ def census(
     ]
 
 
-def _move_T(p: OrigamiPair) -> OrigamiPair:
-    return OrigamiPair(p.sigma, _mul(p.tau, p.sigma))
-
-
-def _move_T_inv(p: OrigamiPair) -> OrigamiPair:
-    return OrigamiPair(p.sigma, _mul(p.tau, _inv(p.sigma)))
-
-
-def _move_S(p: OrigamiPair) -> OrigamiPair:
-    return OrigamiPair(_inv(p.tau), p.sigma)
-
-
-def _move_S_inv(p: OrigamiPair) -> OrigamiPair:
-    return OrigamiPair(p.tau, _inv(p.sigma))
-
-
-_MOVES = (_move_T, _move_T_inv, _move_S, _move_S_inv)
 MOVE_NAMES = ("T", "T_inv", "S", "S_inv")
 
 
 def nielsen_moves(p: OrigamiPair) -> list[OrigamiPair]:
     """Images under T: (s,t) -> (s,ts), S: (s,t) -> (t^-1,s) and their
-    inverses.  The commutator cycle type is checked to survive each move."""
-    out = []
-    for fn in _MOVES:
-        q = fn(p)
+    inverses, in MOVE_NAMES order.  The commutator cycle type is checked to
+    survive each move."""
+    s, t = p.sigma, p.tau
+    out = [
+        OrigamiPair(s, _mul(t, s)),
+        OrigamiPair(s, _mul(t, _inv(s))),
+        OrigamiPair(_inv(t), s),
+        OrigamiPair(t, _inv(s)),
+    ]
+    for name, q in zip(MOVE_NAMES, out):
         if q.commutator_type != p.commutator_type:
-            raise RuntimeError(
-                f"puncture class changed under {fn.__name__}: convention bug (unreachable)"
-            )
-        out.append(q)
+            raise RuntimeError(f"puncture class changed under {name}: convention bug (unreachable)")
     return out
 
 
@@ -445,15 +434,13 @@ def origami_graph(
         cgens = _centralizer_generators(rep.sigma, sorted(cycle_type(rep.sigma)))
         for t in _orbit(rep.tau, cgens):
             position[(rep.sigma, t)] = idx
-    moves = []
-    for fn in _MOVES:
-        images = np.empty(len(keep), dtype=np.int32)
-        for idx, rep in enumerate(reps):
-            target = position.get(_canonical_pair(fn(rep)))
+    images = np.empty((len(keep), len(MOVE_NAMES)), dtype=np.int32)
+    for idx, rep in enumerate(reps):
+        for t, moved in enumerate(nielsen_moves(rep)):
+            target = position.get(_canonical_pair(moved))
             if target is None:
                 raise RuntimeError(
                     "move left the filtered class set: image order not invariant? (unreachable)"
                 )
-            images[idx] = target
-        moves.append(images)
-    return schreier_graph(ActionSpec(range(len(keep)), moves, label=label))
+            images[idx, t] = target
+    return schreier_graph(ActionSpec(range(len(keep)), list(images.T), label=label))

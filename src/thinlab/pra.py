@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import ActionSpec, MultiGraph, components, schreier_graph
-from .groups import BudgetExceeded, FiniteGroup, resolve_budget
+from .groups import BudgetExceeded, FiniteGroup, closure_order, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 
@@ -74,28 +74,6 @@ class EpiTuple:
         return tuple(self.group.element(i) for i in self.indices)
 
 
-def _closure_size(group: FiniteGroup, gens: frozenset[int], cache: dict) -> int:
-    """Order of the subgroup generated by the given element indices."""
-    if gens in cache:
-        return cache[gens]
-    table = group.multiplication_table()
-    inv = group.inverse_indices()
-    seeds = sorted(gens | {int(inv[g]) for g in gens})
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in seeds:
-                y = int(table[x, s])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    cache[gens] = len(seen)
-    return len(seen)
-
-
 def enumerate_epi(
     group: FiniteGroup, n: int, budget: int | None = None
 ) -> list[EpiTuple]:
@@ -109,10 +87,15 @@ def enumerate_epi(
     candidates = group.order**n
     if candidates > budget:
         raise BudgetExceeded(0, budget, f"enumerate_epi({group.order}^{n} candidates)")
-    cache: dict[frozenset[int], int] = {}
+    table = group.multiplication_table()
+    generates: dict[frozenset[int], bool] = {}  # one closure per generator set
     out = []
     for tup in itertools.product(range(group.order), repeat=n):
-        if _closure_size(group, frozenset(tup), cache) == group.order:
+        gens = frozenset(tup)
+        ok = generates.get(gens)
+        if ok is None:
+            ok = generates[gens] = closure_order(table[:, list(gens)]) == group.order
+        if ok:
             out.append(EpiTuple(group, tup))
     out.sort(key=lambda t: t.encoding)
     return out

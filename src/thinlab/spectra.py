@@ -78,8 +78,12 @@ def _residual(L, lam: float, x: np.ndarray) -> float:
 
 def _lambda1_dense(graph: MultiGraph, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
     n, k = graph.n_vertices, graph.degree
-    A = graph.dense_adjacency()
-    L = np.eye(n) - A / k
+    # I - A/k in A's own array (two N x N arrays at the peak with eigh's
+    # copy, not four), bit for bit: += 0.0 turns the -0.0 zeros into +0.0
+    L = graph.dense_adjacency()
+    L /= -k
+    L += 0.0
+    L.flat[:: n + 1] += 1.0
     zm = len(comps)
     hi = min(max(zm, 1), n - 1)
     w, V = scipy.linalg.eigh(L, subset_by_index=(0, hi))

@@ -1,9 +1,12 @@
 import csv
 import json
 import logging
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinlab import cli as cli_mod
 from thinlab import pra as pra_mod
@@ -22,6 +25,26 @@ from thinlab.groups import bfs_closure, sl2_generators
 from thinlab.spectra import family_sweep, lambda1
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+VALID_CONFIGS = {
+    "cayley-sweep": {"kind": "cayley-sweep", "genus": 1, "primes": [3]},
+    "schreier-sweep": {"kind": "schreier-sweep", "genus": 1, "primes": [3]},
+    "pointpush": {"kind": "pointpush", "genus": 1, "primes": [3]},
+    "pra": {"kind": "pra", "group": "S3", "arity": 2, "steps": 10},
+    "origami-census": {"kind": "origami-census", "degree": 4},
+}
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -57,6 +80,25 @@ class TestConfigValidation:
     def test_non_prime_rejected(self):
         with pytest.raises(ConfigError, match="not prime"):
             validate_config({"kind": "pointpush", "genus": 1, "primes": [4]})
+
+    def test_prime_above_modulus_limit_rejected_at_once(self):
+        # trial division of 2^61 - 1 would run for minutes
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="modulus limit"):
+            validate_config({"kind": "cayley-sweep", "genus": 1, "primes": [2**61 - 1]})
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_random_values_raise_only_config_error(self, data):
+        kind = data.draw(st.sampled_from(sorted(VALID_CONFIGS)))
+        raw = dict(VALID_CONFIGS[kind])
+        key = data.draw(st.sampled_from(sorted(cli_mod._PARAM_KEYS[kind] | cli_mod._COMMON_KEYS)))
+        raw[key] = data.draw(JSON_VALUES)
+        try:
+            validate_config(raw)
+        except ConfigError:
+            pass
 
     def test_repeated_primes_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
@@ -322,6 +364,11 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "THINLAB_BUDGET" in task["error"]
+
+    def test_prime_above_modulus_limit_exits_2(self, tmp_path):
+        path = write_config(tmp_path, {"kind": "cayley-sweep", "genus": 1, "primes": [2**61 - 1]})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_primes_exit_2(self, tmp_path):
         path = write_config(tmp_path, {"kind": "cayley-sweep", "genus": 1, "primes": [3, 3]})

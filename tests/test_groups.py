@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinlab.elements import GroupElement, identity_matrix, is_symplectic, multiply
 from thinlab.groups import (
     BudgetExceeded,
     GeneratorSet,
     bfs_closure,
+    closure_order,
     cyclic_generators,
     direct_product_of_cyclic,
     is_prime,
@@ -231,6 +234,30 @@ class TestCodedGroups:
 
     def test_sl2_f101_order(self):
         assert bfs_closure(sl2_generators(101)).order == 1_030_200 == sp_order(1, 101)
+
+
+SL2_F5 = bfs_closure(sl2_generators(5))
+S5 = bfs_closure(symmetric_generators(5))
+
+
+class TestClosureOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([SL2_F5, S5]),
+        st.lists(st.integers(0, 119), min_size=1, max_size=3),
+    )
+    def test_matches_bfs_closure_of_the_subset(self, group, indices):
+        # both groups have 120 elements; the oracle enumerates the subgroup
+        # from scratch, closure_order closes it inside the enumerated group
+        elems = [group.element(i) for i in indices]
+        columns = np.stack([group.right_multiplication_indices(g) for g in elems], axis=1)
+        expected = bfs_closure(GeneratorSet(elems)).order
+        assert closure_order(columns) == expected
+        assert closure_order(group.multiplication_table()[:, indices]) == expected
+
+    def test_identity_and_generators(self):
+        assert closure_order(SL2_F5.multiplication_table()[:, [0]]) == 1
+        assert closure_order(SL2_F5.multiplication_table()[:, SL2_F5.generator_indices]) == 120
 
 
 class TestSymplecticClosure:

@@ -28,6 +28,12 @@ from thinlab.origami import (
 from thinlab.spectra import lambda1
 
 
+# a pair of permutations of one random degree from 1 to 8
+PAIRS_UP_TO_8 = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d)))
+)
+
+
 def all_perms(d):
     return list(itertools.permutations(range(d)))
 
@@ -118,7 +124,7 @@ class TestCensusAgainstBruteForce:
                 assert (c.rep.sigma, c.rep.tau) == brute_canonical(c.rep)
 
     def test_image_order_via_independent_closure(self):
-        for c in census(4):
+        for c in census(4) + census(5):
             gens = GeneratorSet(
                 [
                     GroupElement.permutation(c.rep.sigma),
@@ -136,6 +142,16 @@ class TestCensusAgainstBruteForce:
     def test_bad_mu_rejected(self):
         with pytest.raises(ValueError):
             census(4, mu=(3,))
+
+
+class TestSubgroupOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(PAIRS_UP_TO_8)
+    def test_matches_bfs_closure(self, pair):
+        # transitive or not: the order of <sigma, tau> closed inside S_d
+        sigma, tau = (tuple(p) for p in pair)
+        gens = GeneratorSet([GroupElement.permutation(sigma), GroupElement.permutation(tau)])
+        assert subgroup_order(sigma, tau) == bfs_closure(gens).order
 
 
 class TestGenus:
@@ -336,6 +352,19 @@ class TestOneSweepPerDegree:
         info = origami_mod._sweep.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
+    def test_degree_above_element_budget_refused_before_the_sweep(self, closures, monkeypatch):
+        # 10! = 3,628,800 is above the default element budget of 2,000,000
+        with pytest.raises(BudgetExceeded, match="10!"):
+            census(10, cap=10)
+        monkeypatch.setenv("THINLAB_BUDGET", "100")
+        with pytest.raises(BudgetExceeded, match="5!"):
+            census(5)
+        with pytest.raises(BudgetExceeded):
+            origami_graph(5, (1,) * 5)
+        assert origami_mod._sweep.cache_info().misses == 0
+        assert closures == []
+        assert len(census(4)) == 26  # 4! = 24 fits
+
     def test_requests_checked_before_the_sweep(self, closures):
         with pytest.raises(ValueError):
             origami_graph(4, (3,))
@@ -350,11 +379,20 @@ class TestEncoding:
     def test_encode_known(self):
         assert encode_pair((1, 0, 2), (0, 2, 1)) == "(0,1)(2)|(0)(1,2)"
 
-    @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
-    def test_roundtrip(self, sigma, tau):
-        pair = OrigamiPair(tuple(sigma), tuple(tau))
-        back = parse_pair(pair.encode())
-        assert back.sigma == pair.sigma and back.tau == pair.tau
+    @given(PAIRS_UP_TO_8)
+    def test_roundtrip(self, pair):
+        sigma, tau = (tuple(p) for p in pair)
+        back = parse_pair(encode_pair(sigma, tau))
+        assert (back.sigma, back.tau) == (sigma, tau)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="()|,0123456789 -", max_size=40))
+    def test_arbitrary_strings_raise_only_value_error(self, text):
+        try:
+            pair = parse_pair(text)
+        except ValueError:
+            return
+        assert parse_pair(pair.encode()) == pair
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

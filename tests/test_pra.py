@@ -64,6 +64,11 @@ class TestEnumerate:
     def test_s3_matches_brute_force(self, s3):
         assert len(enumerate_epi(s3, 2)) == brute_epi_count(s3, 2)
 
+    @pytest.mark.parametrize("gens", [cyclic_generators(6), direct_product_of_cyclic([2, 3])])
+    def test_six_element_groups_match_brute_force(self, gens):
+        group = bfs_closure(gens)
+        assert len(enumerate_epi(group, 2)) == brute_epi_count(group, 2)
+
     def test_z2_single_generator(self):
         group = bfs_closure(cyclic_generators(2))
         epis = enumerate_epi(group, 1)
