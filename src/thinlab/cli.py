@@ -525,11 +525,12 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
         gens = parse_group_spec(params["group"])
         group = bfs_closure(gens, budget=params.get("budget"))
         graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))
-        orbits = sorted((len(c) for c in components(graph)), reverse=True)
+        comps = components(graph)
+        orbits = sorted((len(c) for c in comps), reverse=True)
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
-        walk = pra_mod._walk(graph, steps, seed)
+        walk = pra_mod._walk(graph, comps, steps, seed)
         path = outdir / "pra.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .groups import BudgetExceeded, FiniteGroup, GeneratorSet, resolve_budget
+from .groups import BudgetExceeded, FiniteGroup, GeneratorSet, first_occurrences, resolve_budget
 
 MAX_VERTICES = 2**31 - 1
 DOT_VERTEX_LIMIT = 500
@@ -173,7 +173,7 @@ def components(g: MultiGraph) -> list[np.ndarray]:
     )
     # scipy does not document its label order: key each vertex by the
     # smallest vertex of its component instead
-    _, smallest = np.unique(labels, return_index=True)
+    _, smallest = first_occurrences(labels)
     roots = smallest[labels]
     members = np.argsort(roots, kind="stable").astype(np.int64)
     return np.split(members, np.flatnonzero(np.diff(roots[members])) + 1)

@@ -6,9 +6,10 @@ batched operation.  Every element has one key, its mixed-radix int64 code
 (the base-m digits of a matrix's entries, or the base-d digits of a
 permutation's images); where m^(n^2) or d^d does not fit below 2^63, or the
 modulus is 0, the key is the element's bytes encoding in an object array.
-Both kinds go through the same np.unique / np.sort / np.searchsorted code,
-so deduplication, index lookup, Cayley neighbor tables and inverses are
-whole-array operations with no per-element Python work on the int64 path.
+Both kinds go through the same np.argsort / np.searchsorted code
+(``first_occurrences`` dedupes a batch), so deduplication, index lookup,
+Cayley neighbor tables and inverses are whole-array operations with no
+per-element Python work on the int64 path.
 That is what makes SL2(F_p) for p ~ 100 (order ~10^6) a matter of seconds
 at desk scale.
 
@@ -154,6 +155,20 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     the keys that are there."""
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.shape[0] - 1)
     return pos, sorted_keys[pos] == keys
+
+
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and the index of each one's first
+    occurrence: exactly ``np.unique(keys, return_index=True)``, but from
+    the default argsort rather than a stable one.  Equal keys form runs
+    in the sorted order, and a run's smallest original index is its
+    first occurrence."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    heads = np.flatnonzero(new)
+    return ordered[heads], np.minimum.reduceat(order, heads)
 
 
 class FiniteGroup:
@@ -310,7 +325,7 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
         for j, s in enumerate(gens.symmetrized):
             prods = _batch_multiply(kind, modulus, frontier, s.data)
             prod_keys = _keys(prods, kind, modulus, powers)
-            uniq, first = np.unique(prod_keys, return_index=True)
+            uniq, first = first_occurrences(prod_keys)
             new = ~_find(seen, uniq)[1]
             for earlier in fresh:
                 new &= ~_find(earlier, uniq)[1]

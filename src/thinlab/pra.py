@@ -5,11 +5,19 @@ Epi(F_n, G) is the set of n-tuples that generate G; the 4n(n-1) moves
 replace g_i by g_j^(+-1) g_i or g_i g_j^(+-1) (i != j) and are closed under
 inversion as a set, so the move graph is an honest 4n(n-1)-regular
 Schreier graph.
+
+A tuple is numbered by its code: the base-|G| number whose digits, most
+significant first, are its entries' encoding ranks (the position of an
+element's encoding among all of G's).  Epi(F_n, G) is held as its sorted
+codes, so the tuples are in lexicographic order of their encoding ranks,
+which is the byte order of ``EpiTuple.encoding`` wherever every element
+encoding has one width (permutations, matrices mod m).  The scan, the move
+graph and the walk are whole-array or plain-list code; ``apply_move`` and
+``transitivity_report`` stay as their per-tuple oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,9 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import ActionSpec, MultiGraph, components, schreier_graph
-from .groups import BudgetExceeded, FiniteGroup, closure_order, resolve_budget
+from .groups import BudgetExceeded, FiniteGroup, _find, closure_order, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
+CHUNK = 1 << 16  # entries per whole-array step of the Epi scan and the move graph
 
 SIDES = ("left", "right")
 
@@ -74,31 +83,73 @@ class EpiTuple:
         return tuple(self.group.element(i) for i in self.indices)
 
 
-def enumerate_epi(
-    group: FiniteGroup, n: int, budget: int | None = None
-) -> list[EpiTuple]:
-    """All generating n-tuples, sorted by canonical encoding.
+def _digits(codes: np.ndarray, size: int, n: int) -> np.ndarray:
+    """The len(codes) x n base-``size`` digits of tuple codes, most
+    significant first."""
+    return codes[:, np.newaxis] // _place_values(size, n) % size
 
-    Scans |G|^n candidates; refuses to start above the candidate budget.
+
+def _place_values(size: int, n: int) -> np.ndarray:
+    return size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _epi_codes(
+    group: FiniteGroup, n: int, budget: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Epi(F_n, G) as its sorted codes, and the element index of each
+    encoding rank.
+
+    The |G|^n candidate codes are decoded in chunks of about CHUNK
+    digits.  Each row is reduced to its generator set, and each distinct
+    set is closed once, inside G's multiplication table.  Refuses to start
+    when |G|^n exceeds the candidate budget (or int64).
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
     budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
-    candidates = group.order**n
-    if candidates > budget:
-        raise BudgetExceeded(0, budget, f"enumerate_epi({group.order}^{n} candidates)")
+    size = group.order
+    # an early-stopping product: |G| >= 2 crosses the budget within
+    # bit_length(budget) factors, and |G| = 1 never does
+    candidates = 1
+    for _ in range(min(n, budget.bit_length())):
+        candidates *= size
+        if candidates > min(budget, 2**63 - 1):
+            raise BudgetExceeded(0, budget, f"enumerate_epi({size}^{n} candidates)")
+    by_rank = np.array(sorted(range(size), key=group.encoding), dtype=np.int64)
     table = group.multiplication_table()
-    generates: dict[frozenset[int], bool] = {}  # one closure per generator set
-    out = []
-    for tup in itertools.product(range(group.order), repeat=n):
-        gens = frozenset(tup)
-        ok = generates.get(gens)
-        if ok is None:
-            ok = generates[gens] = closure_order(table[:, list(gens)]) == group.order
-        if ok:
-            out.append(EpiTuple(group, tup))
-    out.sort(key=lambda t: t.encoding)
-    return out
+    place = _place_values(size, n)
+    generates: dict[int, bool] = {}  # one closure per generator set
+    found = []
+    rows = max(1, CHUNK // n)
+    for lo in range(0, candidates, rows):
+        codes = np.arange(lo, min(lo + rows, candidates), dtype=np.int64)
+        digits = np.sort(_digits(codes, size, n), axis=1)
+        # a set's key: its sorted ranks with every repeat replaced by the least
+        repeat = digits[:, 1:] == digits[:, :-1]
+        digits[:, 1:] = np.where(repeat, digits[:, :1], digits[:, 1:])
+        digits.sort(axis=1)
+        keys, first, inverse = np.unique(digits @ place, return_index=True, return_inverse=True)
+        ok = []
+        for key, ranks in zip(keys.tolist(), digits[first]):
+            if key not in generates:
+                generates[key] = closure_order(table[:, by_rank[ranks]]) == size
+            ok.append(generates[key])
+        found.append(codes[np.array(ok, dtype=bool)[inverse]])
+    return np.concatenate(found), by_rank
+
+
+def enumerate_epi(
+    group: FiniteGroup, n: int, budget: int | None = None
+) -> list[EpiTuple]:
+    """All generating n-tuples, in lexicographic order of their entries'
+    encoding ranks: the byte order of their encodings wherever every
+    element encoding has one width.
+
+    Scans |G|^n candidates; refuses to start above the candidate budget.
+    """
+    codes, by_rank = _epi_codes(group, n, budget=budget)
+    indices = by_rank[_digits(codes, group.order, n)]
+    return [EpiTuple(group, tup) for tup in map(tuple, indices.tolist())]
 
 
 def apply_move(t: EpiTuple, move: PraMove) -> EpiTuple:
@@ -120,18 +171,45 @@ def apply_move(t: EpiTuple, move: PraMove) -> EpiTuple:
 
 
 def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
-    """The move graph on Epi(F_n, G); neighbor column t is the image array
-    of all_moves(n)[t]."""
-    epis = enumerate_epi(group, n, budget=budget)
-    position = {t.indices: idx for idx, t in enumerate(epis)}
-    moves = []
-    for move in all_moves(n):
-        images = np.empty(len(epis), dtype=np.int32)
-        for idx, t in enumerate(epis):
-            images[idx] = position[apply_move(t, move).indices]
-        moves.append(images)
+    """The move graph on Epi(F_n, G): vertex v is enumerate_epi's v-th
+    tuple, and neighbor column t is the image array of all_moves(n)[t].
+
+    The columns are built as whole arrays, as many at once as fit in
+    CHUNK entries: each moved entry's new encoding rank comes from G's
+    multiplication table and inverses, the tuple's code changes in that
+    one digit, and a ``searchsorted`` finds the new code among the Epi
+    codes.  Refuses to build more neighbor entries than the candidate
+    budget.
+    """
+    codes, by_rank = _epi_codes(group, n, budget=budget)
+    budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
+    degree = 4 * n * (n - 1)
+    if codes.size * degree > budget:
+        raise BudgetExceeded(0, budget, f"move graph ({codes.size} tuples x {degree} moves)")
+    # all_moves(n) as arrays: i, j, side == "left", sign == -1
+    i, j, left, negative = np.array(
+        [(m.i, m.j, m.side == "left", m.sign < 0) for m in all_moves(n)], dtype=np.intp
+    ).reshape(-1, 4).T
+    rank = np.argsort(by_rank)  # group arithmetic on encoding ranks
+    product = rank[group.multiplication_table()[np.ix_(by_rank, by_rank)]]
+    inverse = rank[group.inverse_indices()[by_rank]]
+    place = _place_values(group.order, n)
+    digits = _digits(codes, group.order, n)
+    columns = []
+    step = max(1, CHUNK // max(1, codes.size))  # moves per whole-array step
+    for lo in range(0, degree, step):
+        t = slice(lo, lo + step)
+        gi, gj = digits[:, i[t]], digits[:, j[t]]
+        gj = np.where(negative[t], inverse[gj], gj)
+        new = product[np.where(left[t], gj, gi), np.where(left[t], gi, gj)]
+        moved = codes[:, np.newaxis] + (new - gi) * place[i[t]]
+        images, found = _find(codes, moved)
+        stray = np.flatnonzero(~found.all(axis=0))
+        if stray.size:
+            raise ValueError(f"move {all_moves(n)[lo + stray[0]]} leaves Epi(F_{n}, G)")
+        columns.extend(images.astype(np.int32).T)
     label = f"pra({group.label or group.order};n={n})"
-    return schreier_graph(ActionSpec(range(len(epis)), moves, label=label))
+    return schreier_graph(ActionSpec(range(codes.size), columns, label=label))
 
 
 def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
@@ -183,19 +261,26 @@ def pra_walk(
     """Lazy walk (hold 1/2, else uniform move) from the lexicographically
     least generating tuple; reports visit counts and the total-variation
     distance to uniform on the start tuple's component."""
-    return _walk(_move_graph(group, n, budget=budget), steps, seed, checkpoints)
+    graph = _move_graph(group, n, budget=budget)
+    return _walk(graph, components(graph), steps, seed, checkpoints)
 
 
 def _walk(
-    graph: MultiGraph, steps: int, seed: int, checkpoints: Sequence[int] | None = None
+    graph: MultiGraph,
+    comps: list[np.ndarray],
+    steps: int,
+    seed: int,
+    checkpoints: Sequence[int] | None = None,
 ) -> WalkStats:
-    """pra_walk on an already built move graph."""
+    """pra_walk on an already built move graph, given its components:
+    ``comps[0]`` is the start tuple's, since the start is vertex 0.  The
+    walk steps on Python lists, and its coins and picks are drawn up front."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not graph.n_vertices:
         raise ValueError("Epi set is empty")
-    start = 0  # epis are sorted by encoding
-    component = components(graph)[0]
+    start = 0  # the least tuple in encoding order
+    component = comps[0]
 
     if checkpoints is None:
         marks = sorted({steps // 4, steps // 2, (3 * steps) // 4, steps} - {0})
@@ -207,16 +292,19 @@ def _walk(
     tv_marks = []
     state = start
     if steps and graph.degree:
-        coins = rng.integers(0, 2, size=steps)
-        picks = rng.integers(0, graph.degree, size=steps)
+        coins = rng.integers(0, 2, size=steps).tolist()
+        picks = rng.integers(0, graph.degree, size=steps).tolist()
         markset = set(marks)
-        nbrs = graph.neighbors
+        nbrs = graph.neighbors.tolist()
+        counts = [0] * graph.n_vertices
         for t in range(steps):
             if coins[t]:
-                state = int(nbrs[state, picks[t]])
-            visits[state] += 1
+                state = nbrs[state][picks[t]]
+            counts[state] += 1
             if (t + 1) in markset:
-                tv_marks.append((t + 1, _tv_to_uniform(visits, t + 1, component)))
+                partial = np.array(counts, dtype=np.int64)
+                tv_marks.append((t + 1, _tv_to_uniform(partial, t + 1, component)))
+        visits[:] = counts
     elif steps:
         # no moves (arity 1): the walk sits still
         visits[state] = steps

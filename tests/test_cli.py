@@ -267,14 +267,31 @@ class TestRun:
         assert [int(r["N"]) for r in spectra_rows] == [8, 24, 48]
 
     def test_pra_run_enumerates_epi_once(self, tmp_path, monkeypatch):
+        # the move graph scans Epi through the array routine, not enumerate_epi
         calls = []
-        original = pra_mod.enumerate_epi
+        original = pra_mod._epi_codes
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pra_mod, "enumerate_epi", counting)
+        monkeypatch.setattr(pra_mod, "_epi_codes", counting)
+        config = validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 100})
+        manifest = run(config, out_dir=tmp_path / "out")
+        assert not manifest.failed
+        assert len(calls) == 1
+
+    def test_pra_run_searches_components_once(self, tmp_path, monkeypatch):
+        # lambda1 runs its own search; the orbit sizes and the walk share one
+        calls = []
+        original = cli_mod.components
+
+        def counting(graph):
+            calls.append(graph.n_vertices)
+            return original(graph)
+
+        monkeypatch.setattr(cli_mod, "components", counting)
+        monkeypatch.setattr(pra_mod, "components", counting)
         config = validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 100})
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
@@ -417,6 +434,24 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "enumerate_epi" in task["error"]
+
+    @pytest.mark.parametrize(
+        "spec,arity,where",
+        [("S4", 10_000_000, "enumerate_epi"), ("Z1", 2_000, "move graph")],
+        ids=["candidates", "move_graph_entries"],
+    )
+    def test_hostile_pra_sizes_fail_fast(self, tmp_path, spec, arity, where):
+        # 24^(10^7) candidates; one tuple of Z1 with 4 * 2000 * 1999 loops
+        path = write_config(
+            tmp_path, {"kind": "pra", "group": spec, "arity": arity, "steps": 1}
+        )
+        out = tmp_path / "out"
+        began = time.perf_counter()
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert time.perf_counter() - began < 4.0
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["status"] == "failed" and "BudgetExceeded" in task["error"]
+        assert where in task["error"]
 
     def test_torsion_states_capped_by_budget(self, tmp_path):
         # 31^2 - 1 = 960 torsion states are refused before they are allocated

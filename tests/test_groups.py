@@ -8,9 +8,14 @@ from thinlab.groups import (
     BudgetExceeded,
     GeneratorSet,
     bfs_closure,
+    _batch_multiply,
+    _find,
+    _key_powers,
+    _keys,
     closure_order,
     cyclic_generators,
     direct_product_of_cyclic,
+    first_occurrences,
     is_prime,
     resolve_budget,
     sl2_generators,
@@ -48,6 +53,40 @@ def dict_bfs_order(gens: GeneratorSet) -> list[GroupElement]:
         order += new
         frontier = new
     return order
+
+
+def unique_batch_bfs(gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bfs_closure as it was when each batch was deduped with the stable
+    sort of np.unique(return_index=True): its stack, parents and steps."""
+    e = gens.identity()
+    kind, modulus = e.kind, e.modulus
+    powers = _key_powers(kind, e.data.shape, modulus)
+    frontier = e.data[np.newaxis, ...]
+    layers, parents, steps = [frontier], [np.array([-1])], [np.array([-1])]
+    seen = _keys(frontier, kind, modulus, powers)
+    start, count = 0, 1
+    while True:
+        rows, fresh = [], []
+        for j, s in enumerate(gens.symmetrized):
+            prods = _batch_multiply(kind, modulus, frontier, s.data)
+            uniq, first = np.unique(_keys(prods, kind, modulus, powers), return_index=True)
+            new = ~_find(seen, uniq)[1]
+            for earlier in fresh:
+                new &= ~_find(earlier, uniq)[1]
+            at = np.sort(first[new])
+            if at.size:
+                fresh.append(uniq[new])
+                rows.append(prods[at])
+                parents.append(start + at)
+                steps.append(np.full(at.size, j))
+        if not rows:
+            break
+        start = count
+        frontier = np.concatenate(rows)
+        layers.append(frontier)
+        count += frontier.shape[0]
+        seen = np.sort(np.concatenate([seen, *fresh]), kind="stable")
+    return np.concatenate(layers), np.concatenate(parents), np.concatenate(steps)
 
 
 def z_sl2_s() -> GeneratorSet:
@@ -201,6 +240,23 @@ class TestCodedGroups:
                 group.index_of(multiply(group.element(i), s)) for i in range(order)
             ]
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            sl2_generators(13),
+            standard_symplectic_generators(2, 3),
+            symmetric_generators(6),
+            direct_product_of_cyclic([2, 3, 5, 7]),
+        ],
+        ids=["sl2_13", "sp4_3", "S6", "Z2xZ3xZ5xZ7"],
+    )
+    def test_tree_matches_unique_batch_bfs(self, gens):
+        group = bfs_closure(gens)
+        stack, parents, steps = unique_batch_bfs(gens)
+        assert np.array_equal(group.stack, stack)
+        assert np.array_equal(group._parents, parents)
+        assert np.array_equal(group._steps, steps)
+
     def test_key_kind_boundary(self):
         # degree 15: 15^15 < 2^63 fits the int64 code; degree 16: 16^16 = 2^64 does not
         assert bfs_closure(cyclic_generators(15))._sorted_keys.dtype == np.int64
@@ -234,6 +290,43 @@ class TestCodedGroups:
 
     def test_sl2_f101_order(self):
         assert bfs_closure(sl2_generators(101)).order == 1_030_200 == sp_order(1, 101)
+
+
+class TestFirstOccurrences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 5), max_size=60))
+    def test_matches_np_unique_on_int64(self, values):
+        keys = np.array(values, dtype=np.int64)
+        uniq, first = first_occurrences(keys)
+        expected_uniq, expected_first = np.unique(keys, return_index=True)
+        assert np.array_equal(uniq, expected_uniq) and uniq.dtype == expected_uniq.dtype
+        assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.binary(max_size=3), max_size=60))
+    def test_matches_np_unique_on_bytes_objects(self, values):
+        keys = np.empty(len(values), dtype=object)
+        keys[:] = values
+        uniq, first = first_occurrences(keys)
+        expected_uniq, expected_first = np.unique(keys, return_index=True)
+        assert uniq.dtype == object and list(uniq) == list(expected_uniq)
+        assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.zeros(0, np.int64),
+            np.array([7]),
+            np.array([], dtype=object),
+            np.array([b"k"], dtype=object),
+        ],
+        ids=["int64_0", "int64_1", "bytes_0", "bytes_1"],
+    )
+    def test_lengths_zero_and_one(self, keys):
+        uniq, first = first_occurrences(keys)
+        expected_uniq, expected_first = np.unique(keys, return_index=True)
+        assert list(uniq) == list(expected_uniq) and uniq.dtype == expected_uniq.dtype
+        assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
 
 
 SL2_F5 = bfs_closure(sl2_generators(5))

@@ -1,4 +1,6 @@
 import itertools
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from thinlab.groups import (
     direct_product_of_cyclic,
     symmetric_generators,
 )
+from thinlab import pra as pra_mod
 from thinlab.graphs import components
 from thinlab.pra import (
+    EpiTuple,
     PraMove,
+    _tv_to_uniform,
+    _walk,
     all_moves,
     apply_move,
     enumerate_epi,
@@ -25,9 +31,10 @@ from thinlab.pra import (
 from thinlab.spectra import lambda1
 
 
-def brute_epi_count(group, n):
-    """Oracle: test every tuple with a set-based closure over GroupElements."""
-    count = 0
+def brute_epi(group, n):
+    """Oracle: the generating tuples, each tested with a set-based closure
+    over GroupElements, in itertools.product order."""
+    out = []
     for tup in itertools.product(range(group.order), repeat=n):
         gens = [group.element(i) for i in tup]
         elems = {group.element(0)}
@@ -42,8 +49,78 @@ def brute_epi_count(group, n):
                             nxt.append(y)
             frontier = nxt
         if len(elems) == group.order:
-            count += 1
-    return count
+            out.append(tup)
+    return out
+
+
+def brute_epi_count(group, n):
+    return len(brute_epi(group, n))
+
+
+def apply_move_columns(group, n):
+    """The move graph's columns as the per-tuple loop built them: column t
+    holds the Epi position of apply_move(tuple, all_moves(n)[t])."""
+    epis = enumerate_epi(group, n)
+    position = {t.indices: idx for idx, t in enumerate(epis)}
+    moves = []
+    for move in all_moves(n):
+        images = np.empty(len(epis), dtype=np.int32)
+        for idx, t in enumerate(epis):
+            images[idx] = position[apply_move(t, move).indices]
+        moves.append(images)
+    return moves
+
+
+def numpy_scalar_walk(graph, steps, seed, checkpoints=None):
+    """The walk loop as it stepped on numpy scalars, kept verbatim as the
+    oracle: returns (visits, tv_distance, tv_checkpoints)."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not graph.n_vertices:
+        raise ValueError("Epi set is empty")
+    start = 0  # epis are sorted by encoding
+    component = components(graph)[0]
+
+    if checkpoints is None:
+        marks = sorted({steps // 4, steps // 2, (3 * steps) // 4, steps} - {0})
+    else:
+        marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= steps})
+
+    rng = np.random.default_rng(seed)
+    visits = np.zeros(graph.n_vertices, dtype=np.int64)
+    tv_marks = []
+    state = start
+    if steps and graph.degree:
+        coins = rng.integers(0, 2, size=steps)
+        picks = rng.integers(0, graph.degree, size=steps)
+        markset = set(marks)
+        nbrs = graph.neighbors
+        for t in range(steps):
+            if coins[t]:
+                state = int(nbrs[state, picks[t]])
+            visits[state] += 1
+            if (t + 1) in markset:
+                tv_marks.append((t + 1, _tv_to_uniform(visits, t + 1, component)))
+    elif steps:
+        # no moves (arity 1): the walk sits still
+        visits[state] = steps
+        for m in marks:
+            partial = np.zeros_like(visits)
+            partial[state] = m
+            tv_marks.append((m, _tv_to_uniform(partial, m, component)))
+
+    tv = _tv_to_uniform(visits, steps, component)
+    return visits, tv, tuple(tv_marks)
+
+
+ORACLE_CASES = [
+    (direct_product_of_cyclic([2, 2]), 2),
+    (symmetric_generators(3), 2),
+    (cyclic_generators(6), 2),
+    (symmetric_generators(3), 3),
+    (symmetric_generators(4), 2),
+]
+ORACLE_IDS = ["V4_n2", "S3_n2", "Z6_n2", "S3_n3", "S4_n2"]
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +166,42 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             enumerate_epi(s3, 2, budget=10)
 
+    def test_one_closure_per_generator_set(self, s3, monkeypatch):
+        # the 6^3 triples of S3 hold C(6,1) + C(6,2) + C(6,3) = 41 distinct sets
+        calls = []
+        original = pra_mod.closure_order
+
+        def counting(columns):
+            calls.append(columns.shape[1])
+            return original(columns)
+
+        monkeypatch.setattr(pra_mod, "closure_order", counting)
+        enumerate_epi(s3, 3)
+        assert len(calls) == 41
+
+    @pytest.mark.parametrize("gens,n", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_order_is_encoding_order_of_brute_force_tuples(self, gens, n):
+        group = bfs_closure(gens)
+        expected = sorted(brute_epi(group, n), key=lambda tup: EpiTuple(group, tup).encoding)
+        assert [t.indices for t in enumerate_epi(group, n)] == expected
+
+    def test_encoding_order_is_not_index_order(self):
+        # Z257's encodings are little-endian u32 images, so their byte order
+        # differs from the elements' index order; 257 is prime, so every
+        # element but the identity (index 0) generates
+        group = bfs_closure(cyclic_generators(257))
+        gens = [(i,) for i in range(1, group.order)]
+        expected = sorted(gens, key=lambda tup: EpiTuple(group, tup).encoding)
+        assert expected != sorted(gens)
+        assert [t.indices for t in enumerate_epi(group, 1)] == expected
+
+    def test_huge_arity_refused_without_the_power(self):
+        group = bfs_closure(symmetric_generators(4))
+        began = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="enumerate_epi"):
+            enumerate_epi(group, 10_000_000)
+        assert time.perf_counter() - began < 4.0  # 24^(10^7) alone takes seconds
+
 
 class TestMoves:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -131,6 +244,40 @@ class TestMoves:
 
 
 class TestGraph:
+    @pytest.mark.parametrize("gens,n", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_columns_are_epi_positions_of_apply_move(self, gens, n):
+        group = bfs_closure(gens)
+        expected = apply_move_columns(group, n)
+        graph = pra_graph(group, n)
+        assert graph.degree == len(expected) == 4 * n * (n - 1)
+        for t, column in enumerate(expected):
+            assert np.array_equal(graph.neighbors[:, t], column)
+
+    def test_empty_epi_gives_empty_graph(self):
+        # Z2^3 needs three generators
+        group = bfs_closure(direct_product_of_cyclic([2, 2, 2]))
+        graph = pra_graph(group, 2)
+        assert graph.neighbors.shape == (0, 8) and enumerate_epi(group, 2) == []
+
+    def test_move_graph_entries_capped_before_any_column(self, v4, monkeypatch):
+        # 6 tuples x 8 moves = 48 neighbor entries; the scan's 16 candidates fit
+        assert pra_graph(v4, 2, budget=48).neighbors.size == 48
+
+        def no_columns(n):
+            raise AssertionError("moves listed after the budget check failed")
+
+        monkeypatch.setattr(pra_mod, "all_moves", no_columns)
+        with pytest.raises(BudgetExceeded, match="move graph"):
+            pra_graph(v4, 2, budget=47)
+
+    def test_trivial_group_at_large_arity_refused(self):
+        # one tuple, 4 * 2000 * 1999 loops
+        group = bfs_closure(cyclic_generators(1))
+        began = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="move graph"):
+            pra_graph(group, 2000)
+        assert time.perf_counter() - began < 4.0
+
     def test_v4_graph_shape(self, v4):
         graph = pra_graph(v4, 2)
         assert graph.n_vertices == 6
@@ -176,6 +323,28 @@ class TestGraph:
 
 
 class TestWalk:
+    @pytest.mark.parametrize(
+        "gens,n,steps,checkpoints",
+        [
+            (symmetric_generators(4), 3, 100_000, None),
+            (symmetric_generators(3), 3, 30_000, [1, 7, 999, 30_000, 40_000]),
+            (direct_product_of_cyclic([2, 2]), 2, 5_000, None),
+            (cyclic_generators(5), 1, 100, None),
+        ],
+        ids=["S4_n3", "S3_n3", "V4_n2", "Z5_n1"],
+    )
+    def test_bit_identical_to_numpy_scalar_walk(self, gens, n, steps, checkpoints):
+        group = bfs_closure(gens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            graph = pra_graph(group, n)
+        for seed in (0, 1, 2**40 + 3):
+            stats = _walk(graph, components(graph), steps, seed, checkpoints)
+            visits, tv, tv_marks = numpy_scalar_walk(graph, steps, seed, checkpoints)
+            assert np.array_equal(stats.visits, visits) and stats.visits.dtype == visits.dtype
+            assert stats.tv_distance == tv
+            assert stats.tv_checkpoints == tv_marks
+
     def test_identical_seed_identical_stats(self, v4):
         a = pra_walk(v4, 2, 5000, seed=42)
         b = pra_walk(v4, 2, 5000, seed=42)
