@@ -33,7 +33,7 @@ class MultiGraph:
         label: str = "",
         check: bool = True,
     ):
-        nbrs = np.asarray(neighbors, dtype=np.int32)
+        nbrs = np.asarray(neighbors)
         if nbrs.ndim != 2:
             raise ValueError("neighbors must be a 2-d (N, k) array")
         self.neighbors = nbrs
@@ -41,7 +41,8 @@ class MultiGraph:
         if nbrs.shape[0] > MAX_VERTICES:
             raise ValueError("too many vertices for 32-bit ids")
         if check:
-            self._check_symmetric()
+            self._check_symmetric()  # in the input's dtype: the int32 cast would wrap big ids
+        self.neighbors = nbrs.astype(np.int32, copy=False)
         self.neighbors.flags.writeable = False
 
     def _check_symmetric(self):
@@ -120,6 +121,14 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     return MultiGraph(nbrs, label=label)
 
 
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array with at least one column, as one sorted
+    array of their bytes: equal for two arrays iff their rows are the same
+    multiset."""
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))
+    return np.sort(rows.ravel())
+
+
 @dataclass
 class ActionSpec:
     """A state set (only its size is read) plus an inversion-closed
@@ -131,22 +140,24 @@ class ActionSpec:
 
     def __post_init__(self):
         self.states = list(self.states)
-        self.moves = [np.asarray(m, dtype=np.int32) for m in self.moves]
         n = len(self.states)
-        ident = np.arange(n, dtype=np.int32)
-        for t, m in enumerate(self.moves):
+        moves = [np.asarray(m) for m in self.moves]
+        for t, m in enumerate(moves):
             if m.shape != (n,):
                 raise ValueError(f"move {t} has wrong shape {m.shape}")
-            if not np.array_equal(np.sort(m), ident):
-                raise ValueError(f"move {t} is not a bijection on the state set")
-        # inversion closure, with multiplicity
-        counts: dict[bytes, int] = {}
-        for m in self.moves:
-            counts[m.tobytes()] = counts.get(m.tobytes(), 0) + 1
-        for m in self.moves:
-            inv = np.argsort(m).astype(np.int32)
-            if counts.get(inv.tobytes(), 0) != counts[m.tobytes()]:
-                raise ValueError("move multiset is not closed under inversion")
+        # all moves at once, checked in the input's dtype: the int32 cast would wrap big ids
+        stacked = np.array(moves).reshape(len(moves), n)
+        bad = np.flatnonzero((np.sort(stacked, axis=1) != np.arange(n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"move {bad[0]} is not a bijection on the state set")
+        stacked = stacked.astype(np.int32)
+        # inversion closure, with multiplicity: the moves and their inverses
+        # are the same multiset of rows
+        inverses = np.empty_like(stacked)
+        inverses[np.arange(len(moves))[:, np.newaxis], stacked] = np.arange(n, dtype=np.int32)
+        if n and not np.array_equal(_sorted_rows(stacked), _sorted_rows(inverses)):
+            raise ValueError("move multiset is not closed under inversion")
+        self.moves = list(stacked)
 
     @property
     def n_states(self) -> int:

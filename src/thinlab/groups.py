@@ -233,7 +233,8 @@ class FiniteGroup:
         idx[order] = np.where(found, self._key_index[pos], -1)
         return idx
 
-    def _indices(self, stack: np.ndarray) -> np.ndarray:
+    def indices(self, stack: np.ndarray) -> np.ndarray:
+        """Indices of stacked elements, all of which must be in the group."""
         idx = self._lookup(stack)
         if (idx < 0).any():
             raise ValueError(f"{int((idx < 0).sum())} products are not in the group")
@@ -255,7 +256,12 @@ class FiniteGroup:
 
     def right_multiplication_indices(self, s: GroupElement) -> np.ndarray:
         """Index array of q -> q*s over all elements q, in one batch."""
-        return self._indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
+        return self.indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
+
+    def conjugation_indices(self, s: GroupElement) -> np.ndarray:
+        """Index array of q -> s*q*s^(-1) over all elements q, in one batch."""
+        q_s_inv = _batch_multiply(self.kind, self.modulus, self.stack, inverse(s).data)
+        return self.indices(_batch_multiply(self.kind, self.modulus, s.data, q_s_inv))
 
     def multiplication_table(self, max_entries: int = 4_000_000) -> np.ndarray:
         """Full N x N index table; only sensible for small groups."""
@@ -284,7 +290,7 @@ class FiniteGroup:
                     if sel.size:
                         q_inv = self.stack[inv[self._parents[sel]]]
                         prods = _batch_multiply(self.kind, self.modulus, s_inv[j], q_inv)
-                        inv[sel] = self._indices(prods)
+                        inv[sel] = self.indices(prods)
             self._inv_indices = inv
         return self._inv_indices
 

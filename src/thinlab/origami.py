@@ -4,17 +4,18 @@ simultaneous conjugation, mapping-class moves, and the move graph.
 A degree-d square-tiled surface is a transitive pair (sigma, tau) in S_d;
 its branching datum is the cycle type mu of the commutator, and its genus
 comes from Riemann-Hurwitz over the torus.  The census enumerates one
-canonical representative per simultaneous-conjugation orbit by fixing the
-lex-least permutation of each cycle type as the sigma part and sweeping
-tau orbits under the centralizer of sigma.  Each degree is swept once per
-process (cached); census(d, mu) and origami_graph filter that one sweep.
-Image groups <sigma, tau> close inside S_d, enumerated once per degree
-under the element budget: a d! above the budget is refused before a sweep.
+canonical representative per simultaneous-conjugation orbit: sigma is the
+lex-least permutation of its cycle type, and the tau orbits under its
+centralizer are the components of conjugation acting on S_d's index space.
+S_d is enumerated once per degree under the element budget (a d! above the
+budget is refused before a sweep), and each degree is swept once per
+process (cached).  census(d, mu) and origami_graph filter that one sweep;
+the move graph looks up each moved pair's class id in it.  Image groups
+<sigma, tau> close inside the same S_d, on request only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,13 +24,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import GroupElement
-from .graphs import ActionSpec, MultiGraph, schreier_graph
+from .graphs import ActionSpec, MultiGraph, components, schreier_graph
 from .groups import BudgetExceeded, FiniteGroup, bfs_closure, closure_order
 from .groups import resolve_budget, symmetric_generators
 
 DEFAULT_DEGREE_CAP = 8
 
 Perm = tuple[int, ...]
+SweptClass = tuple[Perm, Perm, tuple[int, ...], int]  # sigma0, least tau, mu, orbit size
 
 
 def _mul(a: Perm, b: Perm) -> Perm:
@@ -291,52 +293,43 @@ def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...
     return mu_key
 
 
-def _orbit(tau: Perm, cgens: list[Perm]) -> set[Perm]:
-    """Orbit of tau under conjugation by the group that cgens generate."""
-    orbit = {tau}
-    frontier = [tau]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for c in cgens:
-                t2 = _conj(c, t)
-                if t2 not in orbit:
-                    orbit.add(t2)
-                    nxt.append(t2)
-        frontier = nxt
-    return orbit
-
-
 @lru_cache(maxsize=8)
-def _sweep(d: int) -> list[tuple[Perm, Perm, tuple[int, ...], int]]:
-    """The whole degree-d census, one sweep over every cycle type of sigma:
-    each tau orbit under the centralizer of the lex-least sigma0 is one
-    class, listed as (sigma0, least tau, commutator type, full orbit size)
-    and sorted by (sigma0, tau); the list index is the class id."""
-    fact_d = math.factorial(d)
-    found = []
-    for lam in partitions(d):
-        sigma0 = lex_least_of_type(lam, d)
+def _sweep(d: int) -> tuple[list[SweptClass], dict[Perm, np.ndarray]]:
+    """The whole degree-d census, one sweep over every cycle type of sigma.
+    The taus are S_d's elements renumbered in lex order, so each orbit under
+    the centralizer of the lex-least sigma0 is led by its least tau.  Each
+    transitive orbit is one class (sigma0, least tau, commutator type, full
+    orbit size); sigma0 ascends, so the list is sorted and its index is the
+    class id.  The labels give, per sigma0, the class id of every S_d index
+    as tau, -1 where the pair is not in the census."""
+    group = _symmetric_group(d)
+    lex = np.lexsort(group.stack.T[::-1])  # S_d's indices in lex order
+    rank = np.argsort(lex)
+    taus = group.stack[lex].tolist()
+    found: list[SweptClass] = []
+    labels: dict[Perm, np.ndarray] = {}
+    for sigma0 in sorted(lex_least_of_type(lam, d) for lam in partitions(d)):
+        lam = cycle_type(sigma0)
         cgens = _centralizer_generators(sigma0, sorted(lam))
-        class_size = fact_d // _centralizer_order(lam)
-        handled: set[Perm] = set()
-        for tau in itertools.permutations(range(d)):
-            if tau in handled or not is_transitive(sigma0, tau):
-                continue
-            orbit = _orbit(tau, cgens)
-            handled |= orbit
-            least = min(orbit)
-            mu = cycle_type(commutator(sigma0, least))
-            found.append((sigma0, least, mu, len(orbit) * class_size))
-    found.sort()
-    return found
+        cols = [rank[group.conjugation_indices(GroupElement.permutation(c))[lex]] for c in cgens]
+        action = MultiGraph(np.array(cols, dtype=np.int32).reshape(len(cgens), group.order).T)
+        class_size = group.order // _centralizer_order(lam)
+        label = np.full(group.order, -1, dtype=np.int32)
+        for orbit in components(action):
+            tau = tuple(taus[orbit[0]])
+            if is_transitive(sigma0, tau):  # conjugation preserves transitivity
+                label[orbit] = len(found)
+                mu = cycle_type(commutator(sigma0, tau))
+                found.append((sigma0, tau, mu, orbit.size * class_size))
+        labels[sigma0] = label[rank]
+    return found, labels
 
 
 @lru_cache(maxsize=None)
 def _census_class(d: int, cid: int) -> CensusClass:
     """The record of one class of the degree-d sweep, built (and its image
     group closed) on first request only."""
-    sigma, tau, _, orbit_size = _sweep(d)[cid]
+    sigma, tau, _, orbit_size = _sweep(d)[0][cid]
     rep = OrigamiPair(sigma, tau)
     return CensusClass(
         rep=rep,
@@ -356,7 +349,7 @@ def census(
     mu_key = _check_request(d, mu, cap)
     return [
         _census_class(d, cid)
-        for cid, (_, _, m, _) in enumerate(_sweep(d))
+        for cid, (_, _, m, _) in enumerate(_sweep(d)[0])
         if mu_key is None or m == mu_key
     ]
 
@@ -415,7 +408,7 @@ def origami_graph(
     A mu with no admissible pairs gives an explicit empty graph.
     """
     mu_key = _check_request(d, mu, cap)
-    classes = _sweep(d)
+    classes, labels = _sweep(d)
     keep = [
         cid
         for cid, (_, _, m, _) in enumerate(classes)
@@ -427,20 +420,17 @@ def origami_graph(
     )
     if not keep:
         return MultiGraph(np.empty((0, 4), dtype=np.int32), label=label)
-    reps = [OrigamiPair(*classes[cid][:2]) for cid in keep]
-    # every pair (sigma0, tau) of a kept class, mapped to its graph position
-    position: dict[tuple[Perm, Perm], int] = {}
-    for idx, rep in enumerate(reps):
-        cgens = _centralizer_generators(rep.sigma, sorted(cycle_type(rep.sigma)))
-        for t in _orbit(rep.tau, cgens):
-            position[(rep.sigma, t)] = idx
-    images = np.empty((len(keep), len(MOVE_NAMES)), dtype=np.int32)
-    for idx, rep in enumerate(reps):
-        for t, moved in enumerate(nielsen_moves(rep)):
-            target = position.get(_canonical_pair(moved))
-            if target is None:
-                raise RuntimeError(
-                    "move left the filtered class set: image order not invariant? (unreachable)"
-                )
-            images[idx, t] = target
-    return schreier_graph(ActionSpec(range(len(keep)), list(images.T), label=label))
+    moved = [
+        _canonical_pair(q) for cid in keep for q in nielsen_moves(OrigamiPair(*classes[cid][:2]))
+    ]
+    taus = _symmetric_group(d).indices(np.array([tau for _, tau in moved]))
+    # graph position of each class id; the extra last entry takes the label -1
+    position = np.full(len(classes) + 1, -1)
+    position[keep] = np.arange(len(keep))
+    images = position[[labels[s][t] for (s, _), t in zip(moved, taus.tolist())]]
+    if (images < 0).any():
+        raise RuntimeError(
+            "move left the filtered class set: image order not invariant? (unreachable)"
+        )
+    columns = images.reshape(len(keep), len(MOVE_NAMES)).T
+    return schreier_graph(ActionSpec(range(len(keep)), list(columns), label=label))

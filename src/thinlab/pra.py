@@ -93,6 +93,20 @@ def _place_values(size: int, n: int) -> np.ndarray:
     return size ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def _candidate_count(size: int, n: int, budget: int) -> int:
+    """|G|^n, the Epi scan's candidate count, refused above the candidate
+    budget (or int64).  An early-stopping product: |G| >= 2 crosses the
+    budget within bit_length(budget) factors, and |G| = 1 never does."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    candidates = 1
+    for _ in range(min(n, budget.bit_length())):
+        candidates *= size
+        if candidates > min(budget, 2**63 - 1):
+            raise BudgetExceeded(0, budget, f"enumerate_epi({size}^{n} candidates)")
+    return candidates
+
+
 def _epi_codes(
     group: FiniteGroup, n: int, budget: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,17 +118,9 @@ def _epi_codes(
     set is closed once, inside G's multiplication table.  Refuses to start
     when |G|^n exceeds the candidate budget (or int64).
     """
-    if n < 1:
-        raise ValueError("arity must be >= 1")
     budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
     size = group.order
-    # an early-stopping product: |G| >= 2 crosses the budget within
-    # bit_length(budget) factors, and |G| = 1 never does
-    candidates = 1
-    for _ in range(min(n, budget.bit_length())):
-        candidates *= size
-        if candidates > min(budget, 2**63 - 1):
-            raise BudgetExceeded(0, budget, f"enumerate_epi({size}^{n} candidates)")
+    candidates = _candidate_count(size, n, budget)
     by_rank = np.array(sorted(range(size), key=group.encoding), dtype=np.int64)
     table = group.multiplication_table()
     place = _place_values(size, n)
@@ -181,9 +187,16 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
     codes.  Refuses to build more neighbor entries than the candidate
     budget.
     """
-    codes, by_rank = _epi_codes(group, n, budget=budget)
     budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
     degree = 4 * n * (n - 1)
+    # refuse before the scan decodes n-wide rows if one tuple's moves exceed
+    # the budget.  That refuses nothing the exact check below passes: if Epi
+    # is empty, n < d(G), so |G|^n >= 2^(n(n+1)) >= degree and the scan's
+    # candidate check (run first, to keep its message) fires.
+    _candidate_count(group.order, n, budget)
+    if degree > budget:
+        raise BudgetExceeded(0, budget, f"move graph ({degree} moves per tuple)")
+    codes, by_rank = _epi_codes(group, n, budget=budget)
     if codes.size * degree > budget:
         raise BudgetExceeded(0, budget, f"move graph ({codes.size} tuples x {degree} moves)")
     # all_moves(n) as arrays: i, j, side == "left", sign == -1

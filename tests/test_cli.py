@@ -437,11 +437,20 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "spec,arity,where",
-        [("S4", 10_000_000, "enumerate_epi"), ("Z1", 2_000, "move graph")],
-        ids=["candidates", "move_graph_entries"],
+        [
+            ("S4", 10_000_000, "enumerate_epi"),
+            ("Z1", 2_000, "move graph"),
+            ("Z1", 1_000_000, "move graph"),
+        ],
+        ids=["candidates", "move_graph_entries", "move_graph_entries_huge_arity"],
     )
-    def test_hostile_pra_sizes_fail_fast(self, tmp_path, spec, arity, where):
-        # 24^(10^7) candidates; one tuple of Z1 with 4 * 2000 * 1999 loops
+    def test_hostile_pra_sizes_fail_fast(self, tmp_path, monkeypatch, spec, arity, where):
+        # 24^(10^7) candidates; one tuple of Z1 with 4n(n-1) loops.  Each is
+        # refused before the Epi scan decodes a single n-wide row.
+        def no_decode(codes, size, n):
+            raise AssertionError("Epi scan decoded after a budget check failed")
+
+        monkeypatch.setattr(pra_mod, "_digits", no_decode)
         path = write_config(
             tmp_path, {"kind": "pra", "group": spec, "arity": arity, "steps": 1}
         )

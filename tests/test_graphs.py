@@ -207,6 +207,36 @@ class TestComponents:
         assert np.array_equal(graph.dense_adjacency(), dense_adjacency_oracle(graph))
 
 
+def per_move_rule(n, moves):
+    """Oracle for ActionSpec's checks, one move at a time: every move is a
+    bijection of range(n), and each move's inverse occurs as often as the
+    move itself."""
+    ident = np.arange(n)
+    for m in moves:
+        if m.shape != (n,) or not np.array_equal(np.sort(m), ident):
+            return False
+    counts = {}
+    for m in moves:
+        counts[m.tobytes()] = counts.get(m.tobytes(), 0) + 1
+    return all(
+        counts.get(np.argsort(m).astype(np.int64).tobytes(), 0) == counts[m.tobytes()]
+        for m in moves
+    )
+
+
+@st.composite
+def move_sets(draw):
+    """A state count and int64 moves on it: permutations, some of their
+    inverses (so that the set is often closed), and at times an arbitrary
+    array that may be out of range or of the wrong length."""
+    n = draw(st.integers(0, 4))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=4))
+    moves = perms + [list(np.argsort(p)) for p in perms if draw(st.booleans())]
+    moves += draw(st.lists(st.lists(st.integers(-1, n), min_size=max(n - 1, 0), max_size=n + 1), max_size=1))
+    moves = draw(st.permutations(moves))
+    return n, [np.array(m, dtype=np.int64).reshape(-1) for m in moves]
+
+
 class TestSchreier:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_torsion_vertex_count(self, ell):
@@ -244,6 +274,23 @@ class TestSchreier:
             ActionSpec(["a", "b", "c"], [three_cycle])
         # fine once the inverse is included
         ActionSpec(["a", "b", "c"], [three_cycle, np.argsort(three_cycle)])
+
+    def test_move_ids_beyond_int32_rejected_before_the_cast(self):
+        # 2^32 would wrap to state 0, the identity on one state
+        with pytest.raises(ValueError, match="bijection"):
+            ActionSpec(["x"], [np.array([2**32])])
+
+    @settings(max_examples=300, deadline=None)
+    @given(move_sets())
+    def test_whole_array_checks_match_the_per_move_rule(self, spec):
+        n, moves = spec
+        try:
+            ActionSpec(range(n), moves)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == per_move_rule(n, moves)
 
 
 class TestQuotient:
@@ -330,6 +377,11 @@ class TestMultiGraph:
         graph = MultiGraph(np.empty((0, 4), dtype=np.int32))
         assert graph.n_vertices == 0
         assert components(graph) == []
+
+    def test_ids_beyond_int32_rejected_before_the_cast(self):
+        # 2^32 would wrap to vertex 0 of a 1-vertex graph, a loop
+        with pytest.raises(ValueError, match="out of range"):
+            MultiGraph(np.array([[2**32, 2**32]]))
 
 
 class TestDotExport:

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,8 +73,9 @@ def brute_canonical(pair):
 
 
 class TestCensusAgainstBruteForce:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_classes_and_orbit_sizes(self, d):
+        # d = 1: no centralizer generator, an empty conjugation column stack
         oracle, n_transitive = brute_orbits(d)
         mine = census(d)
         assert [(c.rep.sigma, c.rep.tau) for c in mine] == [rep for rep, _ in oracle]
@@ -267,6 +269,9 @@ class TestOrigamiGraph:
         assert graph.degree == 4
         assert len(components(graph)) == self.brute_component_count(d, mu)
 
+    def test_degree_one_is_one_vertex_with_four_loops(self):
+        assert origami_graph(1, (1,)).neighbors.tolist() == [[0, 0, 0, 0]]
+
     def test_empty_mu_gives_empty_graph(self):
         graph = origami_graph(3, (2, 1))  # odd class, never a commutator here
         assert graph.n_vertices == 0
@@ -291,8 +296,7 @@ class TestOrigamiGraph:
         # vertex i is the i-th class of census(d, mu) with the image order;
         # column t holds the position of the brute-force canonical form of
         # move t applied to vertex i's representative
-        d = 4
-        for mu in sorted({c.mu for c in census(d)}):
+        for d, mu in sorted({(d, c.mu) for d in (4, 5) for c in census(d)}):
             classes = census(d, mu=mu)
             orders = sorted({c.image_order for c in classes}) if with_order else [None]
             for order in orders:
@@ -399,6 +403,15 @@ class TestEncoding:
             parse_pair("(0,1)")
         with pytest.raises(ValueError):
             parse_pair("(0,1)|(0,2)")
+
+
+def test_d6_census_csv_matches_the_benchmark_reference(tmp_path):
+    # the reference is read only; it was written by the census before its
+    # sweep moved into S_d's index space
+    reference = Path(__file__).parents[1] / "perfbench/reference/combinatorial/origami_d6/census.csv"
+    manifest = run(validate_config({"kind": "origami-census", "degree": 6, "seed": 0}), out_dir=tmp_path)
+    assert not manifest.failed
+    assert (tmp_path / "census.csv").read_bytes() == reference.read_bytes()
 
 
 def test_census_class_fields_consistent():

@@ -270,6 +270,18 @@ class TestGraph:
         with pytest.raises(BudgetExceeded, match="move graph"):
             pra_graph(v4, 2, budget=47)
 
+    def test_trivial_group_refused_before_the_scan_decodes(self, monkeypatch):
+        # Z1 passes the candidate budget at any arity; its one tuple's
+        # 4n(n-1) moves do not
+        group = bfs_closure(cyclic_generators(1))
+
+        def no_decode(codes, size, n):
+            raise AssertionError("Epi scan decoded after the move budget check failed")
+
+        monkeypatch.setattr(pra_mod, "_digits", no_decode)
+        with pytest.raises(BudgetExceeded, match="move graph"):
+            pra_graph(group, 10**6)
+
     def test_trivial_group_at_large_arity_refused(self):
         # one tuple, 4 * 2000 * 1999 loops
         group = bfs_closure(cyclic_generators(1))
