@@ -40,7 +40,6 @@ from .monodromy import (
     transvection,
 )
 from .graphs import (
-    ActionSpec,
     MultiGraph,
     cayley_graph,
     components,

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .elements import MAX_MODULUS
 from .groups import (
+    MULTIPLICATION_TABLE_ENTRIES,
     BudgetExceeded,
     GeneratorSet,
     bfs_closure,
@@ -197,17 +198,24 @@ def _group_spec_sizes(spec: str) -> tuple[str, list[int]]:
     return family, sizes
 
 
-def _group_order_exceeds(spec: str, budget: int) -> bool:
-    """True iff the closed-form order of the spec's group (n, d!, or the
-    product) exceeds budget.  The product stops at the first factor that
-    crosses budget, so d! is never computed for a huge d."""
+def _check_group_size(spec: str, budget: int) -> None:
+    """Refuse a group spec before anything is built: its closed-form order
+    (n, d!, or the product) must fit the element budget, and both its
+    multiplication table (the order squared), which the Epi scan needs, and
+    its generators' 2 x factors x points permutation entries must fit
+    MULTIPLICATION_TABLE_ENTRIES.  The order product stops at the first
+    factor that crosses a limit, so d! is never computed for a huge d."""
     family, sizes = _group_spec_sizes(spec)
+    table = MULTIPLICATION_TABLE_ENTRIES
     order = 1
     for factor in range(1, sizes[0] + 1) if family == "S" else sizes:
         order *= factor
         if order > budget:
-            return True
-    return False
+            raise BudgetExceeded(0, budget, f"group {_brief(spec)}")
+        if order * order > table:
+            raise BudgetExceeded(0, table, f"group {_brief(spec)}: multiplication table")
+    if 2 * len(sizes) * sum(sizes) > table:
+        raise BudgetExceeded(0, table, f"group {_brief(spec)}: generator entries")
 
 
 def parse_group_spec(spec: str) -> GeneratorSet:
@@ -431,8 +439,8 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
 
     def builder(p: int) -> MultiGraph:
         gens = _sweep_generators(genus, "standard", p)
-        action = torsion_action(gens, label=f"torsion_g{genus}_p{p}", budget=params.get("budget"))
-        built[p] = schreier_graph(action)
+        moves = torsion_action(gens, budget=params.get("budget"))
+        built[p] = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
         return built[p]
 
     tasks, by_prime, outputs = _sweep(builder, params, jobs, outdir)
@@ -519,9 +527,7 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
     n, steps = params["arity"], params["steps"]
 
     def body() -> list[Path]:
-        budget = resolve_budget(params.get("budget"))
-        if _group_order_exceeds(params["group"], budget):
-            raise BudgetExceeded(0, budget, f"group {params['group']}")
+        _check_group_size(params["group"], resolve_budget(params.get("budget")))
         gens = parse_group_spec(params["group"])
         group = bfs_closure(gens, budget=params.get("budget"))
         graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))

@@ -10,7 +10,6 @@ I - A/k has exact zero row sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,12 +26,7 @@ _DUMP_MAGIC = b"TLG1"
 class MultiGraph:
     """k-regular undirected multigraph in fixed-width adjacency form."""
 
-    def __init__(
-        self,
-        neighbors: np.ndarray,
-        label: str = "",
-        check: bool = True,
-    ):
+    def __init__(self, neighbors: np.ndarray, label: str = ""):
         nbrs = np.asarray(neighbors)
         if nbrs.ndim != 2:
             raise ValueError("neighbors must be a 2-d (N, k) array")
@@ -40,8 +34,7 @@ class MultiGraph:
         self.label = label
         if nbrs.shape[0] > MAX_VERTICES:
             raise ValueError("too many vertices for 32-bit ids")
-        if check:
-            self._check_symmetric()  # in the input's dtype: the int32 cast would wrap big ids
+        self._check_symmetric()  # in the input's dtype: the int32 cast would wrap big ids
         self.neighbors = nbrs.astype(np.int32, copy=False)
         self.neighbors.flags.writeable = False
 
@@ -88,9 +81,7 @@ class MultiGraph:
         )
 
 
-def from_edges(
-    n: int, edges: Sequence[tuple[int, int]], label: str = "", check: bool = True
-) -> MultiGraph:
+def from_edges(n: int, edges: Sequence[tuple[int, int]], label: str = "") -> MultiGraph:
     """Build a regular multigraph from an explicit undirected edge list.
 
     Loops are given once as (u, u) and contribute two endpoints.  Raises if
@@ -105,7 +96,7 @@ def from_edges(
         raise ValueError(f"edge list is not regular: endpoint counts {sorted(lengths)}")
     k = lengths.pop() if lengths else 0
     nbrs = np.array(rows, dtype=np.int32).reshape(n, k)
-    return MultiGraph(nbrs, label=label, check=check)
+    return MultiGraph(nbrs, label=label)
 
 
 def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = None) -> MultiGraph:
@@ -115,10 +106,9 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
         if g not in group:
             raise ValueError(f"generator not in group: {g!r}")
     cols = [group.right_multiplication_indices(s) for s in gens.symmetrized]
-    nbrs = np.stack(cols, axis=1)
     if label is None:
         label = f"cayley({gens.label or group.label})"
-    return MultiGraph(nbrs, label=label)
+    return schreier_graph(np.stack(cols, axis=1), label=label)
 
 
 def _sorted_rows(a: np.ndarray) -> np.ndarray:
@@ -129,49 +119,31 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
     return np.sort(rows.ravel())
 
 
-@dataclass
-class ActionSpec:
-    """A state set (only its size is read) plus an inversion-closed
-    multiset of bijective moves on its indices."""
-
-    states: Sequence
-    moves: Sequence[np.ndarray]
-    label: str = ""
-
-    def __post_init__(self):
-        self.states = list(self.states)
-        n = len(self.states)
-        moves = [np.asarray(m) for m in self.moves]
-        for t, m in enumerate(moves):
-            if m.shape != (n,):
-                raise ValueError(f"move {t} has wrong shape {m.shape}")
-        # all moves at once, checked in the input's dtype: the int32 cast would wrap big ids
-        stacked = np.array(moves).reshape(len(moves), n)
-        bad = np.flatnonzero((np.sort(stacked, axis=1) != np.arange(n)).any(axis=1))
-        if bad.size:
-            raise ValueError(f"move {bad[0]} is not a bijection on the state set")
-        stacked = stacked.astype(np.int32)
-        # inversion closure, with multiplicity: the moves and their inverses
-        # are the same multiset of rows
-        inverses = np.empty_like(stacked)
-        inverses[np.arange(len(moves))[:, np.newaxis], stacked] = np.arange(n, dtype=np.int32)
-        if n and not np.array_equal(_sorted_rows(stacked), _sorted_rows(inverses)):
-            raise ValueError("move multiset is not closed under inversion")
-        self.moves = list(stacked)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-
-def schreier_graph(action: ActionSpec, label: str | None = None) -> MultiGraph:
-    """Graph of the action: x -- m(x) for every move m; k = number of moves."""
-    n = action.n_states
-    if action.moves:
-        nbrs = np.stack(action.moves, axis=1)
-    else:
-        nbrs = np.empty((n, 0), dtype=np.int32)
-    return MultiGraph(nbrs, label=label if label is not None else action.label)
+def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
+    """Graph of a group action: x -- m(x) for every move m; k = number of
+    moves.  ``moves`` is the (N, k) array in ``MultiGraph.neighbors``
+    layout: row x lists x's image under each move.  Each column must be a
+    bijection of range(N), and the columns an inversion-closed multiset."""
+    moves = np.asarray(moves)
+    if moves.ndim != 2:
+        raise ValueError("moves must be a 2-d (N, k) array")
+    n, k = moves.shape
+    # in the input's dtype: the int32 cast would wrap big ids
+    if moves.size and (moves.min() < 0 or moves.max() >= n):
+        raise ValueError("move image out of range for the state set")
+    moves = moves.astype(np.int32, copy=False)
+    images = np.ascontiguousarray(moves.T)  # one row per move
+    inverses = np.full_like(images, -1)
+    inverses[np.arange(k)[:, np.newaxis], images] = np.arange(n, dtype=np.int32)
+    # n images of n states are a bijection iff they hit every state
+    bad = np.flatnonzero((inverses < 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"move {bad[0]} is not a bijection on the state set")
+    # inversion closure, with multiplicity: the moves and their inverses
+    # are the same multiset of rows
+    if n and not np.array_equal(_sorted_rows(images), _sorted_rows(inverses)):
+        raise ValueError("move multiset is not closed under inversion")
+    return MultiGraph(moves, label=label)
 
 
 def components(g: MultiGraph) -> list[np.ndarray]:
@@ -227,13 +199,12 @@ def _all_nonzero_vectors(dim: int, modulus: int) -> np.ndarray:
     return digits
 
 
-def torsion_action(
-    gens: GeneratorSet, label: str | None = None, budget: int | None = None
-) -> ActionSpec:
-    """Action of the symmetrized generators on the nonzero vectors of
-    (Z/m)^n by left multiplication x -> s.x; the vertex set has m^n - 1
-    states, one per nontrivial torsion point.  Refuses to allocate them
-    above the element budget."""
+def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
+    """The (m^n - 1, k) int32 move array of the symmetrized generators
+    acting on the nonzero vectors of (Z/m)^n by left multiplication
+    x -> s.x: row x lists the images of the torsion point with base-m code
+    x + 1, one column per generator.  Refuses to allocate the states above
+    the element budget."""
     first = gens.elements[0]
     if first.kind != "matrix" or first.modulus == 0:
         raise ValueError("torsion_action needs matrix generators with positive modulus")
@@ -242,23 +213,18 @@ def torsion_action(
     if m**dim - 1 > budget:
         raise BudgetExceeded(0, budget, f"torsion_action({m}^{dim} - 1 states)")
     vecs = _all_nonzero_vectors(dim, m)
-    moves = []
-    for s in gens.symmetrized:
-        images = (vecs @ s.data.T) % m
-        codes = _vector_codes(images, m)
+    moves = np.empty((len(vecs), gens.k), dtype=np.int32)
+    for t, s in enumerate(gens.symmetrized):
+        codes = _vector_codes((vecs @ s.data.T) % m, m)
         if (codes == 0).any():
             raise ValueError("generator sends a nonzero vector to zero")
-        moves.append((codes - 1).astype(np.int32))
-    return ActionSpec(
-        range(len(vecs)), moves, label=label or f"torsion({gens.label};m={m})"
-    )
+        moves[:, t] = codes - 1
+    return moves
 
 
-def torsion_projection(
-    group: FiniteGroup, base_vector: Sequence[int] | None = None
-) -> np.ndarray:
-    """Projection q -> index of q^(-1).v0 from Cayley vertices onto torsion
-    Schreier vertices.
+def torsion_projection(group: FiniteGroup) -> np.ndarray:
+    """Projection q -> index of q^(-1).v0, v0 = (1, 0, ..., 0), from Cayley
+    vertices onto torsion Schreier vertices.
 
     With right-multiplication Cayley edges q -- q*s and left-action Schreier
     moves x -> s.x, the inverse in the projection is what makes edges map to
@@ -267,15 +233,7 @@ def torsion_projection(
     if group.kind != "matrix" or group.modulus == 0:
         raise ValueError("torsion_projection needs a matrix group with positive modulus")
     m = group.modulus
-    dim = group.stack.shape[1]
-    if base_vector is None:
-        v0 = np.zeros(dim, dtype=np.int64)
-        v0[0] = 1
-    else:
-        v0 = np.asarray(base_vector, dtype=np.int64) % m
-        if not v0.any():
-            raise ValueError("base vector must be nonzero")
-    w = (group.stack[group.inverse_indices()] @ v0) % m
+    w = group.stack[group.inverse_indices(), :, 0] % m  # q^(-1).v0 is q^(-1)'s first column
     return _vector_codes(w, m) - 1
 
 

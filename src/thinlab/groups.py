@@ -27,9 +27,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import (
-    MATRIX,
     PERMUTATION,
     GroupElement,
+    _check_composable,
     encode_matrix,
     encode_permutation,
     identity_like,
@@ -39,6 +39,7 @@ from .elements import (
 
 DEFAULT_ELEMENT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "THINLAB_BUDGET"
+MULTIPLICATION_TABLE_ENTRIES = 4_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -87,14 +88,8 @@ class GeneratorSet:
         self.elements = tuple(self.elements)
         if not self.elements:
             raise ValueError("generator set must be nonempty")
-        first = self.elements[0]
         for g in self.elements[1:]:
-            if (
-                g.kind != first.kind
-                or (g.kind == PERMUTATION and g.degree != first.degree)
-                or (g.kind == MATRIX and (g.modulus != first.modulus or g.dimension != first.dimension))
-            ):
-                raise ValueError("generators are not mutually composable")
+            _check_composable(self.elements[0], g)
         self.symmetrized = self.elements + tuple(inverse(g) for g in self.elements)
 
     @property
@@ -263,9 +258,10 @@ class FiniteGroup:
         q_s_inv = _batch_multiply(self.kind, self.modulus, self.stack, inverse(s).data)
         return self.indices(_batch_multiply(self.kind, self.modulus, s.data, q_s_inv))
 
-    def multiplication_table(self, max_entries: int = 4_000_000) -> np.ndarray:
-        """Full N x N index table; only sensible for small groups."""
-        if self.order**2 > max_entries:
+    def multiplication_table(self) -> np.ndarray:
+        """Full N x N index table, refused above MULTIPLICATION_TABLE_ENTRIES
+        entries."""
+        if self.order**2 > MULTIPLICATION_TABLE_ENTRIES:
             raise ValueError(
                 f"multiplication table would need {self.order ** 2} entries"
             )

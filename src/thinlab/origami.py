@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import GroupElement
-from .graphs import ActionSpec, MultiGraph, components, schreier_graph
+from .graphs import MultiGraph, components, schreier_graph
 from .groups import BudgetExceeded, FiniteGroup, bfs_closure, closure_order
 from .groups import resolve_budget, symmetric_generators
 
@@ -312,7 +312,7 @@ def _sweep(d: int) -> tuple[list[SweptClass], dict[Perm, np.ndarray]]:
         lam = cycle_type(sigma0)
         cgens = _centralizer_generators(sigma0, sorted(lam))
         cols = [rank[group.conjugation_indices(GroupElement.permutation(c))[lex]] for c in cgens]
-        action = MultiGraph(np.array(cols, dtype=np.int32).reshape(len(cgens), group.order).T)
+        action = schreier_graph(np.array(cols, dtype=np.int32).reshape(len(cgens), group.order).T)
         class_size = group.order // _centralizer_order(lam)
         label = np.full(group.order, -1, dtype=np.int32)
         for orbit in components(action):
@@ -419,7 +419,7 @@ def origami_graph(
         f";|G|={image_order})" if image_order is not None else ")"
     )
     if not keep:
-        return MultiGraph(np.empty((0, 4), dtype=np.int32), label=label)
+        return schreier_graph(np.empty((0, len(MOVE_NAMES)), dtype=np.int32), label=label)
     moved = [
         _canonical_pair(q) for cid in keep for q in nielsen_moves(OrigamiPair(*classes[cid][:2]))
     ]
@@ -432,5 +432,4 @@ def origami_graph(
         raise RuntimeError(
             "move left the filtered class set: image order not invariant? (unreachable)"
         )
-    columns = images.reshape(len(keep), len(MOVE_NAMES)).T
-    return schreier_graph(ActionSpec(range(len(keep)), list(columns), label=label))
+    return schreier_graph(images.reshape(len(keep), len(MOVE_NAMES)), label=label)

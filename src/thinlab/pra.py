@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ActionSpec, MultiGraph, components, schreier_graph
+from .graphs import MultiGraph, components, schreier_graph
 from .groups import BudgetExceeded, FiniteGroup, _find, closure_order, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
@@ -66,6 +66,16 @@ def all_moves(n: int) -> list[PraMove]:
         for side in SIDES
         for sign in (1, -1)
     ]
+
+
+def _move_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """all_moves(n) as four arrays, in its order: i, j, side == "left" and
+    sign == -1."""
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # i ascending, then j != i ascending
+    pairs = n * (n - 1)
+    left = np.tile([True, True, False, False], pairs)
+    negative = np.tile([False, True, False, True], pairs)
+    return np.repeat(i, 4), np.repeat(j, 4), left, negative
 
 
 @dataclass(frozen=True)
@@ -199,16 +209,13 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
     codes, by_rank = _epi_codes(group, n, budget=budget)
     if codes.size * degree > budget:
         raise BudgetExceeded(0, budget, f"move graph ({codes.size} tuples x {degree} moves)")
-    # all_moves(n) as arrays: i, j, side == "left", sign == -1
-    i, j, left, negative = np.array(
-        [(m.i, m.j, m.side == "left", m.sign < 0) for m in all_moves(n)], dtype=np.intp
-    ).reshape(-1, 4).T
+    i, j, left, negative = _move_arrays(n)
     rank = np.argsort(by_rank)  # group arithmetic on encoding ranks
     product = rank[group.multiplication_table()[np.ix_(by_rank, by_rank)]]
     inverse = rank[group.inverse_indices()[by_rank]]
     place = _place_values(group.order, n)
     digits = _digits(codes, group.order, n)
-    columns = []
+    moves = np.empty((codes.size, degree), dtype=np.int32)
     step = max(1, CHUNK // max(1, codes.size))  # moves per whole-array step
     for lo in range(0, degree, step):
         t = slice(lo, lo + step)
@@ -220,9 +227,8 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
         stray = np.flatnonzero(~found.all(axis=0))
         if stray.size:
             raise ValueError(f"move {all_moves(n)[lo + stray[0]]} leaves Epi(F_{n}, G)")
-        columns.extend(images.astype(np.int32).T)
-    label = f"pra({group.label or group.order};n={n})"
-    return schreier_graph(ActionSpec(range(codes.size), columns, label=label))
+        moves[:, t] = images
+    return schreier_graph(moves, label=f"pra({group.label or group.order};n={n})")
 
 
 def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:

@@ -101,7 +101,6 @@ def lambda1(
     method: str = "auto",
     tol: float | None = None,
     maxiter: int | None = None,
-    graph_id: str | None = None,
 ) -> SpectralReport:
     """Spectral gap report for one graph.
 
@@ -119,7 +118,6 @@ def lambda1(
     if method == "auto":
         method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
 
-    name = graph_id if graph_id is not None else graph.label
     comps = components(graph)
     zm = len(comps)
     n, k = graph.n_vertices, graph.degree
@@ -127,7 +125,7 @@ def lambda1(
 
     if method == "dense" or n <= 2:
         lam, res, x = _lambda1_dense(graph, comps)
-        return SpectralReport(name, n, k, lam, zm, "dense", res, time.perf_counter() - t0, x)
+        return SpectralReport(graph.label, n, k, lam, zm, "dense", res, time.perf_counter() - t0, x)
 
     tol = ITERATIVE_TOL if tol is None else tol
     maxiter = 10 * n if maxiter is None else maxiter
@@ -141,7 +139,7 @@ def lambda1(
         x[comps[1]] = -1.0 / len(comps[1])
         x /= np.linalg.norm(x)
         res = _residual(L, 0.0, x)
-        return SpectralReport(name, n, k, 0.0, zm, "iterative", res, time.perf_counter() - t0, x)
+        return SpectralReport(graph.label, n, k, 0.0, zm, "iterative", res, time.perf_counter() - t0, x)
 
     v0 = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
     try:
@@ -156,7 +154,7 @@ def lambda1(
     x = vecs[:, 0] - vecs[:, 0].mean()
     x /= np.linalg.norm(x)
     res = _residual(L, lam, x)
-    return SpectralReport(name, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
+    return SpectralReport(graph.label, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
 
 
 @dataclass

@@ -47,6 +47,11 @@ JSON_VALUES = st.recursive(
 )
 
 
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -198,7 +203,7 @@ class TestRun:
         )
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
-        rows = list(csv.DictReader(open(tmp_path / "out" / "spectra.csv")))
+        rows = read_csv(tmp_path / "out" / "spectra.csv")
         assert len(rows) == 3
         assert all(r["zero_mult"] == "1" for r in rows)
         assert all(float(r["lambda1"]) > 0 for r in rows)
@@ -243,7 +248,7 @@ class TestRun:
         config = validate_config({"kind": "origami-census", "degree": 3})
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
-        rows = list(csv.DictReader(open(tmp_path / "out" / "census.csv")))
+        rows = read_csv(tmp_path / "out" / "census.csv")
         assert len(rows) == 7  # census(3) classes
         assert {r["mu"] for r in rows} == {"1,1,1", "3"}
         assert all(r["component_id"] != "" for r in rows)
@@ -259,11 +264,11 @@ class TestRun:
         )
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
-        rows = list(csv.DictReader(open(tmp_path / "out" / "comparison.csv")))
+        rows = read_csv(tmp_path / "out" / "comparison.csv")
         assert len(rows) == 3
         assert all(r["quotient_ok"] == "True" for r in rows)
         assert all(r["gap_ok"] == "True" for r in rows)
-        spectra_rows = list(csv.DictReader(open(tmp_path / "out" / "spectra.csv")))
+        spectra_rows = read_csv(tmp_path / "out" / "spectra.csv")
         assert [int(r["N"]) for r in spectra_rows] == [8, 24, 48]
 
     def test_pra_run_enumerates_epi_once(self, tmp_path, monkeypatch):
@@ -368,7 +373,7 @@ class TestMainExitCodes:
         assert manifest["tasks"][0]["status"] == "ok"
         assert manifest["tasks"][1]["status"] == "failed"
         assert "BudgetExceeded" in manifest["tasks"][1]["error"]
-        rows = list(csv.DictReader(open(out / "comparison.csv")))
+        rows = read_csv(out / "comparison.csv")
         assert [r["p"] for r in rows] == ["3"]
         assert "comparison.csv" in manifest["outputs"]
 
@@ -402,6 +407,10 @@ class TestMainExitCodes:
             ("Z6", 5),
             ("Z2xZ3", 5),
             ("S3", 5),
+            # within the element budget, but not the multiplication-table limit
+            ("Z4000", None),  # 4,000^2 table entries
+            ("S7", None),  # 5,040^2 table entries
+            pytest.param("x".join(["Z1"] * 2000), None, id="Z1x2000-None"),  # 4,000 x 2,000 entries
         ],
     )
     def test_group_above_budget_fails_before_building(self, tmp_path, monkeypatch, spec, budget):
@@ -516,7 +525,7 @@ class TestMainExitCodes:
     def test_census_subcommand(self, tmp_path):
         out = tmp_path / "census-out"
         assert main(["census", "--degree", "3", "--mu", "3", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "census.csv")))
+        rows = read_csv(out / "census.csv")
         assert len(rows) == 3
 
     @pytest.mark.parametrize("flag,value", [("--image-order", "0"), ("--mu", "")])
@@ -541,7 +550,7 @@ class TestMainExitCodes:
         )
         assert code == 0
         assert "pra(S3,n=2): ok" in caplog.text
-        rows = list(csv.DictReader(open(out / "pra.csv")))
+        rows = read_csv(out / "pra.csv")
         assert rows[0]["epi_count"] == "18"
 
     def test_spectra_subcommand(self, tmp_path, capsys):

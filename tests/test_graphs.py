@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,6 @@ from thinlab.groups import (
 )
 from thinlab.monodromy import standard_symplectic_generators
 from thinlab.graphs import (
-    ActionSpec,
     MultiGraph,
     cayley_graph,
     components,
@@ -91,7 +92,7 @@ def random_regular_multigraph(n: int, r: int, seed: int) -> MultiGraph:
     for _ in range(r):
         perm = rng.permutation(n)
         cols += [perm, np.argsort(perm)]
-    return MultiGraph(np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int32))
+    return schreier_graph(np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int32))
 
 
 def projection_oracle(group, v0) -> np.ndarray:
@@ -207,10 +208,12 @@ class TestComponents:
         assert np.array_equal(graph.dense_adjacency(), dense_adjacency_oracle(graph))
 
 
-def per_move_rule(n, moves):
-    """Oracle for ActionSpec's checks, one move at a time: every move is a
-    bijection of range(n), and each move's inverse occurs as often as the
-    move itself."""
+def per_move_rule(moves):
+    """Oracle for schreier_graph's checks, one move (column) at a time:
+    every move is a bijection of range(n), and each move's inverse occurs
+    as often as the move itself."""
+    n = moves.shape[0]
+    moves = list(moves.T)
     ident = np.arange(n)
     for m in moves:
         if m.shape != (n,) or not np.array_equal(np.sort(m), ident):
@@ -225,23 +228,22 @@ def per_move_rule(n, moves):
 
 
 @st.composite
-def move_sets(draw):
-    """A state count and int64 moves on it: permutations, some of their
-    inverses (so that the set is often closed), and at times an arbitrary
-    array that may be out of range or of the wrong length."""
+def move_arrays(draw):
+    """An (n, k) int64 move array: permutations, some of their inverses (so
+    that the set is often closed), and at times an arbitrary column that may
+    be out of range."""
     n = draw(st.integers(0, 4))
     perms = draw(st.lists(st.permutations(range(n)), max_size=4))
     moves = perms + [list(np.argsort(p)) for p in perms if draw(st.booleans())]
-    moves += draw(st.lists(st.lists(st.integers(-1, n), min_size=max(n - 1, 0), max_size=n + 1), max_size=1))
+    moves += draw(st.lists(st.lists(st.integers(-1, n), min_size=n, max_size=n), max_size=1))
     moves = draw(st.permutations(moves))
-    return n, [np.array(m, dtype=np.int64).reshape(-1) for m in moves]
+    return np.array(moves, dtype=np.int64).reshape(len(moves), n).T
 
 
 class TestSchreier:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_torsion_vertex_count(self, ell):
-        action = torsion_action(sl2_generators(ell))
-        graph = schreier_graph(action)
+        graph = schreier_graph(torsion_action(sl2_generators(ell)))
         assert graph.n_vertices == ell**2 - 1
         assert graph.degree == 4
         assert len(components(graph)) == 1  # SL2 transitive on nonzero vectors
@@ -250,7 +252,7 @@ class TestSchreier:
         gens = sl2_generators(31)  # 31^2 - 1 = 960 states
         with pytest.raises(BudgetExceeded, match="torsion_action"):
             torsion_action(gens, budget=959)
-        assert torsion_action(gens, budget=960).n_states == 960
+        assert torsion_action(gens, budget=960).shape == (960, 4)
         monkeypatch.setenv("THINLAB_BUDGET", "10")
         with pytest.raises(BudgetExceeded):
             torsion_action(gens)
@@ -258,39 +260,39 @@ class TestSchreier:
     def test_identity_moves_give_loops(self):
         n = 5
         ident = np.arange(n, dtype=np.int32)
-        action = ActionSpec([str(i) for i in range(n)], [ident, ident], label="trivial")
-        graph = schreier_graph(action)
-        assert graph.degree == 2
+        graph = schreier_graph(np.stack([ident, ident], axis=1), label="trivial")
+        assert graph.degree == 2 and graph.label == "trivial"
         assert all(graph.neighbors[u].tolist() == [u, u] for u in range(n))
         assert len(components(graph)) == n
 
     def test_move_must_be_bijection(self):
         with pytest.raises(ValueError, match="bijection"):
-            ActionSpec(["a", "b"], [np.array([0, 0])])
+            schreier_graph(np.array([[0], [0]]))
 
     def test_moves_must_be_inversion_closed(self):
         three_cycle = np.array([1, 2, 0])
         with pytest.raises(ValueError, match="inversion"):
-            ActionSpec(["a", "b", "c"], [three_cycle])
+            schreier_graph(three_cycle[:, np.newaxis])
         # fine once the inverse is included
-        ActionSpec(["a", "b", "c"], [three_cycle, np.argsort(three_cycle)])
+        schreier_graph(np.stack([three_cycle, np.argsort(three_cycle)], axis=1))
 
     def test_move_ids_beyond_int32_rejected_before_the_cast(self):
         # 2^32 would wrap to state 0, the identity on one state
-        with pytest.raises(ValueError, match="bijection"):
-            ActionSpec(["x"], [np.array([2**32])])
+        with pytest.raises(ValueError, match="out of range"):
+            schreier_graph(np.array([[2**32]]))
+        with pytest.raises(ValueError, match="2-d"):
+            schreier_graph(np.array([0]))
 
     @settings(max_examples=300, deadline=None)
-    @given(move_sets())
-    def test_whole_array_checks_match_the_per_move_rule(self, spec):
-        n, moves = spec
+    @given(move_arrays())
+    def test_whole_array_checks_match_the_per_move_rule(self, moves):
         try:
-            ActionSpec(range(n), moves)
+            schreier_graph(moves)
         except ValueError:
             accepted = False
         else:
             accepted = True
-        assert accepted == per_move_rule(n, moves)
+        assert accepted == per_move_rule(moves)
 
 
 class TestQuotient:
@@ -314,10 +316,13 @@ class TestQuotient:
     )
     def test_projection_matches_per_element_inverses(self, gens, v0):
         group = bfs_closure(gens)
-        proj = torsion_projection(group, v0)
-        assert np.array_equal(proj, projection_oracle(group, np.array(v0)))
+        cay, sch = cayley_graph(group, gens), schreier_graph(torsion_action(gens))
+        e1 = np.eye(group.stack.shape[1], dtype=np.int64)[0]
+        proj = torsion_projection(group)
+        assert np.array_equal(proj, projection_oracle(group, e1))
+        assert quotient_check(cay, sch, proj)
         # any nonzero base vector gives a quotient map onto the orbit graph
-        assert quotient_check(cayley_graph(group, gens), schreier_graph(torsion_action(gens)), proj)
+        assert quotient_check(cay, sch, projection_oracle(group, np.array(v0)))
 
     def test_identity_projection(self):
         gens = cyclic_generators(6)
@@ -477,9 +482,10 @@ class TestBinaryDump:
         assert np.array_equal(loaded.neighbors, np.sort(graph.neighbors, axis=1))
 
     def test_wide_varints_match_reference(self, tmp_path):
-        # deltas needing 1 to 5 bytes; save_graph does not validate neighbors
+        # deltas needing 1 to 5 bytes; save_graph reads only these three
+        # attributes and does not validate neighbors
         row = [0, 2**7 - 1, 2**7, 2**14, 2**21 - 1, 2**28, 2**31 - 2]
-        graph = MultiGraph(np.array([row, row[::-1]]), check=False)
+        graph = SimpleNamespace(neighbors=np.array([row, row[::-1]]), n_vertices=2, degree=7)
         path = tmp_path / "wide.bin"
         save_graph(graph, path)
         assert path.read_bytes() == reference_dump(graph)

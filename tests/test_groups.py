@@ -387,8 +387,15 @@ class TestGeneratorSet:
             GeneratorSet([])
 
     def test_mixed_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorSet([identity_matrix(2, 5), GroupElement.permutation([0, 1])])
+        mismatches = [
+            (identity_matrix(2, 5), GroupElement.permutation([0, 1])),  # kind
+            (GroupElement.permutation([0, 1]), GroupElement.permutation([0, 1, 2])),  # degree
+            (identity_matrix(2, 5), identity_matrix(2, 7)),  # modulus
+            (identity_matrix(2, 5), identity_matrix(3, 5)),  # dimension
+        ]
+        for a, b in mismatches:
+            with pytest.raises(ValueError, match="incompatible"):
+                GeneratorSet([a, b])
 
 
 def test_is_prime():

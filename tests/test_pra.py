@@ -210,6 +210,15 @@ class TestMoves:
         assert len(moves) == 4 * n * (n - 1)
         assert len(set(moves)) == len(moves)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_move_arrays_are_the_fields_of_all_moves(self, n):
+        i, j, left, negative = pra_mod._move_arrays(n)
+        moves = all_moves(n)
+        assert i.tolist() == [m.i for m in moves]
+        assert j.tolist() == [m.j for m in moves]
+        assert left.tolist() == [m.side == "left" for m in moves]
+        assert negative.tolist() == [m.sign == -1 for m in moves]
+
     def test_move_inverse_roundtrip(self, v4):
         epis = enumerate_epi(v4, 2)
         rng = np.random.default_rng(0)
@@ -266,7 +275,7 @@ class TestGraph:
         def no_columns(n):
             raise AssertionError("moves listed after the budget check failed")
 
-        monkeypatch.setattr(pra_mod, "all_moves", no_columns)
+        monkeypatch.setattr(pra_mod, "_move_arrays", no_columns)
         with pytest.raises(BudgetExceeded, match="move graph"):
             pra_graph(v4, 2, budget=47)
 

@@ -95,9 +95,7 @@ class TestLambda1Exact:
     def test_all_loops_action(self):
         n = 7
         ident = np.arange(n, dtype=np.int32)
-        from thinlab.graphs import ActionSpec
-
-        graph = schreier_graph(ActionSpec([str(i) for i in range(n)], [ident, ident]))
+        graph = schreier_graph(np.stack([ident, ident], axis=1))
         report = lambda1(graph, method="dense")
         assert report.lambda1 == pytest.approx(0.0, abs=1e-12)
         assert report.zero_multiplicity == n
