@@ -28,9 +28,9 @@ from . import __version__
 from .elements import MAX_MODULUS
 from .groups import (
     MULTIPLICATION_TABLE_ENTRIES,
-    BudgetExceeded,
     GeneratorSet,
     bfs_closure,
+    check_budget,
     cyclic_generators,
     direct_product_of_cyclic,
     is_prime,
@@ -203,19 +203,13 @@ def _check_group_size(spec: str, budget: int) -> None:
     (n, d!, or the product) must fit the element budget, and both its
     multiplication table (the order squared), which the Epi scan needs, and
     its generators' 2 x factors x points permutation entries must fit
-    MULTIPLICATION_TABLE_ENTRIES.  The order product stops at the first
-    factor that crosses a limit, so d! is never computed for a huge d."""
+    MULTIPLICATION_TABLE_ENTRIES.  d! is never computed for a huge d."""
     family, sizes = _group_spec_sizes(spec)
-    table = MULTIPLICATION_TABLE_ENTRIES
-    order = 1
-    for factor in range(1, sizes[0] + 1) if family == "S" else sizes:
-        order *= factor
-        if order > budget:
-            raise BudgetExceeded(0, budget, f"group {_brief(spec)}")
-        if order * order > table:
-            raise BudgetExceeded(0, table, f"group {_brief(spec)}: multiplication table")
-    if 2 * len(sizes) * sum(sizes) > table:
-        raise BudgetExceeded(0, table, f"group {_brief(spec)}: generator entries")
+    name, table = _brief(spec), MULTIPLICATION_TABLE_ENTRIES
+    factors = range(1, sizes[0] + 1) if family == "S" else sizes
+    order = check_budget(f"group {name}: elements", factors, budget)
+    check_budget(f"group {name}: multiplication table entries", (order, order), table)
+    check_budget(f"group {name}: generator entries", (2, len(sizes), sum(sizes)), table)
 
 
 def parse_group_spec(spec: str) -> GeneratorSet:
@@ -255,9 +249,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if "budget" in raw:
             p["budget"] = _want_int("budget", raw["budget"], minimum=1)
     if kind == "cayley-sweep":
-        p["gens"] = _want_str("gens", raw.get("gens", "standard"), ("standard", "sl2", "chain"))
-        if p["gens"] == "sl2" and p["genus"] != 1:
-            raise ConfigError("key 'gens': 'sl2' requires genus 1")
+        p["gens"] = _want_str("gens", raw.get("gens", "standard"), ("standard", "chain"))
         p["method"] = _want_str("method", raw.get("method", "auto"), ("auto", "dense", "iterative"))
         p["dot"] = _want_bool("dot", raw.get("dot", False))
     if kind == "schreier-sweep":
@@ -369,7 +361,7 @@ def emit_plotdata(
 
 
 def _sweep_generators(genus: int, gens_choice: str, p: int) -> GeneratorSet:
-    if gens_choice == "sl2" or (gens_choice == "standard" and genus == 1):
+    if gens_choice == "standard" and genus == 1:
         return sl2_generators(p)
     return standard_symplectic_generators(genus, p)
 
@@ -536,7 +528,7 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
-        walk = pra_mod._walk(graph, comps, steps, seed)
+        walk = pra_mod.pra_walk(graph, comps, steps, seed)
         path = outdir / "pra.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

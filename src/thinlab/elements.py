@@ -176,51 +176,40 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(MATRIX, prod, a.modulus)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    m = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _det_adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Exact det(A) and adj(A) of a square integer matrix, by one
+    fraction-free (Bareiss) Gauss-Jordan elimination on [A | I].
 
-
-def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
+    Every division is exact.  The pivot rows stay in place, so after the
+    last step the left block is D * I and the right block D * A^(-1), with
+    D the last pivot: det(A) up to the sign s of the row swaps.  So
+    det(A) = s * D and adj(A) = det(A) * A^(-1) = s * (right block).  A
+    singular A gives det 0 and the zero matrix, which is adj(A) only mod 1.
+    """
     n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    return adj
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0, [[0] * n for _ in range(n)]
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, d = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(d * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = d
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def inverse(a: GroupElement) -> GroupElement:
     if a.kind == PERMUTATION:
         return GroupElement(PERMUTATION, np.argsort(a.data), 0)
-    rows = [[int(x) for x in row] for row in a.data.tolist()]
-    det = _int_det(rows)
-    adj = np.array(_int_adjugate(rows), dtype=object)
+    det, adj = _det_adjugate([[int(x) for x in row] for row in a.data.tolist()])
+    adj = np.array(adj, dtype=object)
     if a.modulus:
         if gcd(det % a.modulus, a.modulus) != 1:
             raise ValueError(

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .groups import BudgetExceeded, FiniteGroup, GeneratorSet, first_occurrences, resolve_budget
+from .groups import FiniteGroup, GeneratorSet, check_budget, first_occurrences, resolve_budget
 
 MAX_VERTICES = 2**31 - 1
 DOT_VERTEX_LIMIT = 500
@@ -37,6 +37,16 @@ class MultiGraph:
         self._check_symmetric()  # in the input's dtype: the int32 cast would wrap big ids
         self.neighbors = nbrs.astype(np.int32, copy=False)
         self.neighbors.flags.writeable = False
+
+    @classmethod
+    def _symmetric(cls, neighbors: np.ndarray, label: str) -> "MultiGraph":
+        """The graph on an int32 (N, k) array already known to be a
+        symmetric adjacency in range, as schreier_graph's checked move
+        arrays are: skips _check_symmetric."""
+        graph = cls.__new__(cls)
+        graph.neighbors, graph.label = neighbors, label
+        neighbors.flags.writeable = False
+        return graph
 
     def _check_symmetric(self):
         n, k = self.neighbors.shape
@@ -128,6 +138,8 @@ def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
     if moves.ndim != 2:
         raise ValueError("moves must be a 2-d (N, k) array")
     n, k = moves.shape
+    if n > MAX_VERTICES:
+        raise ValueError("too many vertices for 32-bit ids")
     # in the input's dtype: the int32 cast would wrap big ids
     if moves.size and (moves.min() < 0 or moves.max() >= n):
         raise ValueError("move image out of range for the state set")
@@ -143,7 +155,8 @@ def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
     # are the same multiset of rows
     if n and not np.array_equal(_sorted_rows(images), _sorted_rows(inverses)):
         raise ValueError("move multiset is not closed under inversion")
-    return MultiGraph(moves, label=label)
+    # bijective moves closed under inversion make a symmetric adjacency
+    return MultiGraph._symmetric(moves, label)
 
 
 def components(g: MultiGraph) -> list[np.ndarray]:
@@ -209,9 +222,7 @@ def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
     if first.kind != "matrix" or first.modulus == 0:
         raise ValueError("torsion_action needs matrix generators with positive modulus")
     m, dim = first.modulus, first.dimension
-    budget = resolve_budget(budget)
-    if m**dim - 1 > budget:
-        raise BudgetExceeded(0, budget, f"torsion_action({m}^{dim} - 1 states)")
+    check_budget(f"torsion_action: {m}^{dim} - 1 states", (m**dim - 1,), resolve_budget(budget))
     vecs = _all_nonzero_vectors(dim, m)
     moves = np.empty((len(vecs), gens.k), dtype=np.int32)
     for t, s in enumerate(gens.symmetrized):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,14 +43,27 @@ MULTIPLICATION_TABLE_ENTRIES = 4_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration crossed the element budget; carries the partial count."""
+    """A size check refused work above a limit, before doing it.
 
-    def __init__(self, partial_count: int, budget: int, what: str = "enumeration"):
-        super().__init__(
-            f"{what} exceeded budget: {partial_count} elements seen, budget {budget}"
-        )
-        self.partial_count = partial_count
+    ``what`` names where and what was counted, with its unit; the message
+    adds the limit, and ``budget`` carries it."""
+
+    def __init__(self, what: str, budget: int):
+        super().__init__(f"{what} over the limit of {budget}")
         self.budget = budget
+
+
+def check_budget(what: str, factors: Iterable[int], budget: int) -> int:
+    """The product of ``factors``, refused with BudgetExceeded(what,
+    budget) as soon as a partial product passes ``budget``.  No factor
+    after the crossing is read, so a closed-form size such as d! or |G|^n
+    is checked without computing it; nonnegative factors are assumed."""
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product > budget:
+            raise BudgetExceeded(what, budget)
+    return product
 
 
 def resolve_budget(budget: int | None = None, default: int = DEFAULT_ELEMENT_BUDGET) -> int:
@@ -261,10 +274,11 @@ class FiniteGroup:
     def multiplication_table(self) -> np.ndarray:
         """Full N x N index table, refused above MULTIPLICATION_TABLE_ENTRIES
         entries."""
-        if self.order**2 > MULTIPLICATION_TABLE_ENTRIES:
-            raise ValueError(
-                f"multiplication table would need {self.order ** 2} entries"
-            )
+        check_budget(
+            f"multiplication table of {self.order}^2 entries",
+            (self.order, self.order),
+            MULTIPLICATION_TABLE_ENTRIES,
+        )
         if self._mul_table is None:
             cols = [
                 self.right_multiplication_indices(self.element(j))
@@ -333,7 +347,7 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
                 new &= ~_find(earlier, uniq)[1]
             at = np.sort(first[new])
             if count + at.size > budget:
-                raise BudgetExceeded(budget + 1, budget, "bfs_closure")
+                raise BudgetExceeded("bfs_closure: elements", budget)
             if at.size:
                 fresh.append(uniq[new])
                 rows.append(prods[at])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .elements import GroupElement
 from .graphs import MultiGraph, components, schreier_graph
-from .groups import BudgetExceeded, FiniteGroup, bfs_closure, closure_order
+from .groups import FiniteGroup, bfs_closure, check_budget, closure_order
 from .groups import resolve_budget, symmetric_generators
 
 DEFAULT_DEGREE_CAP = 8
@@ -281,12 +281,9 @@ def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...
     canonical descending order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if d > cap:
-        raise BudgetExceeded(0, cap, f"census(d={d})")
-    budget, order = resolve_budget(), 1
-    for factor in range(2, d + 1):  # image groups close inside S_d: d! must fit the budget
-        if (order := order * factor) > budget:
-            raise BudgetExceeded(0, budget, f"census(d={d}): S_{d} has {d}! elements")
+    check_budget(f"census(d={d}): degree", (d,), cap)
+    # image groups close inside S_d: its d! elements must fit the budget
+    check_budget(f"census(d={d}): S_{d}'s {d}! elements", range(2, d + 1), resolve_budget())
     mu_key = tuple(sorted(mu, reverse=True)) if mu is not None else None
     if mu_key is not None and (sum(mu_key) != d or any(p < 1 for p in mu_key)):
         raise ValueError(f"mu {mu_key} is not a partition of {d}")

@@ -18,14 +18,15 @@ graph and the walk are whole-array or plain-list code; ``apply_move`` and
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import MultiGraph, components, schreier_graph
-from .groups import BudgetExceeded, FiniteGroup, _find, closure_order, resolve_budget
+from .graphs import MultiGraph, schreier_graph
+from .groups import FiniteGroup, _find, check_budget, closure_order, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 CHUNK = 1 << 16  # entries per whole-array step of the Epi scan and the move graph
@@ -105,16 +106,13 @@ def _place_values(size: int, n: int) -> np.ndarray:
 
 def _candidate_count(size: int, n: int, budget: int) -> int:
     """|G|^n, the Epi scan's candidate count, refused above the candidate
-    budget (or int64).  An early-stopping product: |G| >= 2 crosses the
-    budget within bit_length(budget) factors, and |G| = 1 never does."""
+    budget (or int64).  |G| >= 2 crosses the limit within its bit_length
+    factors, and |G| = 1 never does, so no more factors are read."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    candidates = 1
-    for _ in range(min(n, budget.bit_length())):
-        candidates *= size
-        if candidates > min(budget, 2**63 - 1):
-            raise BudgetExceeded(0, budget, f"enumerate_epi({size}^{n} candidates)")
-    return candidates
+    limit = min(budget, 2**63 - 1)
+    factors = itertools.repeat(size, min(n, limit.bit_length()))
+    return check_budget(f"enumerate_epi: {size}^{n} candidate tuples", factors, limit)
 
 
 def _epi_codes(
@@ -186,9 +184,10 @@ def apply_move(t: EpiTuple, move: PraMove) -> EpiTuple:
     return EpiTuple(group, tuple(indices))
 
 
-def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
-    """The move graph on Epi(F_n, G): vertex v is enumerate_epi's v-th
-    tuple, and neighbor column t is the image array of all_moves(n)[t].
+def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
+    """The 4n(n-1)-regular move graph on Epi(F_n, G): vertex v is
+    enumerate_epi's v-th tuple, and neighbor column t is the image array of
+    all_moves(n)[t].
 
     The columns are built as whole arrays, as many at once as fit in
     CHUNK entries: each moved entry's new encoding rank comes from G's
@@ -197,18 +196,24 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
     codes.  Refuses to build more neighbor entries than the candidate
     budget.
     """
+    if n == 1:
+        warnings.warn(
+            "arity 1 admits no product replacement moves; returning a 0-regular graph",
+            stacklevel=2,
+        )
     budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
-    degree = 4 * n * (n - 1)
     # refuse before the scan decodes n-wide rows if one tuple's moves exceed
     # the budget.  That refuses nothing the exact check below passes: if Epi
     # is empty, n < d(G), so |G|^n >= 2^(n(n+1)) >= degree and the scan's
     # candidate check (run first, to keep its message) fires.
     _candidate_count(group.order, n, budget)
-    if degree > budget:
-        raise BudgetExceeded(0, budget, f"move graph ({degree} moves per tuple)")
+    degree = check_budget(f"move graph: 4n(n-1) moves per tuple at n = {n}", (4, n, n - 1), budget)
     codes, by_rank = _epi_codes(group, n, budget=budget)
-    if codes.size * degree > budget:
-        raise BudgetExceeded(0, budget, f"move graph ({codes.size} tuples x {degree} moves)")
+    check_budget(
+        f"move graph: neighbor entries of {codes.size} tuples x {degree} moves",
+        (codes.size, degree),
+        budget,
+    )
     i, j, left, negative = _move_arrays(n)
     rank = np.argsort(by_rank)  # group arithmetic on encoding ranks
     product = rank[group.multiplication_table()[np.ix_(by_rank, by_rank)]]
@@ -229,16 +234,6 @@ def _move_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiG
             raise ValueError(f"move {all_moves(n)[lo + stray[0]]} leaves Epi(F_{n}, G)")
         moves[:, t] = images
     return schreier_graph(moves, label=f"pra({group.label or group.order};n={n})")
-
-
-def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGraph:
-    """The 4n(n-1)-regular move graph on Epi(F_n, G)."""
-    if n == 1:
-        warnings.warn(
-            "arity 1 admits no product replacement moves; returning a 0-regular graph",
-            stacklevel=2,
-        )
-    return _move_graph(group, n, budget=budget)
 
 
 @dataclass
@@ -270,30 +265,18 @@ def _tv_to_uniform(visits: np.ndarray, total: int, component: np.ndarray) -> flo
 
 
 def pra_walk(
-    group: FiniteGroup,
-    n: int,
-    steps: int,
-    seed: int,
-    budget: int | None = None,
-    checkpoints: Sequence[int] | None = None,
-) -> WalkStats:
-    """Lazy walk (hold 1/2, else uniform move) from the lexicographically
-    least generating tuple; reports visit counts and the total-variation
-    distance to uniform on the start tuple's component."""
-    graph = _move_graph(group, n, budget=budget)
-    return _walk(graph, components(graph), steps, seed, checkpoints)
-
-
-def _walk(
     graph: MultiGraph,
     comps: list[np.ndarray],
     steps: int,
     seed: int,
     checkpoints: Sequence[int] | None = None,
 ) -> WalkStats:
-    """pra_walk on an already built move graph, given its components:
-    ``comps[0]`` is the start tuple's, since the start is vertex 0.  The
-    walk steps on Python lists, and its coins and picks are drawn up front."""
+    """Lazy walk (hold 1/2, else uniform move) on a built move graph from
+    vertex 0, the lexicographically least generating tuple; reports visit
+    counts and the total-variation distance to uniform on the start tuple's
+    component.  ``comps`` are the graph's components, so ``comps[0]`` is
+    the start's.  The walk steps on Python lists, and its coins and picks
+    are drawn up front."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not graph.n_vertices:
@@ -368,13 +351,10 @@ class _UnionFind:
             self.rank[ra] += 1
 
 
-def transitivity_report(
-    group: FiniteGroup, n: int, budget: int | None = None
-) -> list[int]:
+def transitivity_report(graph: MultiGraph) -> list[int]:
     """Orbit sizes of the move action on Epi(F_n, G), largest first,
-    computed by union-find over all moves: the independent oracle for the
-    move graph's components."""
-    graph = _move_graph(group, n, budget=budget)
+    computed by union-find over the columns of the built move graph: the
+    independent oracle for its components."""
     uf = _UnionFind(graph.n_vertices)
     for m in graph.neighbors.T:
         for x in range(graph.n_vertices):

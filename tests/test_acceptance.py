@@ -221,7 +221,7 @@ def test_criterion_6_pra_exact_counts_and_invariance():
 
     for group in (v4, s3, bfs_closure(cyclic_generators(8))):
         graph = pra_graph(group, 2)
-        assert len(components(graph)) == len(transitivity_report(group, 2))
+        assert len(components(graph)) == len(transitivity_report(graph))
     elapsed = time.time() - t0
     assert elapsed < 60
     report(6, elapsed, "|Epi| counts exact, 4n(n-1) moves, generation preserved, orbits = components")

@@ -159,11 +159,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="digits"):
             load_config(path)
 
-    def test_sl2_gens_need_genus_one(self):
-        with pytest.raises(ConfigError, match="sl2"):
-            validate_config(
-                {"kind": "cayley-sweep", "genus": 2, "primes": [3], "gens": "sl2"}
-            )
+    def test_sl2_gens_rejected(self, tmp_path):
+        # genus 1 "standard" is the sl2 pair; the choices are named
+        for genus in (1, 2):
+            raw = {"kind": "cayley-sweep", "genus": genus, "primes": [3], "gens": "sl2"}
+            with pytest.raises(ConfigError, match=r"\('standard', 'chain'\), got 'sl2'"):
+                validate_config(raw)
+            path = write_config(tmp_path, raw)
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -296,7 +300,6 @@ class TestRun:
             return original(graph)
 
         monkeypatch.setattr(cli_mod, "components", counting)
-        monkeypatch.setattr(pra_mod, "components", counting)
         config = validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 100})
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
@@ -425,6 +428,25 @@ class TestMainExitCodes:
         assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "BudgetExceeded" in task["error"]
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("S11", "group 'S11': elements over the limit of 2000000"),
+            ("Z4000", "group 'Z4000': multiplication table entries over the limit of 4000000"),
+            ("S7", "group 'S7': multiplication table entries over the limit of 4000000"),
+            pytest.param(
+                "x".join(["Z1"] * 2000), "generator entries over the limit of 4000000", id="Z1x2000"
+            ),
+        ],
+    )
+    def test_group_refusal_names_what_it_counted(self, tmp_path, spec, message):
+        payload = {"kind": "pra", "group": spec, "arity": 2, "steps": 1}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["error"].startswith("BudgetExceeded: ") and task["error"].endswith(message)
+        assert "elements seen" not in task["error"]
 
     @pytest.mark.filterwarnings("ignore:arity 1")
     def test_group_at_budget_runs(self, tmp_path):

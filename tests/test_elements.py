@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from thinlab.elements import (
     GroupElement,
+    _det_adjugate,
     SymplecticForm,
     act_on_vectors,
     identity_like,
@@ -18,6 +20,26 @@ from thinlab.elements import (
     reduce_mod,
 )
 from thinlab.groups import bfs_closure, sl2_generators
+
+
+def laplace_det(rows):
+    """Oracle: determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+# small entries make singular matrices common; large ones test exactness
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-2, 2) | st.integers(-(10**12), 10**12), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
 
 
 def brute_compose(a, b):
@@ -88,6 +110,56 @@ class TestMatrices:
         for i in rng.integers(0, group.order, size=1000):
             x = group.element(int(i))
             assert multiply(x, inverse(x)) == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices)
+    def test_det_adjugate_against_laplace(self, rows):
+        det, adj = _det_adjugate([row[:] for row in rows])
+        assert det == laplace_det(rows)
+        n = len(rows)
+        if det:  # adj(A) A = A adj(A) = det(A) I
+            a, b = np.array(rows, dtype=object), np.array(adj, dtype=object)
+            scalar = [[det * (i == j) for j in range(n)] for i in range(n)]
+            assert np.dot(b, a).tolist() == scalar and np.dot(a, b).tolist() == scalar
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices, st.sampled_from([2, 3, 4, 6, 7, 12, 101]))
+    def test_inverse_mod_m(self, rows, m):
+        a = GroupElement.matrix(rows, m)
+        det = laplace_det(a.data.tolist())  # of the reduced entries, as reported
+        if gcd(det, m) != 1:
+            with pytest.raises(ValueError, match=f"det = {det} shares a factor with modulus {m}$"):
+                inverse(a)
+        else:
+            e = identity_matrix(len(rows), m)
+            assert multiply(a, inverse(a)) == e and multiply(inverse(a), a) == e
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices)
+    def test_inverse_over_z(self, rows):
+        a = GroupElement.matrix(rows, 0)
+        det = laplace_det(rows)
+        if det not in (1, -1):
+            with pytest.raises(ValueError, match=f"not invertible over Z: det = {det}$"):
+                inverse(a)
+        else:
+            e = identity_matrix(len(rows), 0)
+            assert multiply(a, inverse(a)) == e and multiply(inverse(a), a) == e
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_inverse_of_unimodular_over_z(self, n, seed):
+        # a product of elementary row operations and a sign: det = +-1
+        rng = np.random.default_rng(seed)
+        rows = np.eye(n, dtype=object)
+        for _ in range(12):
+            i, j = rng.integers(0, n, size=2)
+            if i != j:
+                rows[i] += int(rng.integers(-9, 10)) * rows[j]
+        rows[0] *= int(rng.choice([1, -1]))
+        a = GroupElement.matrix(rows, 0)
+        e = identity_matrix(n, 0)
+        assert multiply(a, inverse(a)) == e and multiply(inverse(a), a) == e
 
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError, match="not invertible"):

@@ -12,8 +12,12 @@ from thinlab.groups import (
     bfs_closure,
     cyclic_generators,
     sl2_generators,
+    symmetric_generators,
 )
+from thinlab import origami as origami_mod
 from thinlab.monodromy import standard_symplectic_generators
+from thinlab.origami import origami_graph
+from thinlab.pra import pra_graph
 from thinlab.graphs import (
     MultiGraph,
     cayley_graph,
@@ -387,6 +391,35 @@ class TestMultiGraph:
         # 2^32 would wrap to vertex 0 of a 1-vertex graph, a loop
         with pytest.raises(ValueError, match="out of range"):
             MultiGraph(np.array([[2**32, 2**32]]))
+
+    def test_checked_move_arrays_skip_the_symmetry_check(self, monkeypatch, tmp_path):
+        # schreier_graph's bijection and inversion-closure checks imply a
+        # symmetric adjacency; edge lists and dumps are still checked
+        def build():
+            origami_mod._sweep.cache_clear()
+            gens = sl2_generators(5)
+            return [
+                cayley_graph(bfs_closure(gens), gens),
+                schreier_graph(torsion_action(gens)),
+                pra_graph(bfs_closure(symmetric_generators(3)), 2),
+                origami_graph(4, (3, 1)),
+            ]
+
+        expected = [graph.neighbors.copy() for graph in build()]
+
+        def refuse(self):
+            raise AssertionError("symmetry checked again")
+
+        monkeypatch.setattr(MultiGraph, "_check_symmetric", refuse)
+        graphs = build()
+        for graph, neighbors in zip(graphs, expected):
+            assert graph.n_vertices and np.array_equal(graph.neighbors, neighbors)
+            assert graph.neighbors.dtype == np.int32 and not graph.neighbors.flags.writeable
+        with pytest.raises(AssertionError, match="checked again"):
+            from_edges(2, [(0, 1)])
+        save_graph(graphs[0], tmp_path / "g.tlg")
+        with pytest.raises(AssertionError, match="checked again"):
+            load_graph(tmp_path / "g.tlg")
 
 
 class TestDotExport:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from thinlab.groups import (
     _find,
     _key_powers,
     _keys,
+    check_budget,
     closure_order,
     cyclic_generators,
     direct_product_of_cyclic,
@@ -130,11 +133,11 @@ class TestBfsClosure:
         group = bfs_closure(sl2_generators(5))
         assert group.element(0) == identity_matrix(2, 5)
 
-    def test_budget_exceeded_carries_partial_count(self):
+    def test_budget_exceeded_carries_budget(self):
         with pytest.raises(BudgetExceeded) as exc_info:
             bfs_closure(sl2_generators(11), budget=100)
-        assert exc_info.value.partial_count == 101
         assert exc_info.value.budget == 100
+        assert str(exc_info.value) == "bfs_closure: elements over the limit of 100"
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("THINLAB_BUDGET", "50")
@@ -285,11 +288,38 @@ class TestCodedGroups:
         # budget 2 admits T and stops at the batch holding S
         with pytest.raises(BudgetExceeded) as exc_info:
             bfs_closure(sl2_generators(11), budget=2)
-        assert exc_info.value.partial_count == 3
+        assert exc_info.value.budget == 2
         assert bfs_closure(sl2_generators(11), budget=1320).order == 1320
 
     def test_sl2_f101_order(self):
         assert bfs_closure(sl2_generators(101)).order == 1_030_200 == sp_order(1, 101)
+
+
+def factors_then_fail(factors):
+    """The factors, then an error if one more is asked for."""
+    yield from factors
+    raise AssertionError("a factor was read after the crossing")
+
+
+class TestCheckBudget:
+    def test_returns_the_product(self):
+        assert check_budget("x", [2, 3, 7], 42) == 42
+        assert check_budget("x", [], 1) == 1
+        assert check_budget("x", [5, 0], 5) == 0
+
+    def test_stops_at_the_first_crossing(self):
+        with pytest.raises(BudgetExceeded) as exc_info:
+            check_budget("census(d=30): S_30's 30! elements", factors_then_fail([2, 3, 4, 5]), 100)
+        assert exc_info.value.budget == 100
+        assert str(exc_info.value) == "census(d=30): S_30's 30! elements over the limit of 100"
+
+    def test_ones_never_cross(self):
+        assert check_budget("x", itertools.repeat(1, 10**5), 1) == 1
+
+    def test_multiplication_table_refused_by_entries(self):
+        group = bfs_closure(symmetric_generators(7))
+        with pytest.raises(BudgetExceeded, match=r"5040\^2 entries over the limit of 4000000"):
+            group.multiplication_table()
 
 
 class TestFirstOccurrences:

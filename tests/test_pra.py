@@ -20,7 +20,6 @@ from thinlab.pra import (
     EpiTuple,
     PraMove,
     _tv_to_uniform,
-    _walk,
     all_moves,
     apply_move,
     enumerate_epi,
@@ -69,6 +68,12 @@ def apply_move_columns(group, n):
             images[idx] = position[apply_move(t, move).indices]
         moves.append(images)
     return moves
+
+
+def walk(group, n, steps, seed, checkpoints=None):
+    """pra_walk on the move graph of Epi(F_n, G)."""
+    graph = pra_graph(group, n)
+    return pra_walk(graph, components(graph), steps, seed, checkpoints)
 
 
 def numpy_scalar_walk(graph, steps, seed, checkpoints=None):
@@ -315,13 +320,13 @@ class TestGraph:
     def test_components_match_union_find_orbits(self, spec):
         group = bfs_closure(direct_product_of_cyclic(spec))
         graph = pra_graph(group, 2)
-        orbits = transitivity_report(group, 2)
+        orbits = transitivity_report(graph)
         assert len(components(graph)) == len(orbits)
         assert sum(orbits) == graph.n_vertices
 
     def test_s3_components_match_orbits(self, s3):
         graph = pra_graph(s3, 2)
-        orbits = transitivity_report(s3, 2)
+        orbits = transitivity_report(graph)
         assert len(components(graph)) == len(orbits)
         comp_sizes = sorted((len(c) for c in components(graph)), reverse=True)
         assert comp_sizes == orbits
@@ -331,7 +336,7 @@ class TestGraph:
         group = bfs_closure(cyclic_generators(5))
         with pytest.warns(UserWarning):
             graph = pra_graph(group, 1)
-        orbits = transitivity_report(group, 1)
+        orbits = transitivity_report(graph)
         assert orbits == [1, 1, 1, 1]
         assert len(components(graph)) == len(orbits) == 4
 
@@ -360,53 +365,54 @@ class TestWalk:
             warnings.simplefilter("ignore")
             graph = pra_graph(group, n)
         for seed in (0, 1, 2**40 + 3):
-            stats = _walk(graph, components(graph), steps, seed, checkpoints)
+            stats = pra_walk(graph, components(graph), steps, seed, checkpoints)
             visits, tv, tv_marks = numpy_scalar_walk(graph, steps, seed, checkpoints)
             assert np.array_equal(stats.visits, visits) and stats.visits.dtype == visits.dtype
             assert stats.tv_distance == tv
             assert stats.tv_checkpoints == tv_marks
 
     def test_identical_seed_identical_stats(self, v4):
-        a = pra_walk(v4, 2, 5000, seed=42)
-        b = pra_walk(v4, 2, 5000, seed=42)
+        a = walk(v4, 2, 5000, seed=42)
+        b = walk(v4, 2, 5000, seed=42)
         assert np.array_equal(a.visits, b.visits)
         assert a.tv_distance == b.tv_distance
         assert a.tv_checkpoints == b.tv_checkpoints
 
     def test_different_seed_differs(self, v4):
-        a = pra_walk(v4, 2, 5000, seed=1)
-        b = pra_walk(v4, 2, 5000, seed=2)
+        a = walk(v4, 2, 5000, seed=1)
+        b = walk(v4, 2, 5000, seed=2)
         assert not np.array_equal(a.visits, b.visits)
 
     def test_zero_steps_is_point_mass(self, v4):
-        stats = pra_walk(v4, 2, 0, seed=0)
+        stats = walk(v4, 2, 0, seed=0)
         assert stats.tv_distance == pytest.approx(1 - 1 / 6)
         assert stats.visits.sum() == 0
 
     def test_visits_sum_to_steps(self, s3):
-        stats = pra_walk(s3, 2, 12345, seed=9)
+        stats = walk(s3, 2, 12345, seed=9)
         assert int(stats.visits.sum()) == 12345
         assert stats.visits[np.setdiff1d(np.arange(len(stats.visits)), stats.component)].sum() == 0
 
     def test_mixing_on_connected_component(self, v4):
-        stats = pra_walk(v4, 2, 100_000, seed=7)
+        stats = walk(v4, 2, 100_000, seed=7)
         assert len(stats.component) == 6
         assert stats.tv_distance < 0.05
 
     def test_tv_roughly_monotone(self, s3):
         # TV at 2T should not exceed TV at T by more than the stated slack
-        stats = pra_walk(s3, 2, 80_000, seed=3, checkpoints=[10_000, 20_000, 40_000, 80_000])
+        stats = walk(s3, 2, 80_000, seed=3, checkpoints=[10_000, 20_000, 40_000, 80_000])
         tvs = dict(stats.tv_checkpoints)
         for t in (10_000, 20_000, 40_000):
             assert tvs[2 * t] <= tvs[t] + 0.02
 
     def test_start_is_lex_least(self, v4):
-        stats = pra_walk(v4, 2, 10, seed=0)
+        stats = walk(v4, 2, 10, seed=0)
         assert stats.start_index == 0
 
     def test_arity_one_walk_checkpoints_in_range(self):
         group = bfs_closure(cyclic_generators(5))
-        stats = pra_walk(group, 1, 100, seed=0)
+        with pytest.warns(UserWarning, match="arity 1"):
+            stats = walk(group, 1, 100, seed=0)
         assert stats.tv_distance == 0.0  # singleton component, point mass
         assert all(0.0 <= tv <= 1.0 for _, tv in stats.tv_checkpoints)
         assert int(stats.visits.sum()) == 100
