@@ -13,7 +13,7 @@ from thinlab import braid_to_matrix, build_chain, congruence_report, point_pushi
 
 def main() -> int:
     genus = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    primes = [int(x) for x in sys.argv[2:]] or ([3, 5] if genus == 1 else [3])
+    primes = [int(x) for x in sys.argv[2:]] or ([3, 5] if genus <= 2 else [3])
 
     chain = build_chain(genus)
     words = point_pushing_generators(genus)
@@ -29,7 +29,7 @@ def main() -> int:
     print(f"all images trivial mod 4: {report.mod4_trivial}")
     for p, (got, want) in report.prime_orders.items():
         verdict = "surjective" if got == want else "PROPER SUBGROUP"
-        print(f"mod {p}: closure order {got} vs |Sp_{2 * genus}(F_{p})| = {want} -> {verdict}")
+        print(f"mod {p}: order {got} vs |Sp_{2 * genus}(F_{p})| = {want} -> {verdict}")
     return 0
 
 

@@ -23,6 +23,7 @@ from .groups import (
     bfs_closure,
     cyclic_generators,
     direct_product_of_cyclic,
+    matrix_group_order,
     sl2_generators,
     sp_order,
     symmetric_generators,

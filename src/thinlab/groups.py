@@ -374,6 +374,108 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     )
 
 
+def _orbit(
+    gens: np.ndarray,
+    inv: np.ndarray,
+    start: np.ndarray,
+    powers: np.ndarray,
+    modulus: int,
+    budget: int,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit of the row vector ``start`` under x -> x*s for the
+    inversion-closed stack ``gens`` (``gens[inv[j]]`` inverts ``gens[j]``),
+    breadth-first: the points in discovery order, a transversal u with
+    start * u[i] = point i, and the inverses u[i]^(-1).  A vector's key is
+    its base-m code (``powers``).  Each layer multiplies the whole frontier
+    by every generator at once, after a budget check."""
+    n = start.shape[0]
+    frontier = start[np.newaxis]
+    u = u_inv = np.eye(n, dtype=np.int64)[np.newaxis] % modulus
+    points, us, u_invs = [frontier], [u], [u_inv]
+    seen = frontier @ powers  # sorted keys of the points found so far
+    while frontier.shape[0]:
+        check_budget(what, (frontier.shape[0], gens.shape[0]), budget)
+        images = (np.matmul(frontier, gens) % modulus).swapaxes(0, 1).reshape(-1, n)
+        uniq, first = first_occurrences(images @ powers)
+        new = ~_find(seen, uniq)[1]
+        at = np.sort(first[new])
+        parent, step = np.divmod(at, gens.shape[0])
+        frontier = images[at]
+        u = np.matmul(u[parent], gens[step]) % modulus
+        u_inv = np.matmul(gens[inv[step]], u_inv[parent]) % modulus
+        points.append(frontier)
+        us.append(u)
+        u_invs.append(u_inv)
+        seen = np.sort(np.concatenate([seen, uniq[new]]))
+    return np.concatenate(points), np.concatenate(us), np.concatenate(u_invs)
+
+
+def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
+    """Order of the group of matrices mod m that ``gens`` generate, from an
+    exact stabilizer chain along the basis rows e_0, ..., e_(n-1), without
+    enumerating the group.
+
+    |G| is the product of the orbit sizes along the chain.  At each base
+    point the orbit of e_i under the current generators comes with a
+    transversal u; by Schreier's lemma the products u_x * s * u_(x*s)^(-1),
+    formed in one batch, deduplicated by key and with the identity dropped,
+    generate the stabilizer of e_i, the next level's group.  A matrix that
+    fixes every basis row is the identity, so the chain ends at the last
+    base point, or earlier once no generator is left.  Each level's
+    generators stay inversion-closed: the product for (x, s) is inverted by
+    the one for (x*s, s^(-1)), so no matrix is ever inverted here.
+
+    Every orbit batch and each level's |orbit| * |generators| Schreier
+    products are checked against the element budget before they are
+    formed; vector keys need m^n below 2^63.  ``bfs_closure(gens).order``
+    is the independent oracle.
+    """
+    e = gens.identity()
+    if e.kind != "matrix" or not e.modulus:
+        raise ValueError("matrix_group_order needs matrices mod a positive modulus")
+    budget = resolve_budget(budget)
+    m, n = e.modulus, e.dimension
+    check_budget(f"matrix_group_order: {m}^{n} vector keys", (m,) * n, 2**63 - 1)
+    vector_powers = m ** np.arange(n, dtype=np.int64)
+    powers = _key_powers("matrix", (n, n), m)
+    identity_key = _keys(e.data[np.newaxis], "matrix", m, powers)[0]
+
+    r = len(gens.elements)
+    level = np.stack([s.data for s in gens.symmetrized])
+    inv = (np.arange(2 * r) + r) % (2 * r)
+    order = 1
+    for base in range(n):
+        what = f"matrix_group_order: orbit products at base point {base}"
+        points, u, u_inv = _orbit(level, inv, e.data[base], vector_powers, m, budget, what)
+        order *= points.shape[0]
+        if base == n - 1:
+            break
+        k = level.shape[0]
+        check_budget(
+            f"matrix_group_order: Schreier products at base point {base}",
+            (points.shape[0], k),
+            budget,
+        )
+        # act[x, j]: the orbit position of point x times generator j
+        codes = points @ vector_powers
+        by_code = np.argsort(codes)
+        images = np.matmul(points, level) % m
+        act = by_code[_find(codes[by_code], images @ vector_powers)[0]].T
+        prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv[act]) % m
+        prods = prods.reshape(-1, n, n)
+        keys = _keys(prods, "matrix", m, powers)
+        uniq, first = first_occurrences(keys)
+        kept = uniq != identity_key
+        uniq, first = uniq[kept], first[kept]
+        if not first.size:
+            break
+        x, j = np.divmod(first, k)
+        inv = _find(uniq, keys[act[x, j] * k + inv[j]])[0]
+        level = prods[first]
+    return order
+
+
 def closure_order(columns: np.ndarray) -> int:
     """Order of the subgroup that k elements of an enumerated group
     generate, from the N x k array of their right-multiplication indices:

@@ -22,7 +22,7 @@ from .elements import (
     inverse,
     multiply,
 )
-from .groups import GeneratorSet, bfs_closure, sp_order
+from .groups import GeneratorSet, matrix_group_order, sp_order
 
 
 @dataclass
@@ -171,7 +171,7 @@ class CongruenceLevelReport:
 
     mod2_trivial: bool
     mod4_trivial: bool
-    prime_orders: dict[int, tuple[int, int]]  # p -> (closure order, full order)
+    prime_orders: dict[int, tuple[int, int]]  # p -> (image order, full order)
 
     def __post_init__(self):
         if self.mod4_trivial and not self.mod2_trivial:
@@ -195,8 +195,9 @@ def congruence_report(
     primes: Sequence[int],
     budget: int | None = None,
 ) -> CongruenceLevelReport:
-    """Mod-2 / mod-4 triviality flags plus per-prime BFS order versus the
-    full symplectic group order."""
+    """Mod-2 / mod-4 triviality flags plus, per prime p, the order of the
+    image mod p (``matrix_group_order``, a stabilizer chain that never
+    enumerates the group) versus |Sp_2g(F_p)|."""
     if not mats:
         raise ValueError("need at least one matrix")
     for m in mats:
@@ -210,8 +211,7 @@ def congruence_report(
     prime_orders = {}
     for p in primes:
         reduced = GeneratorSet([GroupElement.matrix(m.data, p) for m in mats])
-        group = bfs_closure(reduced, budget=budget)
-        prime_orders[p] = (group.order, sp_order(genus, p))
+        prime_orders[p] = (matrix_group_order(reduced, budget=budget), sp_order(genus, p))
 
     return CongruenceLevelReport(
         mod2_trivial=_trivial_mod(mats, 2),

@@ -175,8 +175,9 @@ def family_sweep(
     method: str = "auto",
     jobs: int | None = None,
 ) -> SweepResult:
-    """Build and solve one graph per prime, concurrently; a failure for one
-    prime is recorded and the sweep continues."""
+    """Build and solve one graph per prime, concurrently unless there is
+    one worker, in which case the primes run in the calling thread; a
+    failure for one prime is recorded and the sweep continues."""
     if not primes:
         raise ValueError("need at least one prime")
     if jobs is not None and jobs < 1:
@@ -187,14 +188,22 @@ def family_sweep(
 
     reports: list[SpectralReport] = []
     errors: dict[int, str] = {}
+
+    def collect(p: int, result: Callable[[], SpectralReport]) -> None:
+        try:
+            reports.append(result())
+        except Exception as exc:  # noqa: BLE001 - isolate per prime
+            errors[p] = f"{type(exc).__name__}: {exc}"
+
     workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(p, pool.submit(task, p)) for p in primes]
-        for p, fut in futures:
-            try:
-                reports.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - isolate per prime
-                errors[p] = f"{type(exc).__name__}: {exc}"
+    if workers == 1:
+        for p in primes:
+            collect(p, lambda: task(p))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [(p, pool.submit(task, p)) for p in primes]
+            for p, fut in futures:
+                collect(p, fut.result)
     return SweepResult(reports, errors)
 
 

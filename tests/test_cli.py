@@ -248,6 +248,19 @@ class TestRun:
         catalog = json.loads((tmp_path / "out" / "generators.json").read_text())
         assert catalog["dimension"] == 2 and len(catalog["matrices"]) == 2
 
+    def test_pointpush_budget_fails_its_task(self, tmp_path):
+        # SL2(F3) fits 100 orbit and Schreier products; SL2(F67) does not
+        payload = {"kind": "pointpush", "genus": 1, "primes": [3, 67], "budget": 100}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        ok, failed = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert (ok["name"], ok["status"]) == ("p=3", "ok")
+        assert (failed["name"], failed["status"]) == ("p=67", "failed")
+        assert failed["error"].startswith("BudgetExceeded: matrix_group_order: ")
+        assert failed["error"].endswith(" over the limit of 100")
+        primes = json.loads((out / "congruence.json").read_text())["primes"]
+        assert list(primes) == ["3"] and primes["3"]["order"] == 24
+
     def test_origami_census_run(self, tmp_path):
         config = validate_config({"kind": "origami-census", "degree": 3})
         manifest = run(config, out_dir=tmp_path / "out")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab.elements import GroupElement, identity_matrix, is_symplectic, multiply
+from thinlab.elements import GroupElement, identity_matrix, inverse, is_symplectic, multiply
 from thinlab.groups import (
     BudgetExceeded,
     GeneratorSet,
@@ -20,12 +20,19 @@ from thinlab.groups import (
     direct_product_of_cyclic,
     first_occurrences,
     is_prime,
+    matrix_group_order,
     resolve_budget,
     sl2_generators,
     sp_order,
     symmetric_generators,
 )
-from thinlab.monodromy import standard_symplectic_generators
+from thinlab.monodromy import (
+    braid_to_matrix,
+    build_chain,
+    full_braid_generators,
+    point_pushing_generators,
+    standard_symplectic_generators,
+)
 
 
 def naive_closure_order(gens: GeneratorSet, limit: int = 10**5) -> int:
@@ -399,6 +406,98 @@ class TestSymplecticClosure:
             form = SymplecticForm(g)
             for elem in group.elements():
                 assert is_symplectic(elem, form)
+
+
+def braid_images(genus, p, words):
+    chain = build_chain(genus)
+    return GeneratorSet([GroupElement.matrix(braid_to_matrix(w, chain).data, p) for w in words])
+
+
+def is_invertible(a):
+    try:
+        inverse(a)
+    except ValueError:
+        return False
+    return True
+
+
+def invertible_pairs(n, m):
+    """Generator sets of two matrices invertible mod m; the smallest draw
+    is the identity, twice."""
+    matrix = st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n).map(
+        lambda entries: GroupElement.matrix(np.reshape(entries, (n, n)) + np.eye(n, dtype=np.int64), m)
+    )
+    return st.tuples(matrix.filter(is_invertible), matrix.filter(is_invertible)).map(GeneratorSet)
+
+
+class TestMatrixGroupOrder:
+    """The stabilizer-chain order against the BFS enumeration."""
+
+    @pytest.mark.parametrize(
+        "genus,p",
+        [(1, p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)]
+        + [(2, 3)],
+    )
+    def test_benchmark_pointpush_primes(self, genus, p):
+        gens = braid_images(genus, p, point_pushing_generators(genus))
+        assert matrix_group_order(gens) == bfs_closure(gens).order == sp_order(genus, p)
+
+    def test_full_braid_generators_genus_two(self):
+        gens = braid_images(2, 3, full_braid_generators(2))
+        assert matrix_group_order(gens) == bfs_closure(gens).order == 51840
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_some_point_pushing_generators(self, p, count):
+        gens = braid_images(2, p, point_pushing_generators(2)[:count])
+        assert matrix_group_order(gens) == bfs_closure(gens).order
+
+    def test_identity(self):
+        for m in (1, 2, 7):
+            assert matrix_group_order(GeneratorSet([identity_matrix(3, m)])) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_gl2_pairs(self, data):
+        m = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
+        gens = data.draw(invertible_pairs(2, m))
+        assert matrix_group_order(gens) == bfs_closure(gens).order
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_gl3_pairs(self, data):
+        m = data.draw(st.sampled_from([2, 3]))
+        gens = data.draw(invertible_pairs(3, m))
+        assert matrix_group_order(gens) == bfs_closure(gens).order
+
+    def test_bytes_key_path(self):
+        # 7^25 > 2^63: matrices have no int64 code, and the keys are bytes
+        cycle = GroupElement.matrix(np.roll(np.eye(5, dtype=np.int64), 1, axis=0), 7)
+        scale = GroupElement.matrix(np.diag([3, 1, 1, 1, 1]), 7)
+        gens = GeneratorSet([cycle, scale])
+        assert _key_powers("matrix", (5, 5), 7) is None
+        assert matrix_group_order(gens) == bfs_closure(gens).order == 6**5 * 5
+
+    def test_budget_names_what_it_counted(self):
+        # SL2(F11): 120 orbit points times 4 generators are 480 Schreier products
+        assert matrix_group_order(sl2_generators(11), budget=480) == 1320
+        with pytest.raises(BudgetExceeded, match="Schreier products at base point 0 over the limit of 479$"):
+            matrix_group_order(sl2_generators(11), budget=479)
+        with pytest.raises(BudgetExceeded, match="orbit products at base point 0 over the limit of 3$"):
+            matrix_group_order(sl2_generators(11), budget=3)
+
+    def test_env_budget(self, monkeypatch):
+        monkeypatch.setenv("THINLAB_BUDGET", "479")
+        with pytest.raises(BudgetExceeded):
+            matrix_group_order(sl2_generators(11))
+
+    def test_refuses_what_it_cannot_key(self):
+        with pytest.raises(BudgetExceeded, match="vector keys"):
+            matrix_group_order(GeneratorSet([identity_matrix(4, 2**20)]))
+        with pytest.raises(ValueError, match="positive modulus"):
+            matrix_group_order(z_sl2_s())
+        with pytest.raises(ValueError, match="positive modulus"):
+            matrix_group_order(symmetric_generators(3))
 
 
 class TestGeneratorSet:

@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from thinlab.elements import (
     is_symplectic,
     multiply,
 )
-from thinlab.groups import bfs_closure, sp_order
+from thinlab.groups import BudgetExceeded, bfs_closure, sp_order
 from thinlab.monodromy import (
     BraidWord,
     ChainConfiguration,
@@ -212,6 +215,30 @@ class TestCongruenceReport:
         report = congruence_report(mats, [3])
         assert not report.mod2_trivial
         assert report.prime_orders[3] == (51840, 51840)
+
+    def test_genus_two_mod_five_past_the_element_budget(self, monkeypatch):
+        # |Sp4(F5)| = 9,360,000 elements, over the default budget of 2,000,000
+        monkeypatch.delenv("THINLAB_BUDGET", raising=False)
+        chain = build_chain(2)
+        mats = [braid_to_matrix(w, chain) for w in point_pushing_generators(2)]
+        start = time.perf_counter()
+        report = congruence_report(mats, [5])
+        assert time.perf_counter() - start < 5
+        assert report.prime_orders[5] == (9360000, 9360000)
+
+    def test_genus_three_mod_three_refused(self, monkeypatch):
+        monkeypatch.delenv("THINLAB_BUDGET", raising=False)
+        chain = build_chain(3)
+        mats = [braid_to_matrix(w, chain) for w in point_pushing_generators(3)]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc_info:
+            congruence_report(mats, [3])
+        assert time.perf_counter() - start < 5
+        assert exc_info.value.budget == 2_000_000
+        assert re.fullmatch(
+            r"matrix_group_order: (orbit|Schreier) products at base point \d over the limit of 2000000",
+            str(exc_info.value),
+        )
 
     def test_mod4_implies_mod2(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("sl2_family_sweep.py", ["13", "{tmp}"]),
         ("origami_census_summary.py", ["4"]),
         ("pointpush_congruence.py", ["1", "3"]),
+        ("pointpush_congruence.py", ["2"]),  # Sp4(F5): 9,360,000 elements
     ],
 )
 def test_script_exits_zero(tmp_path, script, args):

@@ -215,6 +215,23 @@ class TestFamilySweep:
         with pytest.raises(ValueError):
             family_sweep(lambda p: sl2_graph(p), [])
 
+    def test_one_worker_runs_in_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a thread pool")
+
+        monkeypatch.setattr(spectra, "ThreadPoolExecutor", no_pool)
+
+        def builder(p):
+            if p == 5:
+                raise RuntimeError("boom")
+            return sl2_graph(p)
+
+        sweep = family_sweep(builder, [7, 5, 3], jobs=1)
+        assert [r.n_vertices for r in sweep.reports] == [336, 24]
+        assert set(sweep.errors) == {5} and "boom" in sweep.errors[5]
+        with pytest.raises(AssertionError, match="thread pool"):
+            family_sweep(builder, [7, 5, 3], jobs=2)
+
 
 class TestEsperantist:
     def test_flat_series(self):
