@@ -4,11 +4,20 @@ genus-g hyperelliptic monodromy example, checked mod 2, mod 4, and against
 the full symplectic quotients at small odd primes.
 
 Usage: python scripts/pointpush_congruence.py [genus] [primes...]
+
+A quotient refused by the element budget (THINLAB_BUDGET) prints the
+refusal and exits 1.
 """
 
 import sys
 
-from thinlab import braid_to_matrix, build_chain, congruence_report, point_pushing_generators
+from thinlab import (
+    BudgetExceeded,
+    braid_to_matrix,
+    build_chain,
+    congruence_report,
+    point_pushing_generators,
+)
 
 
 def main() -> int:
@@ -24,7 +33,11 @@ def main() -> int:
         for row in m.data.tolist():
             print(f"    {row}")
 
-    report = congruence_report(mats, primes)
+    try:
+        report = congruence_report(mats, primes)
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     print(f"all images trivial mod 2: {report.mod2_trivial}")
     print(f"all images trivial mod 4: {report.mod4_trivial}")
     for p, (got, want) in report.prime_orders.items():

@@ -400,28 +400,28 @@ def _sweep(builder: Callable[[int], MultiGraph], params: dict, jobs: int | None,
 
 def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
     genus, primes = params["genus"], params["primes"]
-    built: dict[int, MultiGraph] = {}
+    # only the graphs the DOT files need outlive their prime's solve
+    dot_graphs: dict[int, MultiGraph] = {}
 
     def builder(p: int) -> MultiGraph:
         gens = _sweep_generators(genus, params["gens"], p)
         group = bfs_closure(gens, budget=params.get("budget"))
-        built[p] = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
-        return built[p]
-
-    tasks, _, outputs = _sweep(builder, params, jobs, outdir)
-    if params.get("dot"):
-        for p in primes:
-            graph = built.get(p)
-            if graph is None:
-                continue
+        graph = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
+        if params.get("dot"):
             if graph.n_vertices <= DOT_VERTEX_LIMIT:
-                path = outdir / f"cayley_p{p}.dot"
-                path.write_text(to_dot(graph))
-                outputs.append(path)
+                dot_graphs[p] = graph
             else:
                 logger.warning(
                     "skipping DOT for p=%d: %d vertices > %d", p, graph.n_vertices, DOT_VERTEX_LIMIT
                 )
+        return graph
+
+    tasks, _, outputs = _sweep(builder, params, jobs, outdir)
+    for p in primes:
+        if p in dot_graphs:
+            path = outdir / f"cayley_p{p}.dot"
+            path.write_text(to_dot(dot_graphs[p]))
+            outputs.append(path)
     return tasks, outputs
 
 
@@ -432,8 +432,10 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
     def builder(p: int) -> MultiGraph:
         gens = _sweep_generators(genus, "standard", p)
         moves = torsion_action(gens, budget=params.get("budget"))
-        built[p] = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
-        return built[p]
+        graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
+        if params["compare_cayley"]:
+            built[p] = graph
+        return graph
 
     tasks, by_prime, outputs = _sweep(builder, params, jobs, outdir)
     if not params["compare_cayley"]:
@@ -443,10 +445,10 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         gens = _sweep_generators(genus, "standard", p)
         group = bfs_closure(gens, budget=params.get("budget"))
         cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
+        ok = quotient_check(cay, built.pop(p), torsion_projection(group))
+        del group  # freed before the solve, which sets the peak
         cay_report = lambda1(cay, method=params["method"])
         sch = by_prime[p]
-        proj = torsion_projection(group)
-        ok = quotient_check(cay, built[p], proj)
         return [
             p,
             sch.n_vertices,

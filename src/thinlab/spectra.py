@@ -72,28 +72,32 @@ class SpectralReport:
         ]
 
 
-def _residual(L, lam: float, x: np.ndarray) -> float:
-    return float(np.linalg.norm(L @ x - lam * x) / np.linalg.norm(x))
+def _residual(A, lam: float, x: np.ndarray) -> float:
+    """||L x - lam x|| / ||x|| for L = I - A, with A the sparse A/k."""
+    return float(np.linalg.norm(x - A @ x - lam * x) / np.linalg.norm(x))
 
 
-def _lambda1_dense(graph: MultiGraph, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
+def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
     n, k = graph.n_vertices, graph.degree
-    # I - A/k in A's own array (two N x N arrays at the peak with eigh's
-    # copy, not four), bit for bit: += 0.0 turns the -0.0 zeros into +0.0
+    # I - A/k in A's own array, bit for bit: += 0.0 turns the -0.0 zeros
+    # into +0.0.  L is exactly symmetric, so L.T is the same matrix in
+    # Fortran order and eigh factors this one N x N array in place, with no
+    # copy; L is overwritten, so the residual uses the sparse A/k.
     L = graph.dense_adjacency()
     L /= -k
     L += 0.0
     L.flat[:: n + 1] += 1.0
     zm = len(comps)
     hi = min(max(zm, 1), n - 1)
-    w, V = scipy.linalg.eigh(L, subset_by_index=(0, hi))
+    w, V = scipy.linalg.eigh(L.T, subset_by_index=(0, hi), overwrite_a=True, check_finite=False)
     if abs(w[zm - 1]) > 1e-6:
         raise RuntimeError(
             f"kernel mismatch: component count {zm} but eigenvalue {w[zm - 1]} is not zero"
         )
-    lam = float(w[1])
+    # a disconnected graph's lambda1 is exactly 0, not eigh's rounding of it
+    lam = 0.0 if zm >= 2 else float(w[1])
     x = V[:, 1]
-    return lam, _residual(L, lam, x), x
+    return lam, _residual(A, lam, x), x
 
 
 def lambda1(
@@ -123,14 +127,13 @@ def lambda1(
     n, k = graph.n_vertices, graph.degree
     t0 = time.perf_counter()
 
+    A = graph.adjacency() / k
     if method == "dense" or n <= 2:
-        lam, res, x = _lambda1_dense(graph, comps)
+        lam, res, x = _lambda1_dense(graph, A, comps)
         return SpectralReport(graph.label, n, k, lam, zm, "dense", res, time.perf_counter() - t0, x)
 
     tol = ITERATIVE_TOL if tol is None else tol
     maxiter = 10 * n if maxiter is None else maxiter
-    A = graph.adjacency() / k
-    L = scipy.sparse.identity(n, format="csr") - A
 
     if zm >= 2:
         # second eigenvalue is another exact kernel vector; no solve needed
@@ -138,7 +141,7 @@ def lambda1(
         x[comps[0]] = 1.0 / len(comps[0])
         x[comps[1]] = -1.0 / len(comps[1])
         x /= np.linalg.norm(x)
-        res = _residual(L, 0.0, x)
+        res = _residual(A, 0.0, x)
         return SpectralReport(graph.label, n, k, 0.0, zm, "iterative", res, time.perf_counter() - t0, x)
 
     v0 = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
@@ -153,7 +156,7 @@ def lambda1(
     lam = 1.0 - float(theta[0])
     x = vecs[:, 0] - vecs[:, 0].mean()
     x /= np.linalg.norm(x)
-    res = _residual(L, lam, x)
+    res = _residual(A, lam, x)
     return SpectralReport(graph.label, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
 
 
@@ -177,14 +180,17 @@ def family_sweep(
 ) -> SweepResult:
     """Build and solve one graph per prime, concurrently unless there is
     one worker, in which case the primes run in the calling thread; a
-    failure for one prime is recorded and the sweep continues."""
+    failure for one prime is recorded and the sweep continues.  The reports
+    carry no eigenvector, so no N-sized array outlives its prime."""
     if not primes:
         raise ValueError("need at least one prime")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def task(p: int) -> SpectralReport:
-        return lambda1(builder(p), method=method)
+        report = lambda1(builder(p), method=method)
+        report.eigenvector = None  # N floats per prime, read by no sweep caller
+        return report
 
     reports: list[SpectralReport] = []
     errors: dict[int, str] = {}

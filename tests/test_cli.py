@@ -20,7 +20,7 @@ from thinlab.cli import (
     run,
     validate_config,
 )
-from thinlab.graphs import save_graph, cayley_graph
+from thinlab.graphs import cayley_graph, from_edges, save_graph, to_dot
 from thinlab.groups import bfs_closure, sl2_generators
 from thinlab.spectra import family_sweep, lambda1
 
@@ -45,6 +45,11 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=8,
 )
+
+
+def sl2_graph(p):
+    gens = sl2_generators(p)
+    return cayley_graph(bfs_closure(gens), gens, label=f"cayley_g1_p{p}")
 
 
 def read_csv(path) -> list[dict]:
@@ -236,6 +241,23 @@ class TestRun:
         for name in ("spectra.csv", "plot_logN_lambda1.dat", "plot_p_lambda1.dat", "esperantist.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
+    def test_cayley_sweep_dot_files(self, tmp_path, caplog):
+        config = validate_config(
+            {"kind": "cayley-sweep", "genus": 1, "primes": [3, 5, 7, 11], "dot": True}
+        )
+        with caplog.at_level(logging.WARNING, logger="thinlab"):
+            manifest = run(config, out_dir=tmp_path / "out", jobs=1)
+        assert not manifest.failed
+        for p in (3, 5, 7):  # N = 24, 120, 336
+            assert (tmp_path / "out" / f"cayley_p{p}.dot").read_text() == to_dot(sl2_graph(p))
+        assert [n for n in manifest.outputs if n.endswith(".dot")] == [
+            "cayley_p3.dot",
+            "cayley_p5.dot",
+            "cayley_p7.dot",
+        ]
+        assert not (tmp_path / "out" / "cayley_p11.dot").exists()
+        assert "skipping DOT for p=11: 1320 vertices > 500" in caplog.text
+
     def test_pointpush_run(self, tmp_path):
         config = load_config(CONFIG_DIR / "pointpush_g1.json")
         manifest = run(config, out_dir=tmp_path / "out")
@@ -337,6 +359,19 @@ class TestEmitPlotdata:
         logn = (tmp_path / "plot_logN_lambda1.dat").read_text().strip().split("\n")
         assert logn[0].startswith("#") and len(logn) == 4
         assert any(p.name == "esperantist.json" for p in paths)
+
+    def test_disconnected_report_left_out(self, tmp_path):
+        # two disjoint 40-cycles: eigh rounds their second zero eigenvalue to +2.6e-17
+        edges = [(i, (i + 1) % 40) for i in range(40)]
+        disconnected = from_edges(80, edges + [(40 + u, 40 + v) for u, v in edges])
+        reports = [(p, lambda1(sl2_graph(p), method="dense")) for p in (3, 5, 7)]
+        reports.append((11, lambda1(disconnected, method="dense")))
+        emit_plotdata(reports, tmp_path)
+        rows = (tmp_path / "plot_p_lambda1.dat").read_text().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["3", "5", "7"]
+        assert len((tmp_path / "plot_logN_lambda1.dat").read_text().splitlines()) == 4
+        fit = json.loads((tmp_path / "esperantist.json").read_text())
+        assert [n for n, _ in fit["points"]] == [24, 120, 336]
 
     def test_empty_writes_headers(self, tmp_path, caplog):
         import logging

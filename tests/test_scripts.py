@@ -1,4 +1,5 @@
-"""Smoke tests: each shipped script runs to completion on a small input."""
+"""Smoke tests: each shipped script runs to completion on a small input,
+and a refused input ends in a message and exit status 1."""
 
 import os
 import subprocess
@@ -8,6 +9,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(tmp_path, script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("THINLAB_BUDGET", None)
+    argv = [sys.executable, str(ROOT / "scripts" / script)] + [a.format(tmp=tmp_path) for a in args]
+    return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize(
@@ -20,7 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(tmp_path, script, args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [sys.executable, str(ROOT / "scripts" / script)] + [a.format(tmp=tmp_path) for a in args]
-    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    proc = run_script(tmp_path, script, args)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pointpush_refusal_exits_one_without_traceback(tmp_path):
+    # genus 3 at its default prime 3 is over the default element budget
+    proc = run_script(tmp_path, "pointpush_congruence.py", ["3"])
+    assert proc.returncode == 1, proc.stderr
+    assert "matrix_group_order: orbit products at base point 2 over the limit of 2000000" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 def cyclic_graph(n):
     gens = cyclic_generators(n)
     return cayley_graph(bfs_closure(gens), gens)
+
+
+def two_cycles(n):
+    """Two disjoint n-cycles: 2n vertices, two components."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return from_edges(2 * n, edges + [(n + u, n + v) for u, v in edges], label=f"2C{n}")
 
 
 def sl2_graph(p):
@@ -86,11 +93,13 @@ class TestLambda1Exact:
         assert abs(lambda1(graph, method="iterative").lambda1 - 2.0) < 1e-9
 
     def test_disconnected(self):
-        graph = from_edges(6, TWO_TRIANGLES, label="2K3")
-        for method in ("dense", "iterative"):
-            report = lambda1(graph, method=method)
-            assert abs(report.lambda1) < 1e-12
-            assert report.zero_multiplicity == 2
+        # exactly zero: eigh's rounding noise can be positive (+2.6e-17 on
+        # two 40-cycles), which would pass as a connected graph's gap
+        for graph in (from_edges(6, TWO_TRIANGLES, label="2K3"), two_cycles(40)):
+            for method in ("dense", "iterative"):
+                report = lambda1(graph, method=method)
+                assert report.lambda1 == 0.0, (graph.label, method)
+                assert report.zero_multiplicity == 2
 
     def test_all_loops_action(self):
         n = 7
@@ -231,6 +240,26 @@ class TestFamilySweep:
         assert set(sweep.errors) == {5} and "boom" in sweep.errors[5]
         with pytest.raises(AssertionError, match="thread pool"):
             family_sweep(builder, [7, 5, 3], jobs=2)
+
+
+class TestMemory:
+    def test_dense_solve_holds_one_dense_matrix(self):
+        # numpy and LAPACK work arrays are traced; eigh factors L in place
+        # instead of copying it, so the peak is one N x N float64 array
+        graph = sl2_graph(11)  # N = 1320
+        n = graph.n_vertices
+        tracemalloc.start()
+        try:
+            lambda1(graph, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    def test_family_sweep_reports_carry_no_eigenvector(self):
+        sweep = family_sweep(lambda p: sl2_graph(p), [3, 5, 7])
+        assert len(sweep.reports) == 3
+        assert all(r.eigenvector is None for r in sweep.reports)
 
 
 class TestEsperantist:
