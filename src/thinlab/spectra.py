@@ -3,18 +3,21 @@
 lambda1 is the second-smallest eigenvalue (with multiplicity) of
 L = I - A/k, so it is 0 exactly when the graph is disconnected and the
 zero eigenvalue has multiplicity equal to the component count.  The dense
-path computes the bottom of the spectrum directly.  The iterative path
-needs no deflation: a disconnected graph has lambda1 = 0 with an exact
-kernel vector, and on a connected graph the components pass proves the top
-eigenvalue 1 of A/k simple, so sparse Lanczos (ARPACK) on A/k for its two
-largest eigenvalues gives lambda1 = 1 - theta_2.
+path computes the bottom of the spectrum directly.  A disconnected graph
+needs no solve: lambda1 = 0 with an exact kernel vector.  On a connected
+graph the components pass proves the constant vector the simple top
+eigenvector of A/k, so the iterative path deflates it exactly: plain
+Lanczos on A/k restricted to the constant-free subspace 1-perp, keeping no
+basis, has theta_2 as its top Ritz value and lambda1 = 1 - theta_2.  A
+second pass of the same recurrence rebuilds the Ritz vector, and a
+residual on the sparse A/k above ``tol`` resumes the recurrence instead of
+being reported (Paige 1976; Cullum and Willoughby 1985).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,19 +26,24 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+from scipy.linalg.blas import daxpy
 
 from .graphs import MultiGraph, components
 
 DENSE_CUTOFF = 3000
 ITERATIVE_TOL = 1e-6
 _V0_SEED = 0x7A51
+# Lanczos steps between Ritz checks, and the beta below which the Krylov
+# space counts as invariant (A/k has norm 1)
+_RITZ_CHECK = 8
+_BREAKDOWN = 1e-12
 
 CSV_FIELDS = ("graph_id", "N", "k", "lambda1", "zero_mult", "solver", "residual", "seconds")
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve hit the iteration cap; carries the best estimate."""
+    """Iterative solve hit the step cap: carries 1 - the largest Ritz value
+    so far and its last residual estimate, both finite."""
 
     def __init__(self, best_estimate: float, residual: float, iterations: int):
         super().__init__(
@@ -77,6 +85,16 @@ def _residual(A, lam: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(x - A @ x - lam * x) / np.linalg.norm(x))
 
 
+def _kernel_vector(n: int, comps: list[np.ndarray]) -> np.ndarray:
+    """Unit kernel vector of L orthogonal to the constants: constant on the
+    first two components, of opposite signs, zero elsewhere."""
+    x = np.zeros(n)
+    x[comps[0]] = 1.0 / len(comps[0])
+    x[comps[1]] = -1.0 / len(comps[1])
+    x /= np.linalg.norm(x)
+    return x
+
+
 def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
     n, k = graph.n_vertices, graph.degree
     # I - A/k in A's own array, bit for bit: += 0.0 turns the -0.0 zeros
@@ -88,16 +106,96 @@ def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float
     L += 0.0
     L.flat[:: n + 1] += 1.0
     zm = len(comps)
-    hi = min(max(zm, 1), n - 1)
-    w, V = scipy.linalg.eigh(L.T, subset_by_index=(0, hi), overwrite_a=True, check_finite=False)
+    if zm >= 2:
+        # lambda1 is exactly 0 with a known kernel vector, so eigh only
+        # checks the kernel's dimension and forms no eigenvectors, which
+        # would be nearly N x N on a graph with many components
+        w = scipy.linalg.eigh(
+            L.T, eigvals_only=True, subset_by_index=(0, zm - 1), overwrite_a=True, check_finite=False
+        )
+    else:
+        w, V = scipy.linalg.eigh(L.T, subset_by_index=(0, 1), overwrite_a=True, check_finite=False)
     if abs(w[zm - 1]) > 1e-6:
         raise RuntimeError(
             f"kernel mismatch: component count {zm} but eigenvalue {w[zm - 1]} is not zero"
         )
-    # a disconnected graph's lambda1 is exactly 0, not eigh's rounding of it
-    lam = 0.0 if zm >= 2 else float(w[1])
-    x = V[:, 1]
+    lam, x = (0.0, _kernel_vector(n, comps)) if zm >= 2 else (float(w[1]), V[:, 1])
     return lam, _residual(A, lam, x), x
+
+
+def _top_ritz(alpha: list[float], beta: list[float]) -> tuple[float, float, np.ndarray]:
+    """Largest eigenvalue theta of the Lanczos tridiagonal T, its Ritz
+    residual estimate |beta_m s_m| and its eigenvector s."""
+    m = len(alpha)
+    theta, s = scipy.linalg.eigh_tridiagonal(
+        np.array(alpha), np.array(beta[:-1]), select="i", select_range=(m - 1, m - 1)
+    )
+    return float(theta[0]), abs(beta[-1] * float(s[-1, 0])), s[:, 0]
+
+
+def _lanczos_step(A, q: np.ndarray, q_prev: np.ndarray | None, b_prev: float, alpha: float | None):
+    """One three-term step on 1-perp: w = A q - mean - b_prev q_prev - alpha q.
+
+    Subtracting the mean keeps rounding from growing the eigenvalue-1
+    component back.  With ``alpha`` None it is computed as q . w; the second
+    pass passes the stored value, so both passes produce the same floats.
+    The updates are in-place BLAS axpys, which allocate no temporary."""
+    w = A @ q
+    w -= w.mean()
+    if q_prev is not None:
+        daxpy(q_prev, w, a=-b_prev)
+    if alpha is None:
+        alpha = float(q @ w)
+    daxpy(q, w, a=-alpha)
+    return w, alpha
+
+
+def _ritz_vector(A, start: np.ndarray, alpha: list[float], beta: list[float], s: np.ndarray) -> np.ndarray:
+    """x = Q s, rebuilding the Lanczos vectors q_1..q_m from the same start."""
+    x = s[0] * start
+    q_prev, q = None, start
+    for j in range(len(s) - 1):
+        w, _ = _lanczos_step(A, q, q_prev, beta[j - 1] if j else 0.0, alpha[j])
+        w *= 1.0 / beta[j]
+        daxpy(w, x, a=s[j + 1])
+        q_prev, q = q, w
+    return x
+
+
+def _lambda1_lanczos(A, n: int, tol: float, maxiter: int) -> tuple[float, float, np.ndarray]:
+    """lambda1 = 1 - theta_2 of a connected graph by two-pass Lanczos on A/k
+    restricted to 1-perp, where theta_2 is the top eigenvalue.
+
+    Pass one runs the recurrence keeping only q, q_prev and the alpha/beta
+    lists, and checks the top Ritz pair's estimate every ``_RITZ_CHECK``
+    steps; pass two rebuilds the Ritz vector.  A residual above ``tol``
+    resumes pass one from its saved state."""
+    start = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
+    start -= start.mean()
+    start /= np.linalg.norm(start)
+    alpha: list[float] = []
+    beta: list[float] = []
+    q_prev, q = None, start
+    while True:
+        w, a = _lanczos_step(A, q, q_prev, beta[-1] if beta else 0.0, None)
+        b = float(np.linalg.norm(w))
+        alpha.append(a)
+        beta.append(b)
+        m = len(alpha)
+        # beta ~ 0: the Krylov space is invariant and T's top eigenvalue exact
+        breakdown = b <= _BREAKDOWN
+        if breakdown or m % _RITZ_CHECK == 0 or m >= maxiter:
+            theta, est, s = _top_ritz(alpha, beta)
+            if breakdown or est <= tol:
+                x = _ritz_vector(A, start, alpha, beta, s)
+                est = _residual(A, 1.0 - theta, x)
+                if est <= tol:
+                    x /= np.linalg.norm(x)
+                    return 1.0 - theta, est, x
+            if breakdown or m >= maxiter:
+                raise ConvergenceError(1.0 - theta, est, m)
+        w *= 1.0 / b
+        q_prev, q = q, w
 
 
 def lambda1(
@@ -109,9 +207,11 @@ def lambda1(
     """Spectral gap report for one graph.
 
     method "dense" does a symmetric eigendecomposition of the bottom of the
-    spectrum; "iterative" runs sparse Lanczos on A/k for its two largest
-    eigenvalues (graphs with N <= 2, too small for ARPACK, are solved
-    densely); "auto" is dense up to ``DENSE_CUTOFF`` vertices.
+    spectrum; "iterative" runs Lanczos on A/k restricted to the constant-free
+    subspace; "auto" is dense up to ``DENSE_CUTOFF`` vertices.  For the
+    iterative solver, ``tol`` (default ``ITERATIVE_TOL``) bounds the reported
+    residual ||L x - lambda1 x|| / ||x||, and ``maxiter`` (default 10 N)
+    bounds the Lanczos steps; past it ``ConvergenceError`` is raised.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
@@ -128,36 +228,21 @@ def lambda1(
     t0 = time.perf_counter()
 
     A = graph.adjacency() / k
-    if method == "dense" or n <= 2:
+    if method == "dense":
         lam, res, x = _lambda1_dense(graph, A, comps)
-        return SpectralReport(graph.label, n, k, lam, zm, "dense", res, time.perf_counter() - t0, x)
-
-    tol = ITERATIVE_TOL if tol is None else tol
-    maxiter = 10 * n if maxiter is None else maxiter
-
-    if zm >= 2:
-        # second eigenvalue is another exact kernel vector; no solve needed
-        x = np.zeros(n)
-        x[comps[0]] = 1.0 / len(comps[0])
-        x[comps[1]] = -1.0 / len(comps[1])
-        x /= np.linalg.norm(x)
+    elif zm >= 2:
+        # lambda1 is 0 with an exact kernel vector; no solve needed
+        lam, x = 0.0, _kernel_vector(n, comps)
         res = _residual(A, 0.0, x)
-        return SpectralReport(graph.label, n, k, 0.0, zm, "iterative", res, time.perf_counter() - t0, x)
-
-    v0 = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
-    try:
-        # ARPACK stops at ||r|| <= tol * |theta| with |theta| <= 1
-        theta, vecs = scipy.sparse.linalg.eigsh(A, k=2, which="LA", tol=tol, maxiter=maxiter, v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        best = 1.0 - float(min(exc.eigenvalues)) if len(exc.eigenvalues) == 2 else math.nan
-        raise ConvergenceError(best, math.nan, maxiter) from exc
-    if abs(theta[1] - 1.0) > 1e-6:
-        raise RuntimeError(f"kernel mismatch: connected graph, top eigenvalue {theta[1]} of A/k")
-    lam = 1.0 - float(theta[0])
-    x = vecs[:, 0] - vecs[:, 0].mean()
-    x /= np.linalg.norm(x)
-    res = _residual(A, lam, x)
-    return SpectralReport(graph.label, n, k, lam, zm, "iterative", res, time.perf_counter() - t0, x)
+    else:
+        # the deflation of 1 rests on every row sum of A/k being 1
+        drift = float(np.abs(np.asarray(A.sum(axis=1)).ravel() - 1.0).max())
+        if drift > 1e-12:
+            raise RuntimeError(f"kernel mismatch: a row sum of A/k is off 1 by {drift}")
+        tol = ITERATIVE_TOL if tol is None else tol
+        maxiter = 10 * n if maxiter is None else maxiter
+        lam, res, x = _lambda1_lanczos(A, n, tol, maxiter)
+    return SpectralReport(graph.label, n, k, lam, zm, method, res, time.perf_counter() - t0, x)
 
 
 @dataclass

@@ -1,8 +1,10 @@
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symmetric_generators, direct_product_of_cyclic
 from thinlab.graphs import cayley_graph, components, from_edges, schreier_graph, torsion_action
@@ -36,6 +38,26 @@ def two_cycles(n):
 def sl2_graph(p):
     gens = sl2_generators(p)
     return cayley_graph(bfs_closure(gens), gens)
+
+
+def arpack_oracle(graph, tol=ITERATIVE_TOL):
+    """Independent oracle for the iterative lambda1 of a connected graph: the
+    ARPACK solve the iterative path ran before it became Lanczos on 1-perp,
+    kept verbatim (implicitly restarted Lanczos on A/k for its two largest
+    eigenvalues, from the same seeded start)."""
+    n, k = graph.n_vertices, graph.degree
+    A = graph.adjacency() / k
+    maxiter = 10 * n
+    v0 = np.random.default_rng(spectra._V0_SEED ^ n).standard_normal(n)
+    # ARPACK stops at ||r|| <= tol * |theta| with |theta| <= 1
+    theta, vecs = scipy.sparse.linalg.eigsh(A, k=2, which="LA", tol=tol, maxiter=maxiter, v0=v0)
+    if abs(theta[1] - 1.0) > 1e-6:
+        raise RuntimeError(f"kernel mismatch: connected graph, top eigenvalue {theta[1]} of A/k")
+    return 1.0 - float(theta[0])
+
+
+def complete_graph(n):
+    return from_edges(n, list(itertools.combinations(range(n), 2)), label=f"K{n}")
 
 
 def spectrum_zero_count(graph, tol=1e-9):
@@ -122,13 +144,16 @@ class TestInvariants:
 
     def test_dense_iterative_agreement_on_pool(self):
         pool = [g for g in graph_pool() if g.n_vertices >= 2]
-        checked = 0
+        checked = connected = 0
         for graph in pool:
             dense = lambda1(graph, method="dense")
             iterative = lambda1(graph, method="iterative")
             assert abs(dense.lambda1 - iterative.lambda1) < 1e-8, graph.label
             checked += 1
-        assert checked >= 20
+            if dense.zero_multiplicity == 1:
+                assert abs(arpack_oracle(graph) - iterative.lambda1) <= 1e-8, graph.label
+                connected += 1
+        assert checked >= 20 and connected >= 15
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_iterative_matches_dense_on_degenerate_sl2(self, p):
@@ -169,6 +194,81 @@ class TestInvariants:
         assert sch >= cay - 1e-9
 
 
+class TestLanczosOracles:
+    """The Lanczos path against ARPACK (``arpack_oracle``) and dense eigh,
+    its residual guarantee, and its stop on an invariant Krylov space."""
+
+    @pytest.mark.parametrize("p", [17, 19, 23])
+    def test_matches_arpack_on_sl2(self, p):
+        graph = sl2_graph(p)  # N = 4896, 6840, 12144
+        report = lambda1(graph, method="iterative")
+        assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
+        assert report.residual <= ITERATIVE_TOL
+
+    def test_matches_arpack_on_pra_move_graph(self):
+        from thinlab import pra
+
+        graph = pra.pra_graph(bfs_closure(symmetric_generators(3)), 3)  # N = 168, k = 24
+        assert len(components(graph)) == 1
+        report = lambda1(graph, method="iterative")
+        assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
+        assert abs(report.lambda1 - lambda1(graph, method="dense").lambda1) <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
+    def test_reported_residual_within_tol(self, tol):
+        graph = sl2_graph(17)
+        report = lambda1(graph, method="iterative", tol=tol)
+        assert report.residual <= tol
+        assert abs(np.linalg.norm(report.eigenvector) - 1.0) <= 1e-12
+        assert abs(report.eigenvector.sum()) <= 1e-8
+        # the eigenvalue error is about residual^2 / gap
+        assert abs(report.lambda1 - arpack_oracle(graph)) <= max(1e-8, 10 * tol * tol)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", list(range(3, 13)))
+    def test_clean_breakdown(self, n, monkeypatch):
+        # A/k on 1-perp has floor(n/2) distinct eigenvalues on the n-cycle and
+        # one on K_n, so beta vanishes at that step: the solve stops there,
+        # exactly, with no division by ~0
+        steps = []
+        top_ritz = spectra._top_ritz
+
+        def record(alpha, beta):
+            steps.append(len(alpha))
+            return top_ritz(alpha, beta)
+
+        monkeypatch.setattr(spectra, "_top_ritz", record)
+        cycle = lambda1(cyclic_graph(n), method="iterative")
+        assert steps == [n // 2]
+        assert abs(cycle.lambda1 - (1 - np.cos(2 * np.pi / n))) <= 1e-12
+        steps.clear()
+        kn = lambda1(complete_graph(n), method="iterative")
+        assert steps == [1]
+        assert abs(kn.lambda1 - n / (n - 1)) <= 1e-12
+
+    def test_residual_above_tol_resumes(self, monkeypatch):
+        # a Ritz pair whose true residual fails tol is not reported: the
+        # recurrence resumes from its saved state and rebuilds a longer one
+        builds = []
+        ritz_vector = spectra._ritz_vector
+        residual = spectra._residual
+
+        def record(A, start, alpha, beta, s):
+            builds.append(len(s))
+            return ritz_vector(A, start, alpha, beta, s)
+
+        def fail_first(A, lam, x):
+            return 1.0 if len(builds) == 1 else residual(A, lam, x)
+
+        monkeypatch.setattr(spectra, "_ritz_vector", record)
+        monkeypatch.setattr(spectra, "_residual", fail_first)
+        graph = sl2_graph(13)
+        report = lambda1(graph, method="iterative")
+        assert len(builds) == 2 and builds[1] > builds[0]
+        assert report.residual <= ITERATIVE_TOL
+        assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
+
+
 class TestEdgesAndErrors:
     def test_single_vertex_rejected(self):
         graph = from_edges(1, [(0, 0)])
@@ -184,7 +284,21 @@ class TestEdgesAndErrors:
         graph = sl2_graph(11)  # N = 1320, forced iterative
         with pytest.raises(ConvergenceError) as exc_info:
             lambda1(graph, method="iterative", maxiter=1, tol=1e-14)
-        assert exc_info.value.iterations == 1
+        exc = exc_info.value
+        assert exc.iterations == 1
+        # after one step T is 1 x 1: a Ritz value and its estimate exist
+        assert np.isfinite(exc.best_estimate) and 0.0 <= exc.best_estimate <= 2.0
+        assert np.isfinite(exc.residual) and exc.residual > 1e-14
+
+    def test_row_sum_drift_refused(self, monkeypatch):
+        # the deflation of the constant vector rests on every row sum of A/k
+        # being 1; a matrix that breaks it is refused, not solved
+        graph = cyclic_graph(12)
+        A = graph.adjacency().tolil()
+        A[0, 1] += 1e-6
+        monkeypatch.setattr(graph, "adjacency", lambda: A.tocsr())
+        with pytest.raises(RuntimeError, match="row sum"):
+            lambda1(graph, method="iterative")
 
     def test_auto_switches_on_cutoff(self, monkeypatch):
         graph = cyclic_graph(12)
@@ -255,6 +369,42 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+    def test_dense_solve_of_disconnected_graph_forms_no_eigenvectors(self):
+        # 1,500 components: eigh checks the kernel's dimension with
+        # eigenvalues only, so no nearly N x N eigenvector block is formed
+        n = 1500
+        ident = np.arange(n, dtype=np.int32)
+        graph = schreier_graph(np.stack([ident, ident], axis=1))
+        tracemalloc.start()
+        try:
+            report = lambda1(graph, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.lambda1 == 0.0 and report.zero_multiplicity == n
+        assert peak < 1.2 * n * n * 8
+
+    def test_iterative_solve_stores_no_basis(self):
+        # counted in N-vectors of float64: building the sparse A/k peaks near
+        # 23 on this graph, and the recurrence with its residual check holds
+        # about 8 more than A/k; ARPACK's 20-vector basis and work arrays
+        # took the whole solve near 55
+        graph = sl2_graph(23)  # N = 12144
+        n = graph.n_vertices
+        tracemalloc.start()
+        try:
+            lambda1(graph, method="iterative")
+            _, peak = tracemalloc.get_traced_memory()
+            A = graph.adjacency() / graph.degree
+            tracemalloc.reset_peak()
+            spectra._lambda1_lanczos(A, n, ITERATIVE_TOL, 10 * n)
+            _, lanczos_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * 8
+        # the recurrence alone, A/k already built: no stored basis
+        assert lanczos_peak < A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 10 * n * 8
 
     def test_family_sweep_reports_carry_no_eigenvector(self):
         sweep = family_sweep(lambda p: sl2_graph(p), [3, 5, 7])
