@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import re
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .graphs import (
     torsion_projection,
 )
 from .spectra import (
+    _METHODS,
     CSV_FIELDS,
     SpectralReport,
     esperantist_fit,
@@ -71,14 +73,6 @@ from . import origami as origami_mod
 from . import pra as pra_mod
 
 logger = logging.getLogger("thinlab")
-
-EXPERIMENT_KINDS = (
-    "cayley-sweep",
-    "schreier-sweep",
-    "pointpush",
-    "pra",
-    "origami-census",
-)
 
 MAX_SEED = 2**63 - 1
 
@@ -123,7 +117,31 @@ def _want_seed(value) -> int:
     return seed
 
 
-def _want_primes(key: str, value) -> list[int]:
+def _want_str(key: str, value, choices: Sequence[str] | None = None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key {key!r}: expected string, got {_brief(value)}")
+    if choices and value not in choices:
+        raise ConfigError(f"key {key!r}: must be one of {choices}, got {_brief(value)}")
+    return value
+
+
+# Checks for _SCHEMA: each takes a key, its config value and the params
+# checked before it, and returns the value the runner reads.
+def _integer(minimum: int) -> Callable:
+    return lambda key, value, params: _want_int(key, value, minimum)
+
+
+def _choice(*choices: str) -> Callable:
+    return lambda key, value, params: _want_str(key, value, choices)
+
+
+def _flag(key: str, value, params: dict) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"key {key!r}: expected boolean, got {_brief(value)}")
+    return value
+
+
+def _primes(key: str, value, params: dict) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key {key!r}: expected a nonempty list of primes")
     for p in value:
@@ -134,37 +152,6 @@ def _want_primes(key: str, value) -> list[int]:
     if len(set(value)) != len(value):
         raise ConfigError(f"key {key!r}: primes must not repeat, got {_brief(value)}")
     return list(value)
-
-
-def _want_str(key: str, value, choices: Sequence[str] | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"key {key!r}: expected string, got {_brief(value)}")
-    if choices and value not in choices:
-        raise ConfigError(f"key {key!r}: must be one of {choices}, got {_brief(value)}")
-    return value
-
-
-def _want_bool(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"key {key!r}: expected boolean, got {_brief(value)}")
-    return value
-
-
-_PARAM_KEYS = {
-    "cayley-sweep": {"genus", "primes", "gens", "budget", "method", "dot"},
-    "schreier-sweep": {"genus", "primes", "compare_cayley", "budget", "method"},
-    "pointpush": {"genus", "primes", "budget"},
-    "pra": {"group", "arity", "steps", "budget"},
-    "origami-census": {"degree", "mu", "image_order", "cap", "dot"},
-}
-_REQUIRED = {
-    "cayley-sweep": {"genus", "primes"},
-    "schreier-sweep": {"genus", "primes"},
-    "pointpush": {"genus", "primes"},
-    "pra": {"group", "arity", "steps"},
-    "origami-census": {"degree"},
-}
-_COMMON_KEYS = {"kind", "seed", "output_dir"}
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
@@ -222,6 +209,60 @@ def parse_group_spec(spec: str) -> GeneratorSet:
     return direct_product_of_cyclic(sizes)
 
 
+def _group(key: str, value, params: dict) -> str:
+    _group_spec_sizes(_want_str(key, value))  # fail early on bad specs
+    return value
+
+
+def _mu(key: str, value, params: dict) -> tuple[int, ...]:
+    mu = parse_mu(_want_str(key, value))
+    if sum(mu) != params["degree"]:
+        raise ConfigError(
+            f"key 'mu': {_brief(value)} is not a partition of {_brief(params['degree'])}"
+        )
+    return mu
+
+
+# kind -> {key: (check, default)}, in validation order.  A key the config
+# leaves out takes its default unchecked; one whose default is
+# _REQUIRED_KEY must be given.
+_REQUIRED_KEY = object()
+_SWEEP_KEYS = {
+    "genus": (_integer(1), _REQUIRED_KEY),
+    "primes": (_primes, _REQUIRED_KEY),
+    "budget": (_integer(1), None),
+}
+_SCHEMA: dict[str, dict[str, tuple[Callable, Any]]] = {
+    "cayley-sweep": {
+        **_SWEEP_KEYS,
+        "gens": (_choice("standard", "chain"), "standard"),
+        "method": (_choice(*_METHODS), "auto"),
+        "dot": (_flag, False),
+    },
+    "schreier-sweep": {
+        **_SWEEP_KEYS,
+        "compare_cayley": (_flag, False),
+        "method": (_choice(*_METHODS), "auto"),
+    },
+    "pointpush": _SWEEP_KEYS,
+    "pra": {
+        "group": (_group, _REQUIRED_KEY),
+        "arity": (_integer(1), _REQUIRED_KEY),
+        "steps": (_integer(0), _REQUIRED_KEY),
+        "budget": (_integer(1), None),
+    },
+    "origami-census": {
+        "degree": (_integer(1), _REQUIRED_KEY),
+        "mu": (_mu, None),
+        "image_order": (_integer(1), None),
+        "cap": (_integer(1), origami_mod.DEFAULT_DEGREE_CAP),
+        "dot": (_flag, False),
+    },
+}
+EXPERIMENT_KINDS = tuple(_SCHEMA)
+_COMMON_KEYS = {"kind", "seed", "output_dir"}
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -229,11 +270,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"key 'kind': must be one of {EXPERIMENT_KINDS}, got {_brief(kind)}")
 
-    allowed = _PARAM_KEYS[kind] | _COMMON_KEYS
-    unknown = set(raw) - allowed
+    schema = _SCHEMA[kind]
+    unknown = set(raw) - schema.keys() - _COMMON_KEYS
     if unknown:
         raise ConfigError(f"unknown keys for {kind}: {_brief(sorted(unknown))}")
-    missing = _REQUIRED[kind] - set(raw)
+    missing = {key for key, (_, default) in schema.items() if default is _REQUIRED_KEY} - set(raw)
     if missing:
         raise ConfigError(f"missing required keys for {kind}: {sorted(missing)}")
 
@@ -242,41 +283,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if output_dir is not None:
         output_dir = _want_str("output_dir", output_dir)
 
-    p: dict[str, Any] = {}
-    if kind in ("cayley-sweep", "schreier-sweep", "pointpush"):
-        p["genus"] = _want_int("genus", raw["genus"], minimum=1)
-        p["primes"] = _want_primes("primes", raw["primes"])
-        if "budget" in raw:
-            p["budget"] = _want_int("budget", raw["budget"], minimum=1)
-    if kind == "cayley-sweep":
-        p["gens"] = _want_str("gens", raw.get("gens", "standard"), ("standard", "chain"))
-        p["method"] = _want_str("method", raw.get("method", "auto"), ("auto", "dense", "iterative"))
-        p["dot"] = _want_bool("dot", raw.get("dot", False))
-    if kind == "schreier-sweep":
-        p["compare_cayley"] = _want_bool("compare_cayley", raw.get("compare_cayley", False))
-        p["method"] = _want_str("method", raw.get("method", "auto"), ("auto", "dense", "iterative"))
-    if kind == "pra":
-        p["group"] = _want_str("group", raw["group"])
-        _group_spec_sizes(p["group"])  # fail early on bad specs
-        p["arity"] = _want_int("arity", raw["arity"], minimum=1)
-        p["steps"] = _want_int("steps", raw["steps"], minimum=0)
-        if "budget" in raw:
-            p["budget"] = _want_int("budget", raw["budget"], minimum=1)
-    if kind == "origami-census":
-        p["degree"] = _want_int("degree", raw["degree"], minimum=1)
-        if "mu" in raw:
-            p["mu"] = parse_mu(_want_str("mu", raw["mu"]))
-            if sum(p["mu"]) != p["degree"]:
-                raise ConfigError(
-                    f"key 'mu': {_brief(raw['mu'])} is not a partition of {_brief(p['degree'])}"
-                )
-        if "image_order" in raw:
-            p["image_order"] = _want_int("image_order", raw["image_order"], minimum=1)
-        if "cap" in raw:
-            p["cap"] = _want_int("cap", raw["cap"], minimum=1)
-        p["dot"] = _want_bool("dot", raw.get("dot", False))
-
-    return ExperimentConfig(kind=kind, params=p, seed=seed, output_dir=output_dir, raw=raw)
+    params: dict[str, Any] = {}
+    for key, (check, default) in schema.items():
+        params[key] = check(key, raw[key], params) if key in raw else default
+    return ExperimentConfig(kind=kind, params=params, seed=seed, output_dir=output_dir, raw=raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -307,26 +317,38 @@ class RunManifest:
         return any(t["status"] != "ok" for t in self.tasks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "version": self.version,
-                "started": self.started,
-                "finished": self.finished,
-                "tasks": self.tasks,
-                "outputs": self.outputs,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return _json_text(asdict(self))
 
 
 def _float(x: float) -> str:
     return repr(float(x))
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: Path, payload) -> Path:
+    path.write_text(_json_text(payload))
+    return path
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_dat(path: Path, header: str, lines: Iterable[str]) -> Path:
+    """A plot data file: a "# " comment header, then one line per point."""
+    path.write_text("".join(f"{line}\n" for line in (f"# {header}", *lines)))
+    return path
+
+
 def emit_plotdata(
-    primed_reports: Sequence[tuple[int, SpectralReport]], out_dir: Path, prefix: str = ""
+    primed_reports: Sequence[tuple[int, SpectralReport]], out_dir: Path
 ) -> list[Path]:
     """Plot-ready (log N, lambda1) and (p, lambda1) files plus the
     esperantist fit JSON, restricted to connected graphs."""
@@ -334,25 +356,15 @@ def emit_plotdata(
     connected = [(p, r) for p, r in primed_reports if r.lambda1 > 0]
     if not connected:
         logger.warning("no connected graphs to plot; writing header-only data files")
-    written = []
-
-    path = out_dir / f"{prefix}plot_logN_lambda1.dat"
-    with open(path, "w") as fh:
-        fh.write("# log_N lambda1\n")
-        for _, r in connected:
-            fh.write(f"{_float(np.log(r.n_vertices))} {_float(r.lambda1)}\n")
-    written.append(path)
-
-    path = out_dir / f"{prefix}plot_p_lambda1.dat"
-    with open(path, "w") as fh:
-        fh.write("# p lambda1\n")
-        for p, r in connected:
-            fh.write(f"{p} {_float(r.lambda1)}\n")
-    written.append(path)
-
+    logn = (f"{_float(np.log(r.n_vertices))} {_float(r.lambda1)}" for _, r in connected)
+    by_p = (f"{p} {_float(r.lambda1)}" for p, r in connected)
+    written = [
+        _write_dat(out_dir / "plot_logN_lambda1.dat", "log_N lambda1", logn),
+        _write_dat(out_dir / "plot_p_lambda1.dat", "p lambda1", by_p),
+    ]
     if len(connected) >= 3:
         fit = esperantist_fit([r for _, r in connected])
-        path = out_dir / f"{prefix}esperantist.json"
+        path = out_dir / "esperantist.json"
         path.write_text(fit_to_json(fit))
         written.append(path)
     else:
@@ -366,6 +378,38 @@ def _sweep_generators(genus: int, gens_choice: str, p: int) -> GeneratorSet:
     return standard_symplectic_generators(genus, p)
 
 
+def _sweep_order(genus: int, p: int) -> tuple[str, Iterable[int]]:
+    """Name and lazy order factors of the group a sweep's generators
+    generate mod p: SL2(F_p), of order p(p^2 - 1), at genus 1.  At genus
+    g >= 2 the chain transvections generate Sp_2g(F_p), of order
+    p^(g^2) (p^2 - 1) (p^4 - 1) ... (p^2g - 1), for odd p and the symmetric
+    group S_(2g+2) for p = 2 (A'Campo, Comment. Math. Helv. 1979)."""
+    if genus == 1:
+        return f"SL2(F{p})", (p, p - 1, p + 1)
+    if p == 2:
+        return f"S{_brief(2 * genus + 2)}", range(1, 2 * genus + 3)
+    powers = (p for _ in range(genus * genus))
+    cyclotomic = (p ** (2 * i) - 1 for i in range(1, genus + 1))
+    return f"Sp{_brief(2 * genus)}(F{p})", itertools.chain(powers, cyclotomic)
+
+
+def _sweep_group(genus: int, gens_choice: str, p: int, budget: int | None) -> tuple:
+    """A sweep's generators mod p and the group they enumerate.  The
+    group's closed-form order is refused above the element budget before
+    any generator is built, where bfs_closure would refuse it after."""
+    name, factors = _sweep_order(genus, p)
+    check_budget(f"{name}: elements", factors, resolve_budget(budget))
+    gens = _sweep_generators(genus, gens_choice, p)
+    return gens, bfs_closure(gens, budget=budget)
+
+
+def _entry(name: str, error: str | None = None) -> dict:
+    """A task's manifest entry: ok, or failed with its error."""
+    if error is None:
+        return {"name": name, "status": "ok"}
+    return {"name": name, "status": "failed", "error": error}
+
+
 def _task(name: str, fn: Callable[[], Any]) -> tuple[dict, Any]:
     """Run one unit of work; returns its manifest entry and fn's result,
     None if it failed.  A failure is recorded, never raised, so the run
@@ -373,8 +417,8 @@ def _task(name: str, fn: Callable[[], Any]) -> tuple[dict, Any]:
     try:
         result = fn()
     except Exception as exc:  # noqa: BLE001 - isolate the unit of work
-        return {"name": name, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}, None
-    return {"name": name, "status": "ok"}, result
+        return _entry(name, f"{type(exc).__name__}: {exc}"), None
+    return _entry(name), result
 
 
 def _sweep(builder: Callable[[int], MultiGraph], params: dict, jobs: int | None, outdir: Path):
@@ -382,20 +426,12 @@ def _sweep(builder: Callable[[int], MultiGraph], params: dict, jobs: int | None,
     spectra.csv and the plot files for the primes that were solved."""
     primes = params["primes"]
     sweep = family_sweep(builder, primes, method=params["method"], jobs=jobs)
-    tasks = []
-    by_prime: dict[int, SpectralReport] = {}
-    it = iter(sweep.reports)
-    for p in primes:
-        if p in sweep.errors:
-            tasks.append({"name": f"p={p}", "status": "failed", "error": sweep.errors[p]})
-        else:
-            by_prime[p] = next(it)
-            tasks.append({"name": f"p={p}", "status": "ok"})
-
-    solved = [(p, by_prime[p]) for p in primes if p in by_prime]
+    tasks = [_entry(f"p={p}", sweep.errors.get(p)) for p in primes]
+    reports = iter(sweep.reports)  # the solved primes' reports, in order
+    by_prime = {p: next(reports) for p in primes if p not in sweep.errors}
     csv_path = outdir / "spectra.csv"
-    write_reports_csv([r for _, r in solved], csv_path, include_seconds=False)
-    return tasks, by_prime, [csv_path, *emit_plotdata(solved, outdir)]
+    write_reports_csv(list(by_prime.values()), csv_path, include_seconds=False)
+    return tasks, by_prime, [csv_path, *emit_plotdata(list(by_prime.items()), outdir)]
 
 
 def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
@@ -404,10 +440,9 @@ def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
     dot_graphs: dict[int, MultiGraph] = {}
 
     def builder(p: int) -> MultiGraph:
-        gens = _sweep_generators(genus, params["gens"], p)
-        group = bfs_closure(gens, budget=params.get("budget"))
+        gens, group = _sweep_group(genus, params["gens"], p, params["budget"])
         graph = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
-        if params.get("dot"):
+        if params["dot"]:
             if graph.n_vertices <= DOT_VERTEX_LIMIT:
                 dot_graphs[p] = graph
             else:
@@ -431,7 +466,7 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
 
     def builder(p: int) -> MultiGraph:
         gens = _sweep_generators(genus, "standard", p)
-        moves = torsion_action(gens, budget=params.get("budget"))
+        moves = torsion_action(gens, budget=params["budget"])
         graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
         if params["compare_cayley"]:
             built[p] = graph
@@ -442,21 +477,13 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         return tasks, outputs
 
     def compare(p: int) -> list:
-        gens = _sweep_generators(genus, "standard", p)
-        group = bfs_closure(gens, budget=params.get("budget"))
+        gens, group = _sweep_group(genus, "standard", p, params["budget"])
         cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
         ok = quotient_check(cay, built.pop(p), torsion_projection(group))
         del group  # freed before the solve, which sets the peak
-        cay_report = lambda1(cay, method=params["method"])
-        sch = by_prime[p]
-        return [
-            p,
-            sch.n_vertices,
-            _float(sch.lambda1),
-            _float(cay_report.lambda1),
-            ok,
-            sch.lambda1 >= cay_report.lambda1 - 1e-9,
-        ]
+        cay_lam, sch = lambda1(cay, method=params["method"]).lambda1, by_prime[p]
+        gap_ok = sch.lambda1 >= cay_lam - 1e-9
+        return [p, sch.n_vertices, _float(sch.lambda1), _float(cay_lam), ok, gap_ok]
 
     rows = []
     for i, p in enumerate(primes):
@@ -465,14 +492,8 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
             tasks[i], row = _task(f"p={p}", lambda: compare(p))
             if row is not None:
                 rows.append(row)
-    path = outdir / "comparison.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["p", "N_schreier", "lambda1_schreier", "lambda1_cayley", "quotient_ok", "gap_ok"]
-        )
-        writer.writerows(rows)
-    outputs.append(path)
+    header = ["p", "N_schreier", "lambda1_schreier", "lambda1_cayley", "quotient_ok", "gap_ok"]
+    outputs.append(_write_csv(outdir / "comparison.csv", header, rows))
     return tasks, outputs
 
 
@@ -487,7 +508,7 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
     flags = congruence_report(mats, [])
     for p in primes:
         entry, report = _task(
-            f"p={p}", lambda: congruence_report(mats, [p], budget=params.get("budget"))
+            f"p={p}", lambda: congruence_report(mats, [p], budget=params["budget"])
         )
         tasks.append(entry)
         if report is not None:
@@ -504,82 +525,59 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
         "mod4_trivial": flags.mod4_trivial,
         "primes": prime_data,
     }
-    outputs = []
-    path = outdir / "congruence.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    outputs.append(path)
-    path = outdir / "generators.json"
-    path.write_text(
-        json.dumps(catalog_json(mats, label=f"pointpush_g{genus}"), indent=2, sort_keys=True)
-        + "\n"
-    )
-    outputs.append(path)
-    return tasks, outputs
+    catalog = catalog_json(mats, label=f"pointpush_g{genus}")
+    return tasks, [
+        _write_json(outdir / "congruence.json", payload),
+        _write_json(outdir / "generators.json", catalog),
+    ]
 
 
 def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
-    n, steps = params["arity"], params["steps"]
+    group_spec, n, steps = params["group"], params["arity"], params["steps"]
+    budget = params["budget"]
 
     def body() -> list[Path]:
-        _check_group_size(params["group"], resolve_budget(params.get("budget")))
-        gens = parse_group_spec(params["group"])
-        group = bfs_closure(gens, budget=params.get("budget"))
-        graph = pra_mod.pra_graph(group, n, budget=params.get("budget"))
+        _check_group_size(group_spec, resolve_budget(budget))
+        # the walk draws its coins and picks up front, 24 bytes a step
+        walk_budget = resolve_budget(budget, default=pra_mod.DEFAULT_CANDIDATE_BUDGET)
+        check_budget("pra walk: steps", (steps,), walk_budget)
+        gens = parse_group_spec(group_spec)
+        group = bfs_closure(gens, budget=budget)
+        graph = pra_mod.pra_graph(group, n, budget=budget)
         comps = components(graph)
         orbits = sorted((len(c) for c in comps), reverse=True)
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
         walk = pra_mod.pra_walk(graph, comps, steps, seed)
-        path = outdir / "pra.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["group", "arity", "epi_count", "k", "orbit_sizes", "lambda1", "tv_checkpoints"]
-            )
-            writer.writerow(
-                [
-                    params["group"],
-                    n,
-                    graph.n_vertices,
-                    graph.degree,
-                    ";".join(str(s) for s in orbits),
-                    lam,
-                    ";".join(f"{t}:{_float(tv)}" for t, tv in walk.tv_checkpoints),
-                ]
-            )
-        walk_path = outdir / "walk.json"
-        walk_path.write_text(
-            json.dumps(
-                {
-                    "group": params["group"],
-                    "arity": n,
-                    "steps": walk.steps,
-                    "seed": walk.seed,
-                    "start_index": walk.start_index,
-                    "component_size": int(len(walk.component)),
-                    "tv_distance": walk.tv_distance,
-                    "tv_checkpoints": [[t, tv] for t, tv in walk.tv_checkpoints],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return [path, walk_path]
+        tvs = ";".join(f"{t}:{_float(tv)}" for t, tv in walk.tv_checkpoints)
+        orbit_sizes = ";".join(str(s) for s in orbits)
+        row = [group_spec, n, graph.n_vertices, graph.degree, orbit_sizes, lam, tvs]
+        header = ["group", "arity", "epi_count", "k", "orbit_sizes", "lambda1", "tv_checkpoints"]
+        walk_payload = {
+            "group": group_spec,
+            "arity": n,
+            "steps": walk.steps,
+            "seed": walk.seed,
+            "start_index": walk.start_index,
+            "component_size": int(len(walk.component)),
+            "tv_distance": walk.tv_distance,
+            "tv_checkpoints": [[t, tv] for t, tv in walk.tv_checkpoints],
+        }
+        return [
+            _write_csv(outdir / "pra.csv", header, [row]),
+            _write_json(outdir / "walk.json", walk_payload),
+        ]
 
-    entry, outputs = _task(f"pra({params['group']},n={n})", body)
+    entry, outputs = _task(f"pra({group_spec},n={n})", body)
     return [entry], outputs or []
 
 
 def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path):
-    d = params["degree"]
-    cap = params.get("cap", origami_mod.DEFAULT_DEGREE_CAP)
-    mu_filter = params.get("mu")
-    image_order = params.get("image_order")
+    d, cap, image_order = params["degree"], params["cap"], params["image_order"]
 
     def body() -> list[Path]:
-        classes = origami_mod.census(d, mu=mu_filter, cap=cap)
+        classes = origami_mod.census(d, mu=params["mu"], cap=cap)
         if image_order is not None:
             classes = [c for c in classes if c.image_order == image_order]
         # vertex v of a stratum's move graph is that stratum's v-th class
@@ -592,26 +590,13 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
             for cid, verts in enumerate(components(graph)):
                 for v in verts:
                     comp_ids[positions[v]] = cid
-        path = outdir / "census.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["d", "mu", "image_order", "orbit_size", "genus", "component_id", "representative"]
-            )
-            for c, comp_id in zip(classes, comp_ids):
-                writer.writerow(
-                    [
-                        d,
-                        ",".join(str(x) for x in c.mu),
-                        c.image_order,
-                        c.orbit_size,
-                        c.genus,
-                        comp_id,
-                        c.rep.encode(),
-                    ]
-                )
-        written = [path]
-        if params.get("dot"):
+        header = ["d", "mu", "image_order", "orbit_size", "genus", "component_id", "representative"]
+        rows = (
+            [d, ",".join(map(str, c.mu)), c.image_order, c.orbit_size, c.genus, cid, c.rep.encode()]
+            for c, cid in zip(classes, comp_ids)
+        )
+        written = [_write_csv(outdir / "census.csv", header, rows)]
+        if params["dot"]:
             for mu, graph in graphs_by_mu.items():
                 if 0 < graph.n_vertices <= DOT_VERTEX_LIMIT:
                     path = outdir / f"origami_mu{'_'.join(map(str, mu))}.dot"
@@ -679,7 +664,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run.add_argument("--out", type=str, default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
 
+    # census and pra build the config of their kind from the flags named
+    # like its keys
     p_census = sub.add_parser("census", help="square-tiled surface census")
+    p_census.set_defaults(kind="origami-census")
     p_census.add_argument("--degree", type=int, required=True)
     p_census.add_argument("--mu", type=str, default=None, help="partition, e.g. 2,2")
     p_census.add_argument("--image-order", type=int, default=None)
@@ -687,6 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_census.add_argument("--dot", action="store_true")
 
     p_pra = sub.add_parser("pra", help="product replacement experiment")
+    p_pra.set_defaults(kind="pra")
     p_pra.add_argument("--group", type=str, required=True, help="S3, Z5, Z2xZ2, ...")
     p_pra.add_argument("--arity", type=int, required=True)
     p_pra.add_argument("--steps", type=int, required=True)
@@ -695,7 +684,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_spec = sub.add_parser("spectra", help="lambda1 of a dumped graph")
     p_spec.add_argument("--graph", type=str, required=True, help="binary adjacency dump")
-    p_spec.add_argument("--method", type=str, default="auto", choices=("auto", "dense", "iterative"))
+    p_spec.add_argument("--method", type=str, default="auto", choices=_METHODS)
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -720,34 +709,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             out, jobs, seed = args.out, args.jobs, args.seed
-        elif args.command == "census":
-            raw = {"kind": "origami-census", "degree": args.degree, "dot": bool(args.dot)}
-            if args.mu is not None:
-                raw["mu"] = args.mu
-            if args.image_order is not None:
-                raw["image_order"] = args.image_order
-            config = validate_config(raw)
-            out = args.out or f"thinlab-census-d{args.degree}"
         else:
-            raw = {
-                "kind": "pra",
-                "group": args.group,
-                "arity": args.arity,
-                "steps": args.steps,
-                "seed": args.seed,
-            }
-            config = validate_config(raw)
-            out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
+            keys = _SCHEMA[args.kind].keys() | _COMMON_KEYS
+            config = validate_config(
+                {key: v for key, v in vars(args).items() if key in keys and v is not None}
+            )
+            if args.command == "census":
+                out = args.out or f"thinlab-census-d{args.degree}"
+            else:
+                out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
         manifest = run(config, out_dir=out, jobs=jobs, seed=seed)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
     for t in manifest.tasks:
-        status = t["status"]
-        line = f"{t['name']}: {status}"
-        if status != "ok":
-            line += f" ({t.get('error', '')})"
-        logger.info("%s", line)
+        logger.info("%s: %s%s", t["name"], t["status"], f" ({t['error']})" if "error" in t else "")
     return 1 if manifest.failed else 0
 
 

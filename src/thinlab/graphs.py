@@ -76,11 +76,15 @@ class MultiGraph:
         return self.n_vertices * self.degree // 2
 
     def adjacency(self) -> scipy.sparse.csr_matrix:
+        """Sparse A, parallel edges summed: row u's k entries are already
+        the CSR row, so no COO triplets are formed."""
         n, k = self.neighbors.shape
-        rows = np.repeat(np.arange(n, dtype=np.int64), k)
-        cols = self.neighbors.ravel().astype(np.int64)
         data = np.ones(n * k, dtype=np.float64)
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        indptr = k * np.arange(n + 1, dtype=np.int64)
+        # a copy: sum_duplicates sorts the indices in place
+        A = scipy.sparse.csr_matrix((data, self.neighbors.ravel().copy(), indptr), shape=(n, n))
+        A.sum_duplicates()
+        return A
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency().toarray()
@@ -248,13 +252,13 @@ def torsion_projection(group: FiniteGroup) -> np.ndarray:
     return _vector_codes(w, m) - 1
 
 
-def to_dot(g: MultiGraph, name: str | None = None) -> str:
+def to_dot(g: MultiGraph) -> str:
     """GraphViz text for small graphs; hard-capped at 500 vertices."""
     if g.n_vertices > DOT_VERTEX_LIMIT:
         raise ValueError(
             f"DOT export limited to {DOT_VERTEX_LIMIT} vertices, graph has {g.n_vertices}"
         )
-    lines = [f'graph "{name or g.label or "multigraph"}" {{']
+    lines = [f'graph "{g.label or "multigraph"}" {{']
     n, k = g.neighbors.shape
     for u in range(n):
         row = g.neighbors[u]

@@ -38,6 +38,9 @@ _V0_SEED = 0x7A51
 _RITZ_CHECK = 8
 _BREAKDOWN = 1e-12
 
+# the solver choices lambda1 accepts
+_METHODS = ("auto", "dense", "iterative")
+
 CSV_FIELDS = ("graph_id", "N", "k", "lambda1", "zero_mult", "solver", "residual", "seconds")
 
 
@@ -217,7 +220,7 @@ def lambda1(
         raise ValueError("lambda1 requires degree k >= 1")
     if graph.n_vertices < 2:
         raise ValueError("lambda1 undefined for a single-vertex graph")
-    if method not in ("auto", "dense", "iterative"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"

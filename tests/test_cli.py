@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 import time
 from pathlib import Path
 
@@ -21,10 +22,11 @@ from thinlab.cli import (
     validate_config,
 )
 from thinlab.graphs import cayley_graph, from_edges, save_graph, to_dot
-from thinlab.groups import bfs_closure, sl2_generators
+from thinlab.groups import BudgetExceeded, bfs_closure, sl2_generators
 from thinlab.spectra import family_sweep, lambda1
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 VALID_CONFIGS = {
@@ -75,6 +77,29 @@ class TestConfigValidation:
                 "origami-census",
             )
 
+    def test_readme_config_table_is_the_schema(self):
+        # rows "| `kind` | `key` | default |", the kind cell empty after its first row
+        documented: dict[str, dict[str, str]] = {}
+        for kind, key, default in re.findall(
+            r"^\| (?:`([a-z-]+)`)? ?\| `(\w+)` \| (.+) \|$", README.read_text(), re.M
+        ):
+            documented.setdefault(kind or list(documented)[-1], {})[key] = default
+        def rendered(default) -> str:
+            if default is cli_mod._REQUIRED_KEY:
+                return "required"
+            if default is None:
+                return "none"
+            if isinstance(default, bool):
+                return f"`{str(default).lower()}`"
+            return f'`"{default}"`' if isinstance(default, str) else str(default)
+
+        assert list(documented) == list(cli_mod._SCHEMA)
+        for kind, schema in cli_mod._SCHEMA.items():
+            assert list(documented[kind]) == list(schema), kind
+            for key, (_, default) in schema.items():
+                # a string default's cell goes on to list the other choices
+                assert documented[kind][key].startswith(rendered(default)), (kind, key)
+
     def test_missing_primes(self, tmp_path):
         path = write_config(tmp_path, {"kind": "cayley-sweep", "genus": 1})
         with pytest.raises(ConfigError, match="primes"):
@@ -103,7 +128,8 @@ class TestConfigValidation:
     def test_random_values_raise_only_config_error(self, data):
         kind = data.draw(st.sampled_from(sorted(VALID_CONFIGS)))
         raw = dict(VALID_CONFIGS[kind])
-        key = data.draw(st.sampled_from(sorted(cli_mod._PARAM_KEYS[kind] | cli_mod._COMMON_KEYS)))
+        keys = cli_mod._SCHEMA[kind].keys() | cli_mod._COMMON_KEYS
+        key = data.draw(st.sampled_from(sorted(keys)))
         raw[key] = data.draw(JSON_VALUES)
         try:
             validate_config(raw)
@@ -340,6 +366,27 @@ class TestRun:
         assert not manifest.failed
         assert len(calls) == 1
 
+    def test_chain_generators_at_genus_1(self, tmp_path):
+        # the three chain transvections generate SL2(F_p): k = 6
+        config = validate_config(
+            {"kind": "cayley-sweep", "genus": 1, "primes": [3, 5], "gens": "chain"}
+        )
+        manifest = run(config, out_dir=tmp_path / "out", jobs=1)
+        assert not manifest.failed
+        rows = read_csv(tmp_path / "out" / "spectra.csv")
+        assert [(int(r["k"]), int(r["N"])) for r in rows] == [(6, 24), (6, 120)]
+
+    def test_config_method_iterative(self, tmp_path):
+        reports = {}
+        for method in ("dense", "iterative"):
+            raw = {"kind": "cayley-sweep", "genus": 1, "primes": [5, 7], "method": method}
+            manifest = run(validate_config(raw), out_dir=tmp_path / method, jobs=1)
+            assert not manifest.failed
+            reports[method] = read_csv(tmp_path / method / "spectra.csv")
+        assert {r["solver"] for r in reports["iterative"]} == {"iterative"}
+        for dense, iterative in zip(reports["dense"], reports["iterative"]):
+            assert abs(float(dense["lambda1"]) - float(iterative["lambda1"])) < 1e-8
+
     def test_task_failure_recorded(self, tmp_path):
         config = validate_config(
             {"kind": "cayley-sweep", "genus": 1, "primes": [3, 11], "budget": 30}
@@ -348,6 +395,64 @@ class TestRun:
         assert manifest.failed
         statuses = {t["name"]: t["status"] for t in manifest.tasks}
         assert statuses == {"p=3": "ok", "p=11": "failed"}
+
+
+class TestSweepGroupOrder:
+    # (genus, p, gens): SL2(F_p) at genus 1, Sp_2g(F_p) at odd p, S_(2g+2) at p = 2
+    CASES = [
+        (1, 2, "standard"),
+        (1, 3, "chain"),
+        (1, 5, "standard"),
+        (2, 2, "standard"),
+        (2, 3, "standard"),
+        (3, 2, "chain"),
+    ]
+
+    @pytest.mark.parametrize("genus,p,gens", CASES)
+    def test_refuses_exactly_where_bfs_closure_would(self, monkeypatch, genus, p, gens):
+        order = bfs_closure(cli_mod._sweep_generators(genus, gens, p)).order
+        _, group = cli_mod._sweep_group(genus, gens, p, order)
+        assert group.order == order
+        with pytest.raises(BudgetExceeded):
+            bfs_closure(cli_mod._sweep_generators(genus, gens, p), budget=order - 1)
+
+        def refuse(*args):
+            raise AssertionError("generators built for a group above the budget")
+
+        monkeypatch.setattr(cli_mod, "_sweep_generators", refuse)
+        with pytest.raises(BudgetExceeded, match=f"over the limit of {order - 1}$"):
+            cli_mod._sweep_group(genus, gens, p, order - 1)
+
+    @pytest.mark.parametrize(
+        "genus,p,name",
+        [(10, 3, "Sp20(F3)"), (10, 2, "S22"), (10**6, 5, "Sp2000000(F5)")],
+    )
+    def test_huge_genus_fails_before_building(self, tmp_path, monkeypatch, genus, p, name):
+        def refuse(*args):
+            raise AssertionError("generators built for a group above the budget")
+
+        monkeypatch.setattr(cli_mod, "_sweep_generators", refuse)
+        payload = {"kind": "cayley-sweep", "genus": genus, "primes": [p]}
+        out = tmp_path / "out"
+        began = time.perf_counter()
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        assert time.perf_counter() - began < 4.0
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["error"] == f"BudgetExceeded: {name}: elements over the limit of 2000000"
+
+    def test_comparison_refused_in_closed_form(self, tmp_path):
+        # the torsion graphs fit 30 states; SL2(F5), with 120 elements, does not
+        raw = {
+            "kind": "schreier-sweep",
+            "genus": 1,
+            "primes": [3, 5],
+            "compare_cayley": True,
+            "budget": 30,
+        }
+        manifest = run(validate_config(raw), out_dir=tmp_path / "out", jobs=1)
+        ok, failed = manifest.tasks
+        assert ok == {"name": "p=3", "status": "ok"}
+        assert failed["error"] == "BudgetExceeded: SL2(F5): elements over the limit of 30"
 
 
 class TestEmitPlotdata:
@@ -540,6 +645,22 @@ class TestMainExitCodes:
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed" and "BudgetExceeded" in task["error"]
         assert where in task["error"]
+
+    def test_pra_steps_capped_before_anything_is_built(self, tmp_path, monkeypatch):
+        # the walk draws every step's coins and picks up front
+        def refuse(*args):
+            raise AssertionError("generators built for a walk above the budget")
+
+        monkeypatch.setattr(cli_mod, "parse_group_spec", refuse)
+        out = tmp_path / "out"
+        for steps, budget in ((10**12, None), (101, 100)):
+            payload = {"kind": "pra", "group": "S3", "arity": 2, "steps": steps}
+            if budget is not None:
+                payload["budget"] = budget
+            assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+            (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+            limit = budget or pra_mod.DEFAULT_CANDIDATE_BUDGET
+            assert task["error"] == f"BudgetExceeded: pra walk: steps over the limit of {limit}"
 
     def test_torsion_states_capped_by_budget(self, tmp_path):
         # 31^2 - 1 = 960 torsion states are refused before they are allocated

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -381,6 +382,33 @@ class TestMultiGraph:
         A = graph.dense_adjacency()
         assert A.tolist() == [[2.0, 2.0], [2.0, 2.0]]
         assert graph.degree == 4
+
+    def test_adjacency_is_the_canonical_csr_of_the_rows(self):
+        gens = sl2_generators(5)
+        graphs = [
+            cayley_graph(bfs_closure(gens), gens),
+            schreier_graph(torsion_action(gens)),
+            from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1)]),
+            MultiGraph(np.empty((3, 0), dtype=np.int32)),
+        ]
+        for graph in graphs:
+            A = graph.adjacency()
+            assert A.has_canonical_format  # sorted, parallel edges summed
+            assert A.indices.dtype == A.indptr.dtype == np.int32
+            assert np.array_equal(A.toarray(), dense_adjacency_oracle(graph))
+
+    def test_adjacency_build_peak_memory(self):
+        # row u's k entries are the CSR row: no int64 COO triplets, which
+        # peaked at 22.5 N-vectors here
+        gens = sl2_generators(23)
+        graph = cayley_graph(bfs_closure(gens), gens)
+        tracemalloc.start()
+        try:
+            graph.adjacency()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * graph.n_vertices * 8
 
     def test_empty_graph(self):
         graph = MultiGraph(np.empty((0, 4), dtype=np.int32))
