@@ -51,6 +51,7 @@ from .graphs import (
     DOT_VERTEX_LIMIT,
     MultiGraph,
     cayley_graph,
+    check_torsion_states,
     components,
     load_graph,
     quotient_check,
@@ -465,6 +466,7 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
     built: dict[int, MultiGraph] = {}
 
     def builder(p: int) -> MultiGraph:
+        check_torsion_states(p, 2 * genus, params["budget"])  # before any generator is built
         gens = _sweep_generators(genus, "standard", p)
         moves = torsion_action(gens, budget=params["budget"])
         graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")

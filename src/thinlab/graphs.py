@@ -216,6 +216,14 @@ def _all_nonzero_vectors(dim: int, modulus: int) -> np.ndarray:
     return digits
 
 
+def check_torsion_states(m: int, dim: int, budget: int | None = None) -> int:
+    """The m^dim - 1 nonzero vectors of (Z/m)^dim, refused above the element
+    budget.  Known before any generator is built, so a schreier-sweep checks
+    it first, with the message torsion_action would give."""
+    what = f"torsion_action: {m}^{dim} - 1 states"
+    return check_budget(what, (m**dim - 1,), resolve_budget(budget))
+
+
 def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
     """The (m^n - 1, k) int32 move array of the symmetrized generators
     acting on the nonzero vectors of (Z/m)^n by left multiplication
@@ -226,7 +234,7 @@ def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
     if first.kind != "matrix" or first.modulus == 0:
         raise ValueError("torsion_action needs matrix generators with positive modulus")
     m, dim = first.modulus, first.dimension
-    check_budget(f"torsion_action: {m}^{dim} - 1 states", (m**dim - 1,), resolve_budget(budget))
+    check_torsion_states(m, dim, budget)
     vecs = _all_nonzero_vectors(dim, m)
     moves = np.empty((len(vecs), gens.k), dtype=np.int32)
     for t, s in enumerate(gens.symmetrized):

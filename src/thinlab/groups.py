@@ -1,11 +1,14 @@
 """Breadth-first enumeration of finite groups from generator sets.
 
-The enumeration is layered: each BFS layer is a stacked numpy array of
-elements, multiplied against one symmetrized generator at a time in a
-batched operation.  Every element has one key, its mixed-radix int64 code
-(the base-m digits of a matrix's entries, or the base-d digits of a
-permutation's images); where m^(n^2) or d^d does not fit below 2^63, or the
-modulus is 0, the key is the element's bytes encoding in an object array.
+One engine, ``_bfs``, does every keyed orbit search: a layered BFS from one
+point under k moves, each layer a stacked numpy array mapped a batch of
+moves at a time.  ``bfs_closure`` runs it on the identity under right
+multiplication, one generator per batch, and ``matrix_group_order`` on the
+basis rows of its stabilizer chain, all generators per batch.  Every point
+has one key: an element's is its mixed-radix int64 code (the base-m digits
+of a matrix's entries, or the base-d digits of a permutation's images);
+where m^(n^2) or d^d does not fit below 2^63, or the modulus is 0, the key
+is the element's bytes encoding in an object array.
 Both kinds go through the same np.argsort / np.searchsorted code
 (``first_occurrences`` dedupes a batch), so deduplication, index lookup,
 Cayley neighbor tables and inverses are whole-array operations with no
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,15 +117,18 @@ class GeneratorSet:
 
 
 def _batch_multiply(kind: str, modulus: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Products of a stack of elements with one element, on either side.
+    """Products of stacked elements, row by row: either side is one element
+    or a stack (one more axis than an element), and two stacks broadcast.
 
-    Exactly one of ``left``/``right`` is a stack (one more axis than an
-    element).  Permutations compose as (a*b)(x) = a(b(x)), so a stack on the
-    left fancy-indexes its image rows and a stack on the right is looked up
-    in the single element's images.  Matrices: batched matmul, reduced mod m
-    unless the modulus is 0 (exact object arithmetic).
+    Permutations compose as (a*b)(x) = a(b(x)), so a stack on the left
+    fancy-indexes its image rows, a stack on the right is looked up in the
+    single element's images, and two stacks take along their last axis.
+    Matrices: batched matmul, reduced mod m unless the modulus is 0 (exact
+    object arithmetic).
     """
     if kind == PERMUTATION:
+        if left.ndim == right.ndim:
+            return np.take_along_axis(left, right, axis=-1)
         return left[:, right] if left.ndim == 2 else left[right]
     prods = np.matmul(left, right)
     return prods % modulus if modulus else prods
@@ -289,18 +295,15 @@ class FiniteGroup:
 
     def inverse_indices(self) -> np.ndarray:
         """inv[i] = index of element(i)^(-1), propagated down the BFS tree
-        one layer at a time: the inverse of q*s is s^(-1) * q^(-1)."""
+        in one batch per layer: the inverse of q*s is s^(-1) * q^(-1)."""
         if self._inv_indices is None:
             inv = np.zeros(self.order, dtype=np.int32)
-            s_inv = [inverse(s).data for s in self._symmetrized]
-            starts = self._layer_starts
-            for a, b in zip(starts[1:], starts[2:]):
-                for j in range(len(s_inv)):
-                    sel = a + np.flatnonzero(self._steps[a:b] == j)
-                    if sel.size:
-                        q_inv = self.stack[inv[self._parents[sel]]]
-                        prods = _batch_multiply(self.kind, self.modulus, s_inv[j], q_inv)
-                        inv[sel] = self.indices(prods)
+            sym = np.stack([s.data for s in self._symmetrized])
+            s_inv = sym[(np.arange(len(sym)) + len(sym) // 2) % len(sym)]
+            for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
+                q_inv = self.stack[inv[self._parents[a:b]]]
+                prods = _batch_multiply(self.kind, self.modulus, s_inv[self._steps[a:b]], q_inv)
+                inv[a:b] = self.indices(prods)
             self._inv_indices = inv
         return self._inv_indices
 
@@ -313,102 +316,83 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, kind={self.kind}, label={self.label!r})"
 
 
-def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
-    """Enumerate the subgroup generated by ``gens`` breadth-first from the
-    identity, aborting with BudgetExceeded above the element budget.
+def _bfs(
+    start: np.ndarray, act: Callable, key: Callable, k: int, batch: int, budget: int, what: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Breadth-first orbit of the one-point stack ``start`` under k moves.
 
-    Each layer is multiplied by one symmetrized generator at a time.  Of a
-    batch of products, the first occurrence of each key survives unless an
-    earlier layer or an earlier batch of this layer holds it; survivors are
-    appended in the order they were found, after the budget check.
+    ``act(rows, moves)`` maps a stack of points under the moves of the range
+    ``moves``, move-major, and ``key(rows)`` gives one sortable key per
+    point.  Each layer is mapped ``batch`` moves at a time.  Of a batch's
+    images, the first occurrence of each key is new unless an earlier layer
+    or an earlier batch of this layer holds it, so within a layer points are
+    found move-major, then in parent order, whatever the batch.  New points
+    are counted against ``budget`` (BudgetExceeded(what)) before they are
+    kept.  Returns the points in discovery order, their keys, parents and
+    steps (point i is point parents[i] under move steps[i]) and the layer
+    starts.
     """
-    budget = resolve_budget(budget)
-    e = gens.identity()
-    kind, modulus = e.kind, e.modulus
-    powers = _key_powers(kind, e.data.shape, modulus)
-
-    frontier = e.data[np.newaxis, ...]
-    layers = [frontier]
-    layer_keys = [_keys(frontier, kind, modulus, powers)]
-    parents = [np.array([-1])]
-    steps = [np.array([-1])]
-    starts = [0, 1]
-    seen = layer_keys[0]  # sorted keys of all finished layers
-    count = 1
+    frontier = start
+    points, point_keys = [start], [key(start)]
+    parents, steps = [np.array([-1])], [np.array([-1])]
+    starts, count = [0, 1], 1
+    seen = point_keys[0]  # sorted keys of all finished layers
 
     while True:
         rows, keys, fresh = [], [], []  # fresh: sorted keys new in this layer
-        for j, s in enumerate(gens.symmetrized):
-            prods = _batch_multiply(kind, modulus, frontier, s.data)
-            prod_keys = _keys(prods, kind, modulus, powers)
-            uniq, first = first_occurrences(prod_keys)
+        for j in range(0, k, batch):
+            images = act(frontier, range(j, min(j + batch, k)))
+            image_keys = key(images)
+            uniq, first = first_occurrences(image_keys)
             new = ~_find(seen, uniq)[1]
             for earlier in fresh:
                 new &= ~_find(earlier, uniq)[1]
             at = np.sort(first[new])
             if count + at.size > budget:
-                raise BudgetExceeded("bfs_closure: elements", budget)
+                raise BudgetExceeded(what, budget)
             if at.size:
+                move, parent = np.divmod(at, frontier.shape[0])
                 fresh.append(uniq[new])
-                rows.append(prods[at])
-                keys.append(prod_keys[at])
-                parents.append(starts[-2] + at)
-                steps.append(np.full(at.size, j))
+                rows.append(images[at])
+                keys.append(image_keys[at])
+                parents.append(starts[-2] + parent)
+                steps.append(j + move)
                 count += at.size
         if not rows:
             break
         frontier = np.concatenate(rows)
-        layers.append(frontier)
-        layer_keys.append(np.concatenate(keys))
+        points.append(frontier)
+        point_keys.append(np.concatenate(keys))
         starts.append(count)
         # a stable sort is a timsort here: it merges the sorted runs in linear time
         seen = np.sort(np.concatenate([seen, *fresh]), kind="stable")
 
-    return FiniteGroup(
-        gens,
-        np.concatenate(layers),
-        np.concatenate(layer_keys),
-        np.concatenate(parents),
-        np.concatenate(steps),
-        tuple(starts),
-    )
+    return (*map(np.concatenate, (points, point_keys, parents, steps)), tuple(starts))
 
 
-def _orbit(
-    gens: np.ndarray,
-    inv: np.ndarray,
-    start: np.ndarray,
-    powers: np.ndarray,
-    modulus: int,
-    budget: int,
-    what: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbit of the row vector ``start`` under x -> x*s for the
-    inversion-closed stack ``gens`` (``gens[inv[j]]`` inverts ``gens[j]``),
-    breadth-first: the points in discovery order, a transversal u with
-    start * u[i] = point i, and the inverses u[i]^(-1).  A vector's key is
-    its base-m code (``powers``).  Each layer multiplies the whole frontier
-    by every generator at once, after a budget check."""
-    n = start.shape[0]
-    frontier = start[np.newaxis]
-    u = u_inv = np.eye(n, dtype=np.int64)[np.newaxis] % modulus
-    points, us, u_invs = [frontier], [u], [u_inv]
-    seen = frontier @ powers  # sorted keys of the points found so far
-    while frontier.shape[0]:
-        check_budget(what, (frontier.shape[0], gens.shape[0]), budget)
-        images = (np.matmul(frontier, gens) % modulus).swapaxes(0, 1).reshape(-1, n)
-        uniq, first = first_occurrences(images @ powers)
-        new = ~_find(seen, uniq)[1]
-        at = np.sort(first[new])
-        parent, step = np.divmod(at, gens.shape[0])
-        frontier = images[at]
-        u = np.matmul(u[parent], gens[step]) % modulus
-        u_inv = np.matmul(gens[inv[step]], u_inv[parent]) % modulus
-        points.append(frontier)
-        us.append(u)
-        u_invs.append(u_inv)
-        seen = np.sort(np.concatenate([seen, uniq[new]]))
-    return np.concatenate(points), np.concatenate(us), np.concatenate(u_invs)
+def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
+    """Enumerate the subgroup generated by ``gens`` breadth-first from the
+    identity, aborting with BudgetExceeded above the element budget.
+
+    The orbit of the identity under right multiplication by the symmetrized
+    generators, one generator per batch, so the peak is one frontier of
+    products; new elements are counted before they are kept.
+    """
+    e = gens.identity()
+    kind, modulus = e.kind, e.modulus
+    powers = _key_powers(kind, e.data.shape, modulus)
+    sym = [s.data for s in gens.symmetrized]
+
+    def act(rows: np.ndarray, moves: range) -> np.ndarray:
+        (j,) = moves
+        return _batch_multiply(kind, modulus, rows, sym[j])
+
+    def key(rows: np.ndarray) -> np.ndarray:
+        return _keys(rows, kind, modulus, powers)
+
+    budget = resolve_budget(budget)
+    found = _bfs(e.data[np.newaxis], act, key, len(sym), 1, budget, "bfs_closure: elements")
+    return FiniteGroup(gens, *found)
 
 
 def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
@@ -426,10 +410,12 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     generators stay inversion-closed: the product for (x, s) is inverted by
     the one for (x*s, s^(-1)), so no matrix is ever inverted here.
 
-    Every orbit batch and each level's |orbit| * |generators| Schreier
-    products are checked against the element budget before they are
-    formed; vector keys need m^n below 2^63.  ``bfs_closure(gens).order``
-    is the independent oracle.
+    The orbit is ``_bfs`` on e_i, all generators per batch, and the
+    transversal follows its BFS tree.  Every orbit batch and each level's
+    |orbit| * |generators| Schreier products are checked against the
+    element budget before they are formed, and each orbit's points before
+    they are kept; vector keys need m^n below 2^63.
+    ``bfs_closure(gens).order`` is the independent oracle.
     """
     e = gens.identity()
     if e.kind != "matrix" or not e.modulus:
@@ -446,23 +432,34 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     inv = (np.arange(2 * r) + r) % (2 * r)
     order = 1
     for base in range(n):
-        what = f"matrix_group_order: orbit products at base point {base}"
-        points, u, u_inv = _orbit(level, inv, e.data[base], vector_powers, m, budget, what)
+        k = level.shape[0]
+
+        def act(rows: np.ndarray, moves: range) -> np.ndarray:
+            what = f"matrix_group_order: orbit products at base point {base}"
+            check_budget(what, (rows.shape[0], len(moves)), budget)
+            return (np.matmul(rows, level[moves.start : moves.stop]) % m).reshape(-1, n)
+
+        what = f"matrix_group_order: orbit points at base point {base}"
+        points, codes, parents, steps, starts = _bfs(
+            e.data[base][np.newaxis], act, lambda rows: rows @ vector_powers, k, k, budget, what
+        )
         order *= points.shape[0]
         if base == n - 1:
             break
-        k = level.shape[0]
-        check_budget(
-            f"matrix_group_order: Schreier products at base point {base}",
-            (points.shape[0], k),
-            budget,
-        )
-        # act[x, j]: the orbit position of point x times generator j
-        codes = points @ vector_powers
+        what = f"matrix_group_order: Schreier products at base point {base}"
+        check_budget(what, (points.shape[0], k), budget)
+        # the transversal, down the BFS tree: e_base * u[x] = point x
+        u = np.empty((points.shape[0], n, n), dtype=np.int64)
+        u_inv = np.empty_like(u)
+        u[0] = u_inv[0] = np.eye(n, dtype=np.int64) % m
+        for a, b in zip(starts[1:], starts[2:]):
+            u[a:b] = np.matmul(u[parents[a:b]], level[steps[a:b]]) % m
+            u_inv[a:b] = np.matmul(level[inv[steps[a:b]]], u_inv[parents[a:b]]) % m
+        # moved[x, j]: the orbit position of point x times generator j
         by_code = np.argsort(codes)
         images = np.matmul(points, level) % m
-        act = by_code[_find(codes[by_code], images @ vector_powers)[0]].T
-        prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv[act]) % m
+        moved = by_code[_find(codes[by_code], images @ vector_powers)[0]].T
+        prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv[moved]) % m
         prods = prods.reshape(-1, n, n)
         keys = _keys(prods, "matrix", m, powers)
         uniq, first = first_occurrences(keys)
@@ -471,7 +468,7 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         if not first.size:
             break
         x, j = np.divmod(first, k)
-        inv = _find(uniq, keys[act[x, j] * k + inv[j]])[0]
+        inv = _find(uniq, keys[moved[x, j] * k + inv[j]])[0]
         level = prods[first]
     return order
 

@@ -673,6 +673,21 @@ class TestMainExitCodes:
         assert task["name"] == "p=31" and task["status"] == "failed"
         assert "BudgetExceeded" in task["error"] and "torsion_action" in task["error"]
 
+    def test_torsion_states_refused_before_generators(self, tmp_path, monkeypatch):
+        # genus 50 at p = 3: 3^100 - 1 states, known before the chain is built
+        def refuse(*args):
+            raise AssertionError("generators built for states above the budget")
+
+        monkeypatch.setattr(cli_mod, "_sweep_generators", refuse)
+        path = write_config(tmp_path, {"kind": "schreier-sweep", "genus": 50, "primes": [3]})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert task["name"] == "p=3"
+        assert task["error"] == (
+            "BudgetExceeded: torsion_action: 3^100 - 1 states over the limit of 2000000"
+        )
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, tmp_path, jobs):
         out = tmp_path / "out"

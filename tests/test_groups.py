@@ -11,6 +11,7 @@ from thinlab.groups import (
     GeneratorSet,
     bfs_closure,
     _batch_multiply,
+    _bfs,
     _find,
     _key_powers,
     _keys,
@@ -267,6 +268,37 @@ class TestCodedGroups:
         assert np.array_equal(group._parents, parents)
         assert np.array_equal(group._steps, steps)
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            sl2_generators(13),
+            standard_symplectic_generators(2, 3),
+            symmetric_generators(6),
+            direct_product_of_cyclic([2, 3, 5, 7]),
+        ],
+        ids=["sl2_13", "sp4_3", "S6", "Z2xZ3xZ5xZ7"],
+    )
+    def test_engine_order_does_not_depend_on_batch(self, gens):
+        # all k moves in one batch find what bfs_closure finds one move at a time
+        group = bfs_closure(gens)
+        e = gens.identity()
+        powers = _key_powers(e.kind, e.data.shape, e.modulus)
+        sym = [s.data for s in gens.symmetrized]
+
+        def act(rows, moves):
+            return np.concatenate([_batch_multiply(e.kind, e.modulus, rows, sym[j]) for j in moves])
+
+        def key(rows):
+            return _keys(rows, e.kind, e.modulus, powers)
+
+        k = gens.k
+        points, keys, parents, steps, starts = _bfs(e.data[np.newaxis], act, key, k, k, 10**6, "")
+        assert np.array_equal(points, group.stack)
+        assert np.array_equal(keys[group._key_index], group._sorted_keys)
+        assert np.array_equal(parents, group._parents)
+        assert np.array_equal(steps, group._steps)
+        assert starts == group._layer_starts
+
     def test_key_kind_boundary(self):
         # degree 15: 15^15 < 2^63 fits the int64 code; degree 16: 16^16 = 2^64 does not
         assert bfs_closure(cyclic_generators(15))._sorted_keys.dtype == np.int64
@@ -485,6 +517,13 @@ class TestMatrixGroupOrder:
             matrix_group_order(sl2_generators(11), budget=479)
         with pytest.raises(BudgetExceeded, match="orbit products at base point 0 over the limit of 3$"):
             matrix_group_order(sl2_generators(11), budget=3)
+
+    def test_orbit_points_counted_before_kept(self):
+        # 2 generates (Z/101)^*: one base point, 100 orbit points, few products per layer
+        gens = GeneratorSet([GroupElement.matrix([[2]], 101)])
+        assert matrix_group_order(gens, budget=100) == bfs_closure(gens).order == 100
+        with pytest.raises(BudgetExceeded, match="orbit points at base point 0 over the limit of 10$"):
+            matrix_group_order(gens, budget=10)
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("THINLAB_BUDGET", "479")
