@@ -2,22 +2,34 @@
 
 lambda1 is the second-smallest eigenvalue (with multiplicity) of
 L = I - A/k, so it is 0 exactly when the graph is disconnected and the
-zero eigenvalue has multiplicity equal to the component count.  The dense
-path computes the bottom of the spectrum directly.  A disconnected graph
-needs no solve: lambda1 = 0 with an exact kernel vector.  On a connected
-graph the components pass proves the constant vector the simple top
-eigenvector of A/k, so the iterative path deflates it exactly: plain
-Lanczos on A/k restricted to the constant-free subspace 1-perp, keeping no
-basis, has theta_2 as its top Ritz value and lambda1 = 1 - theta_2.  A
-second pass of the same recurrence rebuilds the Ritz vector, and a
-residual on the sparse A/k above ``tol`` resumes the recurrence instead of
-being reported (Paige 1976; Cullum and Willoughby 1985).
+zero eigenvalue has multiplicity equal to the component count.  A
+disconnected graph needs no solve: lambda1 = 0 with an exact kernel vector.
+On a connected graph the components pass proves the constant vector the
+simple top eigenvector of A/k, so the iterative path deflates it exactly:
+plain Lanczos on A/k restricted to the constant-free subspace 1-perp,
+keeping no basis, has theta_2 as its top Ritz value and
+lambda1 = 1 - theta_2.  A second pass of the same recurrence rebuilds the
+Ritz vector, and a residual on the sparse A/k above ``tol`` resumes the
+recurrence instead of being reported (Paige 1976; Cullum and Willoughby
+1985).
+
+The dense path proves its value the bottom of the nonzero spectrum.  On a
+connected graph it runs the same Lanczos to a residual of 1e-10, then
+factors M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  M moves the
+constant vector to eigenvalue 2, the top of L's spectrum, so success shows
+that no eigenvalue of L on 1-perp lies below lambda1 - 1e-9; a Ritz value
+never lies below the true lambda1, so the two are within 1e-9.  If Lanczos
+does not converge or the factorisation fails, a symmetric
+eigendecomposition (eigh) of L decides, as it does for every disconnected
+graph.  ``tol`` and ``maxiter`` apply to the iterative path only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +38,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy
+from scipy.linalg import lapack
+from scipy.linalg.blas import daxpy, dtrsm
 
 from .graphs import MultiGraph, components
 
@@ -37,6 +50,11 @@ _V0_SEED = 0x7A51
 # space counts as invariant (A/k has norm 1)
 _RITZ_CHECK = 8
 _BREAKDOWN = 1e-12
+# the dense path: the Lanczos residual it asks for, how far below that value
+# its Cholesky certificate proves the spectrum empty, and the block width
+_CERTIFIED_TOL = 1e-10
+_CERTIFICATE_MARGIN = 1e-9
+_CHOL_BLOCK = 64
 
 # the solver choices lambda1 accepts
 _METHODS = ("auto", "dense", "iterative")
@@ -98,17 +116,75 @@ def _kernel_vector(n: int, comps: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
+def _dense_laplacian(graph: MultiGraph) -> np.ndarray:
+    """L = I - A/k in A's own array, bit for bit: += 0.0 turns the -0.0
+    zeros into +0.0.  L is exactly symmetric, so L.T is the same matrix in
+    Fortran order."""
     n, k = graph.n_vertices, graph.degree
-    # I - A/k in A's own array, bit for bit: += 0.0 turns the -0.0 zeros
-    # into +0.0.  L is exactly symmetric, so L.T is the same matrix in
-    # Fortran order and eigh factors this one N x N array in place, with no
-    # copy; L is overwritten, so the residual uses the sparse A/k.
     L = graph.dense_adjacency()
     L /= -k
     L += 0.0
     L.flat[:: n + 1] += 1.0
+    return L
+
+
+def _cholesky_in_place(M: np.ndarray) -> bool:
+    """True iff the symmetric C-order M is positive definite, by a
+    left-looking blocked Cholesky M = U^T U that overwrites M's upper
+    triangle with U.
+
+    Block row j is updated from the finished rows above it by one matmul,
+    its diagonal block is factored by dpotrf and the rest of the row is
+    solved against that block, both panels in one reused _CHOL_BLOCK x N
+    work array.  A dpotrf of the whole matrix touches several MB more of
+    the BLAS library's own GEMM buffer, which no numpy allocation shows."""
+    n = M.shape[0]
+    work = np.empty(_CHOL_BLOCK * n)
+    for j in range(0, n, _CHOL_BLOCK):
+        e = min(j + _CHOL_BLOCK, n)
+        if j:
+            update = work[: (e - j) * (n - j)].reshape(e - j, n - j)
+            np.matmul(M[:j, j:e].T, M[:j, j:], out=update)
+            M[j:e, j:] -= update
+        u, info = lapack.dpotrf(M[j:e, j:e])
+        if info:
+            return False
+        M[j:e, j:e] = u
+        if e < n:
+            # U_jj^T X = B solved as X^T U_jj = B^T, in place in the
+            # Fortran-order view of the work panel
+            panel = work[: (e - j) * (n - e)].reshape(e - j, n - e)
+            panel[...] = M[j:e, e:]
+            dtrsm(1.0, u, panel.T, side=1, overwrite_b=1)
+            M[j:e, e:] = panel
+    return True
+
+
+def _certified_lanczos(graph: MultiGraph, A) -> tuple[float, float, np.ndarray] | None:
+    """The Lanczos lambda1 of a connected graph with a Cholesky certificate
+    that it is the bottom of L's spectrum on 1-perp, or None when Lanczos
+    does not converge or the certificate fails."""
+    n = graph.n_vertices
+    try:
+        lam, res, x = _lambda1_lanczos(A, n, _CERTIFIED_TOL, 10 * n)
+    except ConvergenceError:
+        return None
+    M = _dense_laplacian(graph)
+    M += 2.0 / n
+    M.flat[:: n + 1] -= lam - _CERTIFICATE_MARGIN
+    return (lam, res, x) if _cholesky_in_place(M) else None
+
+
+def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
+    n = graph.n_vertices
     zm = len(comps)
+    if zm == 1:
+        certified = _certified_lanczos(graph, A)
+        if certified is not None:
+            return certified
+    # eigh factors this one N x N array in place through its Fortran view,
+    # with no copy; L is overwritten, so the residual uses the sparse A/k
+    L = _dense_laplacian(graph)
     if zm >= 2:
         # lambda1 is exactly 0 with a known kernel vector, so eigh only
         # checks the kernel's dimension and forms no eigenvectors, which
@@ -209,12 +285,16 @@ def lambda1(
 ) -> SpectralReport:
     """Spectral gap report for one graph.
 
-    method "dense" does a symmetric eigendecomposition of the bottom of the
-    spectrum; "iterative" runs Lanczos on A/k restricted to the constant-free
-    subspace; "auto" is dense up to ``DENSE_CUTOFF`` vertices.  For the
-    iterative solver, ``tol`` (default ``ITERATIVE_TOL``) bounds the reported
-    residual ||L x - lambda1 x|| / ||x||, and ``maxiter`` (default 10 N)
-    bounds the Lanczos steps; past it ``ConvergenceError`` is raised.
+    method "dense" reports a Lanczos value certified the bottom of the
+    nonzero spectrum by a Cholesky factorisation of the shifted dense
+    Laplacian, with a symmetric eigendecomposition as the fallback;
+    "iterative" runs Lanczos on A/k restricted to the constant-free
+    subspace; "auto" is dense up to ``DENSE_CUTOFF`` vertices.  ``tol`` and
+    ``maxiter`` apply to the iterative path only, and a bad value of either
+    raises ``ValueError`` whatever the method.  ``tol`` (default
+    ``ITERATIVE_TOL``, finite and > 0) bounds the reported residual
+    ||L x - lambda1 x|| / ||x||, and ``maxiter`` (default 10 N, an int
+    >= 1) bounds the Lanczos steps; past it ``ConvergenceError`` is raised.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
@@ -222,6 +302,12 @@ def lambda1(
         raise ValueError("lambda1 undefined for a single-vertex graph")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if tol is not None and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if maxiter is not None and (
+        isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 1
+    ):
+        raise ValueError(f"maxiter must be an int >= 1, got {maxiter!r}")
     if method == "auto":
         method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
 

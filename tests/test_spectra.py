@@ -1,10 +1,18 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symmetric_generators, direct_product_of_cyclic
 from thinlab.graphs import cayley_graph, components, from_edges, schreier_graph, torsion_action
@@ -54,6 +62,47 @@ def arpack_oracle(graph, tol=ITERATIVE_TOL):
     if abs(theta[1] - 1.0) > 1e-6:
         raise RuntimeError(f"kernel mismatch: connected graph, top eigenvalue {theta[1]} of A/k")
     return 1.0 - float(theta[0])
+
+
+def eigvalsh_lambda1(graph):
+    """Independent oracle for the dense lambda1: the second-smallest value
+    of numpy's full symmetric spectrum of L = I - A/k."""
+    L = np.eye(graph.n_vertices) - graph.dense_adjacency() / graph.degree
+    return float(np.linalg.eigvalsh(L)[1])
+
+
+def random_connected_multigraph(n, seed, cycles, involutions, bipartite):
+    """Connected regular multigraph on n vertices (n even if bipartite): the
+    Schreier graph of a random Hamiltonian cycle, ``cycles`` more random
+    permutations, each with its inverse, and ``involutions`` random
+    involutions.  Fixed points make loops and repeated images parallel
+    edges; with ``bipartite`` every move swaps the evens and the odds."""
+    rng = np.random.default_rng(seed)
+    evens, odds = np.arange(0, n, 2), np.arange(1, n, 2)
+
+    def swapping():
+        perm = np.empty(n, dtype=np.int64)
+        perm[evens], perm[odds] = rng.permutation(odds), rng.permutation(evens)
+        return perm
+
+    if bipartite:
+        order = np.empty(n, dtype=np.int64)
+        order[0::2], order[1::2] = rng.permutation(evens), rng.permutation(odds)
+    else:
+        order = rng.permutation(n)
+    cycle = np.empty(n, dtype=np.int64)
+    cycle[order] = np.roll(order, -1)
+    perms = [cycle] + [swapping() if bipartite else rng.permutation(n) for _ in range(cycles)]
+    moves = [m for perm in perms for m in (perm, np.argsort(perm))]
+    for _ in range(involutions):
+        inv = np.arange(n)
+        if bipartite:
+            pairs = np.stack([rng.permutation(evens), odds], axis=1)
+        else:
+            pairs = rng.permutation(n)[: 2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)
+        inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        moves.append(inv)
+    return schreier_graph(np.stack(moves, axis=1), label=f"random{n}")
 
 
 def complete_graph(n):
@@ -269,6 +318,120 @@ class TestLanczosOracles:
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
 
 
+def spectral_dense_graphs():
+    """The graphs the spectral benchmark solves densely: SL2(F_p) Cayley
+    graphs for p = 3..13 and the genus-1 torsion Schreier graphs for
+    p = 31, 37, 41."""
+    return [(f"sl2_{p}", lambda p=p: sl2_graph(p)) for p in (3, 5, 7, 11, 13)] + [
+        (f"torsion_{p}", lambda p=p: schreier_graph(torsion_action(sl2_generators(p))))
+        for p in (31, 37, 41)
+    ]
+
+
+def shifted_laplacian(graph, shift):
+    """L + 2 11^T / N - shift I, the matrix the dense certificate factors."""
+    n = graph.n_vertices
+    M = spectra._dense_laplacian(graph)
+    M += 2.0 / n
+    M.flat[:: n + 1] -= shift
+    return M
+
+
+def count_eigh(monkeypatch):
+    """Count scipy.linalg.eigh calls; the calls still run."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return calls
+
+
+class TestCertifiedDense:
+    """The dense path's Lanczos value and its Cholesky certificate, against
+    numpy's full spectrum (``eigvalsh_lambda1``), which shares no code with
+    either of thinlab's solvers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 300),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    def test_matches_eigvalsh_on_random_multigraphs(self, n, seed, cycles, involutions, bipartite):
+        graph = random_connected_multigraph(n - n % 2 if bipartite else n, seed, cycles, involutions, bipartite)
+        assert len(components(graph)) == 1
+        report = lambda1(graph)
+        assert report.solver == "dense"
+        assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
+        assert report.residual <= 1e-10
+
+    @pytest.mark.parametrize("name,build", spectral_dense_graphs(), ids=[n for n, _ in spectral_dense_graphs()])
+    def test_certified_on_the_benchmark_graphs(self, name, build, monkeypatch):
+        graph = build()
+        calls = count_eigh(monkeypatch)
+        report = lambda1(graph)
+        assert report.solver == "dense" and report.zero_multiplicity == 1
+        assert calls == []  # the certificate accepted the Lanczos value
+        assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
+        assert report.residual <= 1e-10
+
+    def test_certificate_is_not_vacuous(self):
+        # SL2(F13), N = 2184: lambda1 has multiplicity 14, and the blocked
+        # factorisation separates shifts 2e-9 apart around it
+        graph = sl2_graph(13)
+        lam = lambda1(graph).lambda1
+        assert spectra._cholesky_in_place(shifted_laplacian(graph, lam - 1e-9))
+        assert not spectra._cholesky_in_place(shifted_laplacian(graph, lam + 1e-9))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+    def test_blocked_cholesky_factors(self, n):
+        # block edges on both sides of the width 64; the factor is dpotrf's
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, n))
+        S = X @ X.T + n * np.eye(n)
+        M = S.copy()
+        assert spectra._cholesky_in_place(M)
+        U = np.triu(M)
+        assert np.abs(U - np.linalg.cholesky(S).T).max() <= 1e-12 * n
+        indefinite = S - (np.linalg.eigvalsh(S)[0] + 1e-6) * np.eye(n)
+        assert not spectra._cholesky_in_place(indefinite)
+
+    def test_non_bottom_eigenpair_falls_back_to_eigh(self, monkeypatch):
+        graph = sl2_graph(5)  # N = 120
+        L = np.eye(graph.n_vertices) - graph.dense_adjacency() / graph.degree
+        w, V = np.linalg.eigh(L)
+        bottom = w[1]
+        j = int(np.flatnonzero(w > bottom + 1e-3)[0])  # an eigenpair above lambda1
+        A = graph.adjacency() / graph.degree
+        wrong = (float(w[j]), spectra._residual(A, float(w[j]), V[:, j]), V[:, j])
+        monkeypatch.setattr(spectra, "_lambda1_lanczos", lambda *args: wrong)
+        calls = count_eigh(monkeypatch)
+        report = lambda1(graph, method="dense")
+        assert wrong[1] <= 1e-10  # a true eigenpair, only not the bottom one
+        assert calls == [1]
+        assert abs(report.lambda1 - bottom) <= 1e-12
+        assert report.residual <= 1e-12
+
+    def test_convergence_error_falls_back_to_eigh(self, monkeypatch):
+        def fail(A, n, tol, maxiter):
+            raise ConvergenceError(0.5, 1.0, maxiter)
+
+        graph = sl2_graph(7)
+        monkeypatch.setattr(spectra, "_lambda1_lanczos", fail)
+        calls = count_eigh(monkeypatch)
+        report = lambda1(graph, method="dense")
+        assert calls == [1]
+        assert report.solver == "dense"
+        assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
+        assert report.residual <= 1e-12
+
+
 class TestEdgesAndErrors:
     def test_single_vertex_rejected(self):
         graph = from_edges(1, [(0, 0)])
@@ -289,6 +452,31 @@ class TestEdgesAndErrors:
         # after one step T is 1 x 1: a Ritz value and its estimate exist
         assert np.isfinite(exc.best_estimate) and 0.0 <= exc.best_estimate <= 2.0
         assert np.isfinite(exc.residual) and exc.residual > 1e-14
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0},
+            {"tol": -1.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": "1e-6"},
+            {"maxiter": 0},
+            {"maxiter": -5},
+            {"maxiter": 2.5},
+            {"maxiter": True},
+        ],
+    )
+    def test_bad_tol_or_maxiter_rejected_before_any_solve(self, method, kwargs, monkeypatch):
+        # tol = 0 or NaN ran every Lanczos step before failing, tol = inf
+        # reported an unconverged value and maxiter < 1 a one-step estimate
+        def no_solve(graph):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(spectra, "components", no_solve)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            lambda1(sl2_graph(11), method=method, **kwargs)
 
     def test_row_sum_drift_refused(self, monkeypatch):
         # the deflation of the constant vector rests on every row sum of A/k
@@ -405,6 +593,42 @@ class TestMemory:
         assert peak < 32 * n * 8
         # the recurrence alone, A/k already built: no stored basis
         assert lanczos_peak < A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 10 * n * 8
+
+    def test_dense_solve_stays_in_the_blas_buffer(self):
+        # OpenBLAS's GEMM buffer is outside tracemalloc, so the process's
+        # ru_maxrss is read in a fresh single-threaded process.  A small
+        # solve first loads the libraries' code; the base is then the peak
+        # with L built.  A dpotrf of the whole matrix measured about +6.4 MB
+        # here, the 64-wide blocked factorisation +1.9 MB and eigh +1.3 MB.
+        script = textwrap.dedent(
+            """
+            import resource
+            from thinlab.graphs import cayley_graph
+            from thinlab.groups import bfs_closure, sl2_generators
+            from thinlab.spectra import _dense_laplacian, lambda1
+
+            def sl2_graph(p):
+                gens = sl2_generators(p)
+                return cayley_graph(bfs_closure(gens), gens)
+
+            lambda1(sl2_graph(5), method="dense")
+            graph = sl2_graph(13)
+            L = _dense_laplacian(graph)
+            base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            del L
+            report = lambda1(graph, method="dense")
+            assert report.solver == "dense" and report.n_vertices == 2184
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        grown_kb = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+        assert grown_kb <= 5 * 1024
 
     def test_family_sweep_reports_carry_no_eigenvector(self):
         sweep = family_sweep(lambda p: sl2_graph(p), [3, 5, 7])
