@@ -54,12 +54,18 @@ class MultiGraph:
             return
         if self.neighbors.min(initial=0) < 0 or self.neighbors.max(initial=0) >= n:
             raise ValueError("neighbor index out of range")
-        # adjacency must be symmetric as a multiset of ordered pairs
-        u = np.repeat(np.arange(n, dtype=np.int64), k)
-        v = self.neighbors.ravel().astype(np.int64)
-        fwd = np.sort(u * n + v)
-        bwd = np.sort(v * n + u)
-        if not np.array_equal(fwd, bwd):
+        # adjacency must be symmetric as a multiset of ordered pairs: the
+        # keys u n + v are ascending once each row is sorted, so only the
+        # reversed keys v n + u need a full sort
+        u = np.arange(n, dtype=np.int64)[:, np.newaxis]
+        fwd = self.neighbors.astype(np.int64)
+        bwd = fwd * n
+        bwd += u
+        fwd += u * n
+        fwd.sort(axis=1)
+        bwd = bwd.ravel()
+        bwd.sort()
+        if not np.array_equal(fwd.ravel(), bwd):
             raise ValueError("adjacency is not symmetric as a multiset")
 
     @property
@@ -281,26 +287,40 @@ def to_dot(g: MultiGraph) -> str:
 
 def save_graph(g: MultiGraph, path) -> None:
     """Binary adjacency dump: magic, u32 N, u32 k, then each row sorted
-    ascending and delta-encoded as unsigned LEB128 varints."""
-    rows = np.sort(g.neighbors, axis=1).astype(np.int64)
-    deltas = np.diff(rows, axis=1, prepend=0).ravel()
-    # each delta (below 2^31) as 1 to 5 seven-bit groups, least significant
-    # first, with the high bit set on every group but the last
-    shifted = deltas[:, np.newaxis] >> (7 * np.arange(5))
-    widths = np.maximum((shifted > 0).sum(axis=1), 1)[:, np.newaxis]
-    digit = np.arange(5)
-    varints = (shifted & 0x7F) | np.where(digit < widths - 1, 0x80, 0)
-    body = varints[digit < widths].astype(np.uint8)
+    ascending and delta-encoded as unsigned LEB128 varints.  The varints are
+    coded one seven-bit group at a time, so the temporaries are a few
+    narrow arrays of N*k entries."""
+    deltas = g.neighbors.astype(np.uint32)  # ids lie below 2^31
+    deltas.sort(axis=1)
+    np.subtract(deltas[:, 1:], deltas[:, :-1], out=deltas[:, 1:])
+    deltas = deltas.ravel()
+    # each delta as 1 to 5 seven-bit groups, least significant first, with
+    # the high bit set on every group but the last
+    widths = np.ones(deltas.size, dtype=np.uint8)
+    for t in range(1, 5):
+        widths += deltas >= 1 << (7 * t)
+    starts = np.cumsum(widths, dtype=np.int64)
+    body = np.empty(int(starts[-1]) if starts.size else 0, dtype=np.uint8)
+    starts -= widths
+    for t in range(int(widths.max(initial=0))):
+        sel = widths > t
+        group = deltas[sel] >> (7 * t)
+        group &= 0x7F
+        group[widths[sel] > t + 1] |= 0x80
+        pos = starts[sel]
+        pos += t
+        body[pos] = group
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(np.array([g.n_vertices, g.degree], dtype="<u4").tobytes())
-        fh.write(body.tobytes())
+        fh.write(body)
 
 
 def load_graph(path, label: str = "") -> MultiGraph:
     """Inverse of save_graph.  A malformed dump (truncated, trailing bytes,
     neighbor out of range) raises ValueError, and the header is checked
-    against the file length before anything it sizes is allocated."""
+    against the file length before anything it sizes is allocated.  Like
+    the writer, the reader decodes one seven-bit group at a time."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _DUMP_MAGIC:
@@ -320,15 +340,32 @@ def load_graph(path, label: str = "") -> MultiGraph:
     used = int(ends[n * k - 1]) + 1 if n * k else 0
     if used != body.size:
         raise ValueError(f"graph dump has {body.size - used} trailing bytes")
-    deltas = np.zeros(0, dtype=np.int64)
+    deltas = np.zeros(0, dtype=np.uint32)
     if n * k:
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        widths = ends - starts + 1
-        if widths.max() > 5:
+        widths = np.diff(ends, prepend=-1)
+        groups = int(widths.max())
+        if groups > 5:
             raise ValueError("graph dump holds a varint longer than 5 bytes")
-        shifts = 7 * (np.arange(body.size) - np.repeat(starts, widths))
-        deltas = np.add.reduceat((body & 0x7F).astype(np.int64) << shifts, starts)
-    nbrs = np.cumsum(deltas.reshape(n, k), axis=1)
-    if nbrs.size and nbrs.max() >= n:
-        raise ValueError(f"graph dump neighbor {int(nbrs.max())} out of range for {n} vertices")
+        widths = widths.astype(np.uint8)
+        starts = ends  # in place: the first byte of each varint
+        starts -= widths
+        starts += 1
+        # four groups fill 28 bits; a fifth needs 35
+        deltas = np.zeros(n * k, dtype=np.uint32 if groups < 5 else np.uint64)
+        for t in range(groups):
+            sel = widths > t
+            pos = starts[sel]
+            pos += t
+            group = body[pos].astype(deltas.dtype)
+            group &= 0x7F
+            group <<= 7 * t
+            deltas[sel] |= group
+    deltas = deltas.reshape(n, k)
+    # deltas are >= 0, so a row's sum is its largest neighbor; summed in
+    # int64 before the narrow cumsum could wrap
+    if deltas.size:
+        top = int(deltas.sum(axis=1, dtype=np.int64).max())
+        if top >= n:
+            raise ValueError(f"graph dump neighbor {top} out of range for {n} vertices")
+    nbrs = np.cumsum(deltas, axis=1, out=deltas)
     return MultiGraph(nbrs, label=label)

@@ -15,13 +15,17 @@ recurrence instead of being reported (Paige 1976; Cullum and Willoughby
 
 The dense path proves its value the bottom of the nonzero spectrum.  On a
 connected graph it runs the same Lanczos to a residual of 1e-10, then
-factors M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  M moves the
-constant vector to eigenvalue 2, the top of L's spectrum, so success shows
-that no eigenvalue of L on 1-perp lies below lambda1 - 1e-9; a Ritz value
-never lies below the true lambda1, so the two are within 1e-9.  If Lanczos
-does not converge or the factorisation fails, a symmetric
-eigendecomposition (eigh) of L decides, as it does for every disconnected
-graph.  ``tol`` and ``maxiter`` apply to the iterative path only.
+factors M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  Only M's
+upper triangle is formed, straight from the sparse A/k, in LAPACK's
+rectangular full packed format (about N^2/2 doubles, N padded to even),
+and dpftrf factors it in place at level-3 BLAS speed (Gustavson et al.,
+ACM TOMS 37(2), 2010).  M moves the constant vector to eigenvalue 2, the
+top of L's spectrum, so success shows that no eigenvalue of L on 1-perp
+lies below lambda1 - 1e-9; a Ritz value never lies below the true
+lambda1, so the two are within 1e-9.  If Lanczos does not converge or the
+factorisation fails, a symmetric eigendecomposition (eigh) of the dense L
+decides, as it does for every disconnected graph.  ``tol`` and ``maxiter``
+apply to the iterative path only.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import daxpy, dtrsm
+from scipy.linalg.blas import daxpy
 
 from .graphs import MultiGraph, components
 
@@ -50,11 +54,10 @@ _V0_SEED = 0x7A51
 # space counts as invariant (A/k has norm 1)
 _RITZ_CHECK = 8
 _BREAKDOWN = 1e-12
-# the dense path: the Lanczos residual it asks for, how far below that value
-# its Cholesky certificate proves the spectrum empty, and the block width
+# the dense path: the Lanczos residual it asks for, and how far below that
+# value its Cholesky certificate proves the spectrum empty
 _CERTIFIED_TOL = 1e-10
 _CERTIFICATE_MARGIN = 1e-9
-_CHOL_BLOCK = 64
 
 # the solver choices lambda1 accepts
 _METHODS = ("auto", "dense", "iterative")
@@ -128,58 +131,64 @@ def _dense_laplacian(graph: MultiGraph) -> np.ndarray:
     return L
 
 
-def _cholesky_in_place(M: np.ndarray) -> bool:
-    """True iff the symmetric C-order M is positive definite, by a
-    left-looking blocked Cholesky M = U^T U that overwrites M's upper
-    triangle with U.
-
-    Block row j is updated from the finished rows above it by one matmul,
-    its diagonal block is factored by dpotrf and the rest of the row is
-    solved against that block, both panels in one reused _CHOL_BLOCK x N
-    work array.  A dpotrf of the whole matrix touches several MB more of
-    the BLAS library's own GEMM buffer, which no numpy allocation shows."""
-    n = M.shape[0]
-    work = np.empty(_CHOL_BLOCK * n)
-    for j in range(0, n, _CHOL_BLOCK):
-        e = min(j + _CHOL_BLOCK, n)
-        if j:
-            update = work[: (e - j) * (n - j)].reshape(e - j, n - j)
-            np.matmul(M[:j, j:e].T, M[:j, j:], out=update)
-            M[j:e, j:] -= update
-        u, info = lapack.dpotrf(M[j:e, j:e])
-        if info:
-            return False
-        M[j:e, j:e] = u
-        if e < n:
-            # U_jj^T X = B solved as X^T U_jj = B^T, in place in the
-            # Fortran-order view of the work panel
-            panel = work[: (e - j) * (n - e)].reshape(e - j, n - e)
-            panel[...] = M[j:e, e:]
-            dtrsm(1.0, u, panel.T, side=1, overwrite_b=1)
-            M[j:e, e:] = panel
-    return True
+def _rfp_index(m: int, rows, cols) -> np.ndarray:
+    """Positions of the upper-triangle entries (rows <= cols) of an
+    even-order-m symmetric matrix in LAPACK's rectangular full packed (RFP)
+    array with TRANSR = 'N', UPLO = 'U': the (m + 1) x m/2 column-major
+    array whose top holds columns m/2.. of the upper triangle and whose
+    bottom rows hold columns ..m/2 - 1 transposed."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    h = m // 2
+    return np.where(cols >= h, (cols - h) * (m + 1) + rows, rows * (m + 1) + h + 1 + cols)
 
 
-def _certified_lanczos(graph: MultiGraph, A) -> tuple[float, float, np.ndarray] | None:
+def _shifted_laplacian_rfp(A, shift: float) -> tuple[np.ndarray, int]:
+    """M = L + 2 11^T / N - shift I in RFP, with L = I - A and A the
+    canonical CSR A/k, and the order m it is stored at.  Only the upper
+    triangle is written, from A's entries with col >= row.  An odd N is
+    padded to m = N + 1 by one identity row and column, so the stored
+    matrix is positive definite iff M is."""
+    n = A.shape[0]
+    m = n + n % 2
+    rfp = np.full(m * (m + 1) // 2, 2.0 / n)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    upper = A.indices >= rows
+    rfp[_rfp_index(m, rows[upper], A.indices[upper])] -= A.data[upper]
+    diag = np.arange(n)
+    rfp[_rfp_index(m, diag, diag)] += 1.0 - shift
+    if m > n:
+        pad = _rfp_index(m, np.arange(m), m - 1)
+        rfp[pad] = 0.0
+        rfp[pad[-1]] = 1.0
+    return rfp, m
+
+
+def _rfp_cholesky(rfp: np.ndarray, m: int) -> bool:
+    """True iff the symmetric order-m matrix held in ``rfp`` is positive
+    definite, by LAPACK's level-3 RFP Cholesky M = U^T U (dpftrf), which
+    overwrites ``rfp`` with U and allocates nothing of its size."""
+    _, info = lapack.dpftrf(m, rfp, overwrite_a=1)
+    return info == 0
+
+
+def _certified_lanczos(A, n: int) -> tuple[float, float, np.ndarray] | None:
     """The Lanczos lambda1 of a connected graph with a Cholesky certificate
     that it is the bottom of L's spectrum on 1-perp, or None when Lanczos
     does not converge or the certificate fails."""
-    n = graph.n_vertices
     try:
         lam, res, x = _lambda1_lanczos(A, n, _CERTIFIED_TOL, 10 * n)
     except ConvergenceError:
         return None
-    M = _dense_laplacian(graph)
-    M += 2.0 / n
-    M.flat[:: n + 1] -= lam - _CERTIFICATE_MARGIN
-    return (lam, res, x) if _cholesky_in_place(M) else None
+    certified = _rfp_cholesky(*_shifted_laplacian_rfp(A, lam - _CERTIFICATE_MARGIN))
+    return (lam, res, x) if certified else None
 
 
 def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
     n = graph.n_vertices
     zm = len(comps)
     if zm == 1:
-        certified = _certified_lanczos(graph, A)
+        certified = _certified_lanczos(A, n)
         if certified is not None:
             return certified
     # eigh factors this one N x N array in place through its Fortran view,
@@ -286,8 +295,9 @@ def lambda1(
     """Spectral gap report for one graph.
 
     method "dense" reports a Lanczos value certified the bottom of the
-    nonzero spectrum by a Cholesky factorisation of the shifted dense
-    Laplacian, with a symmetric eigendecomposition as the fallback;
+    nonzero spectrum by a Cholesky factorisation of the shifted Laplacian
+    held as a packed upper triangle, with a symmetric eigendecomposition of
+    the dense Laplacian as the fallback;
     "iterative" runs Lanczos on A/k restricted to the constant-free
     subspace; "auto" is dense up to ``DENSE_CUTOFF`` vertices.  ``tol`` and
     ``maxiter`` apply to the iterative path only, and a bad value of either

@@ -410,6 +410,19 @@ class TestMultiGraph:
             tracemalloc.stop()
         assert peak < 10 * graph.n_vertices * 8
 
+    def test_symmetry_check_peak_memory(self):
+        # bytes per neighbor entry: two int64 key arrays and a comparison
+        # mask; sorting both key arrays out of place took 40 B
+        gens = sl2_generators(41)
+        neighbors = cayley_graph(bfs_closure(gens), gens).neighbors.copy()
+        tracemalloc.start()
+        try:
+            MultiGraph(neighbors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * neighbors.size
+
     def test_empty_graph(self):
         graph = MultiGraph(np.empty((0, 4), dtype=np.int32))
         assert graph.n_vertices == 0
@@ -550,3 +563,34 @@ class TestBinaryDump:
         path = tmp_path / "wide.bin"
         save_graph(graph, path)
         assert path.read_bytes() == reference_dump(graph)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 0), (0, 0)])
+    def test_roundtrip_without_entries(self, tmp_path, shape):
+        graph = MultiGraph(np.empty(shape, dtype=np.int32))
+        path = tmp_path / "empty.bin"
+        save_graph(graph, path)
+        assert path.read_bytes() == reference_dump(graph)
+        loaded = load_graph(path)
+        assert loaded.neighbors.shape == shape and loaded.neighbors.dtype == np.int32
+
+    def test_dump_peak_memory(self, tmp_path):
+        # bytes per neighbor entry on SL2(F41) (275,520 entries): the varints
+        # are coded one seven-bit group at a time in uint32 and uint8 arrays;
+        # int64 (N*k, 5) temporaries took 149 B to save and 98 B to load
+        gens = sl2_generators(41)
+        graph = cayley_graph(bfs_closure(gens), gens)
+        entries = graph.n_vertices * graph.degree
+        path = tmp_path / "sl2_41.bin"
+        tracemalloc.start()
+        try:
+            save_graph(graph, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_graph(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == reference_dump(graph)
+        assert np.array_equal(loaded.neighbors, np.sort(graph.neighbors, axis=1))
+        assert save_peak <= 50 * entries
+        assert load_peak <= 75 * entries

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,6 +338,19 @@ def shifted_laplacian(graph, shift):
     return M
 
 
+def packed_padded(S):
+    """Independent oracle for the certificate's packing: S padded to even
+    order by an identity row and column, upper triangle packed by LAPACK's
+    dtrttf (TRANSR = 'N', UPLO = 'U'), and the padded order."""
+    n = len(S)
+    m = n + n % 2
+    P = np.eye(m)
+    P[:n, :n] = S
+    rfp, info = lapack.dtrttf(np.asfortranarray(P))
+    assert info == 0
+    return rfp, m
+
+
 def count_eigh(monkeypatch):
     """Count scipy.linalg.eigh calls; the calls still run."""
     calls = []
@@ -382,25 +396,39 @@ class TestCertifiedDense:
         assert report.residual <= 1e-10
 
     def test_certificate_is_not_vacuous(self):
-        # SL2(F13), N = 2184: lambda1 has multiplicity 14, and the blocked
+        # SL2(F13), N = 2184: lambda1 has multiplicity 14, and the packed
         # factorisation separates shifts 2e-9 apart around it
         graph = sl2_graph(13)
+        A = graph.adjacency() / graph.degree
         lam = lambda1(graph).lambda1
-        assert spectra._cholesky_in_place(shifted_laplacian(graph, lam - 1e-9))
-        assert not spectra._cholesky_in_place(shifted_laplacian(graph, lam + 1e-9))
+        assert spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, lam - 1e-9))
+        assert not spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, lam + 1e-9))
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 150])
     def test_blocked_cholesky_factors(self, n):
-        # block edges on both sides of the width 64; the factor is dpotrf's
+        # odd n is padded to even; the factor is written into the buffer
+        # passed, so f2py made no copy of it
         rng = np.random.default_rng(n)
         X = rng.standard_normal((n, n))
         S = X @ X.T + n * np.eye(n)
-        M = S.copy()
-        assert spectra._cholesky_in_place(M)
-        U = np.triu(M)
-        assert np.abs(U - np.linalg.cholesky(S).T).max() <= 1e-12 * n
+        rfp, m = packed_padded(S)
+        assert spectra._rfp_cholesky(rfp, m)
+        U, info = lapack.dtfttr(m, rfp)
+        assert info == 0
+        assert np.abs(np.triu(U)[:n, :n] - np.linalg.cholesky(S).T).max() <= 1e-12 * n
         indefinite = S - (np.linalg.eigvalsh(S)[0] + 1e-6) * np.eye(n)
-        assert not spectra._cholesky_in_place(indefinite)
+        assert not spectra._rfp_cholesky(*packed_padded(indefinite))
+
+    @pytest.mark.parametrize("n", [120, 15])
+    def test_packed_shifted_laplacian_matches_lapack_packing(self, n):
+        # SL2(F5), and a 15-vertex multigraph with loops and parallel edges
+        # whose odd order is padded
+        graph = sl2_graph(5) if n == 120 else random_connected_multigraph(n, 3, 1, 2, False)
+        A = graph.adjacency() / graph.degree
+        rfp, m = spectra._shifted_laplacian_rfp(A, 0.25)
+        expected, _ = packed_padded(shifted_laplacian(graph, 0.25))
+        assert m == graph.n_vertices + graph.n_vertices % 2
+        assert np.abs(rfp - expected).max() <= 1e-15
 
     def test_non_bottom_eigenpair_falls_back_to_eigh(self, monkeypatch):
         graph = sl2_graph(5)  # N = 120
@@ -546,8 +574,9 @@ class TestFamilySweep:
 
 class TestMemory:
     def test_dense_solve_holds_one_dense_matrix(self):
-        # numpy and LAPACK work arrays are traced; eigh factors L in place
-        # instead of copying it, so the peak is one N x N float64 array
+        # numpy and LAPACK work arrays are traced; the certificate factors
+        # M's packed upper triangle in place, so the peak is about half an
+        # N x N float64 array (the full M peaked near 1.04 of one)
         graph = sl2_graph(11)  # N = 1320
         n = graph.n_vertices
         tracemalloc.start()
@@ -556,7 +585,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < 0.6 * n * n * 8
 
     def test_dense_solve_of_disconnected_graph_forms_no_eigenvectors(self):
         # 1,500 components: eigh checks the kernel's dimension with
@@ -595,30 +624,33 @@ class TestMemory:
         assert lanczos_peak < A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 10 * n * 8
 
     def test_dense_solve_stays_in_the_blas_buffer(self):
-        # OpenBLAS's GEMM buffer is outside tracemalloc, so the process's
-        # ru_maxrss is read in a fresh single-threaded process.  A small
-        # solve first loads the libraries' code; the base is then the peak
-        # with L built.  A dpotrf of the whole matrix measured about +6.4 MB
-        # here, the 64-wide blocked factorisation +1.9 MB and eigh +1.3 MB.
+        # OpenBLAS's GEMM buffer is outside tracemalloc, so the high-water
+        # RSS of a fresh single-threaded process is read.  It is VmHWM, not
+        # ru_maxrss, which a spawned process inherits from its parent's RSS.
+        # A small solve first loads the libraries' code; the solve of
+        # SL2(F13) may then grow the mark by the packed half matrix and 5 MB
+        # of BLAS buffers and vectors.  Building the full N x N matrix grew
+        # it by 38.3 MB here, the packed certificate by 21.9 MB.
         script = textwrap.dedent(
             """
-            import resource
             from thinlab.graphs import cayley_graph
             from thinlab.groups import bfs_closure, sl2_generators
-            from thinlab.spectra import _dense_laplacian, lambda1
+            from thinlab.spectra import lambda1
 
             def sl2_graph(p):
                 gens = sl2_generators(p)
                 return cayley_graph(bfs_closure(gens), gens)
 
+            def high_water_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
             lambda1(sl2_graph(5), method="dense")
             graph = sl2_graph(13)
-            L = _dense_laplacian(graph)
-            base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            del L
+            base = high_water_kb()
             report = lambda1(graph, method="dense")
             assert report.solver == "dense" and report.n_vertices == 2184
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+            print(high_water_kb() - base)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"
@@ -627,8 +659,9 @@ class TestMemory:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        grown_kb = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
-        assert grown_kb <= 5 * 1024
+        grown = int(proc.stdout.split()[-1]) * 1024
+        n = 2184
+        assert grown <= n * n / 2 * 8 + 5 * 1024 * 1024
 
     def test_family_sweep_reports_carry_no_eigenvector(self):
         sweep = family_sweep(lambda p: sl2_graph(p), [3, 5, 7])
