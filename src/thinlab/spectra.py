@@ -2,30 +2,31 @@
 
 lambda1 is the second-smallest eigenvalue (with multiplicity) of
 L = I - A/k, so it is 0 exactly when the graph is disconnected and the
-zero eigenvalue has multiplicity equal to the component count.  A
-disconnected graph needs no solve: lambda1 = 0 with an exact kernel vector.
-On a connected graph the components pass proves the constant vector the
-simple top eigenvector of A/k, so the iterative path deflates it exactly:
-plain Lanczos on A/k restricted to the constant-free subspace 1-perp,
+zero eigenvalue has multiplicity equal to the component count.  Both
+solvers share one flow.  A disconnected graph needs no solve: once no edge
+is seen to leave its component, lambda1 = 0 with an exact kernel vector.
+On a connected graph every row sum of A/k is checked to be 1, and the
+components pass proves the constant vector the simple top eigenvector of
+A/k, so it is deflated exactly: plain Lanczos on A/k restricted to 1-perp,
 keeping no basis, has theta_2 as its top Ritz value and
 lambda1 = 1 - theta_2.  A second pass of the same recurrence rebuilds the
 Ritz vector, and a residual on the sparse A/k above ``tol`` resumes the
 recurrence instead of being reported (Paige 1976; Cullum and Willoughby
 1985).
 
-The dense path proves its value the bottom of the nonzero spectrum.  On a
-connected graph it runs the same Lanczos to a residual of 1e-10, then
-factors M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  Only M's
-upper triangle is formed, straight from the sparse A/k, in LAPACK's
-rectangular full packed format (about N^2/2 doubles, N padded to even),
-and dpftrf factors it in place at level-3 BLAS speed (Gustavson et al.,
-ACM TOMS 37(2), 2010).  M moves the constant vector to eigenvalue 2, the
-top of L's spectrum, so success shows that no eigenvalue of L on 1-perp
-lies below lambda1 - 1e-9; a Ritz value never lies below the true
-lambda1, so the two are within 1e-9.  If Lanczos does not converge or the
-factorisation fails, a symmetric eigendecomposition (eigh) of the dense L
-decides, as it does for every disconnected graph.  ``tol`` and ``maxiter``
-apply to the iterative path only.
+The dense solver proves its value the bottom of the nonzero spectrum.  It
+runs the same Lanczos to a residual of 1e-10, then factors
+M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  Only M's upper
+triangle is formed, straight from the sparse A/k, in LAPACK's rectangular
+full packed format (about N^2/2 doubles, N padded to even), and dpftrf
+factors it in place at level-3 BLAS speed (Gustavson et al., ACM TOMS
+37(2), 2010).  M moves the constant vector to eigenvalue 2, the top of L's
+spectrum, so success shows that no eigenvalue of L on 1-perp lies below
+lambda1 - 1e-9; a Ritz value never lies below the true lambda1, so the two
+are within 1e-9.  If Lanczos does not converge or the factorisation fails,
+a symmetric eigendecomposition (eigh) of the dense L decides; no other
+path calls eigh.  ``tol`` and ``maxiter`` apply to the iterative solver
+only.
 """
 
 from __future__ import annotations
@@ -119,15 +120,14 @@ def _kernel_vector(n: int, comps: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _dense_laplacian(graph: MultiGraph) -> np.ndarray:
-    """L = I - A/k in A's own array, bit for bit: += 0.0 turns the -0.0
-    zeros into +0.0.  L is exactly symmetric, so L.T is the same matrix in
-    Fortran order."""
-    n, k = graph.n_vertices, graph.degree
-    L = graph.dense_adjacency()
-    L /= -k
+def _dense_laplacian(A) -> np.ndarray:
+    """L = I - A as a dense array, with A the sparse A/k: negated in place,
+    and += 0.0 turns the -0.0 zeros into +0.0.  L is exactly symmetric, so
+    L.T is the same matrix in Fortran order."""
+    L = A.toarray()
+    np.negative(L, out=L)
     L += 0.0
-    L.flat[:: n + 1] += 1.0
+    L.flat[:: L.shape[0] + 1] += 1.0
     return L
 
 
@@ -172,42 +172,23 @@ def _rfp_cholesky(rfp: np.ndarray, m: int) -> bool:
     return info == 0
 
 
-def _certified_lanczos(A, n: int) -> tuple[float, float, np.ndarray] | None:
-    """The Lanczos lambda1 of a connected graph with a Cholesky certificate
-    that it is the bottom of L's spectrum on 1-perp, or None when Lanczos
-    does not converge or the certificate fails."""
+def _lambda1_certified(A, n: int) -> tuple[float, float, np.ndarray]:
+    """The dense lambda1 of a connected graph: the Lanczos value with a
+    Cholesky certificate that it is the bottom of L's spectrum on 1-perp,
+    or, when Lanczos does not converge or the certificate fails, eigh's."""
     try:
         lam, res, x = _lambda1_lanczos(A, n, _CERTIFIED_TOL, 10 * n)
+        if _rfp_cholesky(*_shifted_laplacian_rfp(A, lam - _CERTIFICATE_MARGIN)):
+            return lam, res, x
     except ConvergenceError:
-        return None
-    certified = _rfp_cholesky(*_shifted_laplacian_rfp(A, lam - _CERTIFICATE_MARGIN))
-    return (lam, res, x) if certified else None
-
-
-def _lambda1_dense(graph: MultiGraph, A, comps: list[np.ndarray]) -> tuple[float, float, np.ndarray]:
-    n = graph.n_vertices
-    zm = len(comps)
-    if zm == 1:
-        certified = _certified_lanczos(A, n)
-        if certified is not None:
-            return certified
+        pass
     # eigh factors this one N x N array in place through its Fortran view,
     # with no copy; L is overwritten, so the residual uses the sparse A/k
-    L = _dense_laplacian(graph)
-    if zm >= 2:
-        # lambda1 is exactly 0 with a known kernel vector, so eigh only
-        # checks the kernel's dimension and forms no eigenvectors, which
-        # would be nearly N x N on a graph with many components
-        w = scipy.linalg.eigh(
-            L.T, eigvals_only=True, subset_by_index=(0, zm - 1), overwrite_a=True, check_finite=False
-        )
-    else:
-        w, V = scipy.linalg.eigh(L.T, subset_by_index=(0, 1), overwrite_a=True, check_finite=False)
-    if abs(w[zm - 1]) > 1e-6:
-        raise RuntimeError(
-            f"kernel mismatch: component count {zm} but eigenvalue {w[zm - 1]} is not zero"
-        )
-    lam, x = (0.0, _kernel_vector(n, comps)) if zm >= 2 else (float(w[1]), V[:, 1])
+    L = _dense_laplacian(A)
+    w, V = scipy.linalg.eigh(L.T, subset_by_index=(0, 1), overwrite_a=True, check_finite=False)
+    if abs(w[0]) > 1e-6:
+        raise RuntimeError(f"kernel mismatch: connected graph but eigenvalue {w[0]} is not zero")
+    lam, x = float(w[1]), V[:, 1]
     return lam, _residual(A, lam, x), x
 
 
@@ -294,6 +275,10 @@ def lambda1(
 ) -> SpectralReport:
     """Spectral gap report for one graph.
 
+    Whatever the method, a disconnected graph reports lambda1 = 0 with an
+    exact kernel vector, and a ``RuntimeError`` ("kernel mismatch") is
+    raised if an edge leaves its component or, on a connected graph, if a
+    row sum of A/k is off 1 by more than 1e-12.  On a connected graph
     method "dense" reports a Lanczos value certified the bottom of the
     nonzero spectrum by a Cholesky factorisation of the shifted Laplacian
     held as a packed upper triangle, with a symmetric eigendecomposition of
@@ -327,10 +312,13 @@ def lambda1(
     t0 = time.perf_counter()
 
     A = graph.adjacency() / k
-    if method == "dense":
-        lam, res, x = _lambda1_dense(graph, A, comps)
-    elif zm >= 2:
-        # lambda1 is 0 with an exact kernel vector; no solve needed
+    if zm >= 2:
+        # lambda1 is 0 with an exact kernel vector, once no edge is seen to
+        # leave its component; no solve needed
+        label = np.full(n, -1, dtype=np.int32)
+        label[np.concatenate(comps)] = np.repeat(np.arange(zm), [c.size for c in comps])
+        if not (label[graph.neighbors] == label[:, None]).all():
+            raise RuntimeError(f"kernel mismatch: an edge leaves one of the {zm} components")
         lam, x = 0.0, _kernel_vector(n, comps)
         res = _residual(A, 0.0, x)
     else:
@@ -338,9 +326,12 @@ def lambda1(
         drift = float(np.abs(np.asarray(A.sum(axis=1)).ravel() - 1.0).max())
         if drift > 1e-12:
             raise RuntimeError(f"kernel mismatch: a row sum of A/k is off 1 by {drift}")
-        tol = ITERATIVE_TOL if tol is None else tol
-        maxiter = 10 * n if maxiter is None else maxiter
-        lam, res, x = _lambda1_lanczos(A, n, tol, maxiter)
+        if method == "dense":
+            lam, res, x = _lambda1_certified(A, n)
+        else:
+            tol = ITERATIVE_TOL if tol is None else tol
+            maxiter = 10 * n if maxiter is None else maxiter
+            lam, res, x = _lambda1_lanczos(A, n, tol, maxiter)
     return SpectralReport(graph.label, n, k, lam, zm, method, res, time.perf_counter() - t0, x)
 
 

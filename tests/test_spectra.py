@@ -332,7 +332,7 @@ def spectral_dense_graphs():
 def shifted_laplacian(graph, shift):
     """L + 2 11^T / N - shift I, the matrix the dense certificate factors."""
     n = graph.n_vertices
-    M = spectra._dense_laplacian(graph)
+    M = spectra._dense_laplacian(graph.adjacency() / graph.degree)
     M += 2.0 / n
     M.flat[:: n + 1] -= shift
     return M
@@ -506,15 +506,27 @@ class TestEdgesAndErrors:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             lambda1(sl2_graph(11), method=method, **kwargs)
 
-    def test_row_sum_drift_refused(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_row_sum_drift_refused(self, method, monkeypatch):
         # the deflation of the constant vector rests on every row sum of A/k
-        # being 1; a matrix that breaks it is refused, not solved
+        # being 1; a matrix that breaks it is refused, not solved, by both
+        # solvers
         graph = cyclic_graph(12)
         A = graph.adjacency().tolil()
         A[0, 1] += 1e-6
         monkeypatch.setattr(graph, "adjacency", lambda: A.tocsr())
         with pytest.raises(RuntimeError, match="row sum"):
-            lambda1(graph, method="iterative")
+            lambda1(graph, method=method)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_partition_crossed_by_an_edge_refused(self, method, monkeypatch):
+        # two paths of the 12-cycle: two pieces, as a two-component graph
+        # has, but edges join them, so the split is refused, not reported
+        # as lambda1 = 0 with zero_mult 2
+        halves = [np.arange(6, dtype=np.int64), np.arange(6, 12, dtype=np.int64)]
+        monkeypatch.setattr(spectra, "components", lambda graph: halves)
+        with pytest.raises(RuntimeError, match="kernel mismatch"):
+            lambda1(cyclic_graph(12), method=method)
 
     def test_auto_switches_on_cutoff(self, monkeypatch):
         graph = cyclic_graph(12)
@@ -587,20 +599,26 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 0.6 * n * n * 8
 
-    def test_dense_solve_of_disconnected_graph_forms_no_eigenvectors(self):
-        # 1,500 components: eigh checks the kernel's dimension with
-        # eigenvalues only, so no nearly N x N eigenvector block is formed
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_disconnected_graph_needs_no_dense_matrix(self, method, monkeypatch):
+        # 1,500 components: the edges are checked against the components in
+        # O(Nk), so neither solver calls eigh or forms an N x N array; the
+        # peak is about 24 N-vectors
         n = 1500
         ident = np.arange(n, dtype=np.int32)
         graph = schreier_graph(np.stack([ident, ident], axis=1))
+        calls = count_eigh(monkeypatch)
         tracemalloc.start()
         try:
-            report = lambda1(graph, method="dense")
+            report = lambda1(graph, method=method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.lambda1 == 0.0 and report.zero_multiplicity == n
-        assert peak < 1.2 * n * n * 8
+        assert calls == []
+        assert peak < 100 * n * 8
+        two = lambda1(two_cycles(40), method=method)
+        assert two.zero_multiplicity == 2 and calls == []
 
     def test_iterative_solve_stores_no_basis(self):
         # counted in N-vectors of float64: building the sparse A/k peaks near
