@@ -9,24 +9,27 @@ lex-least permutation of its cycle type, and the tau orbits under its
 centralizer are the components of conjugation acting on S_d's index space.
 S_d is enumerated once per degree under the element budget (a d! above the
 budget is refused before a sweep), and each degree is swept once per
-process (cached).  census(d, mu) and origami_graph filter that one sweep;
-the move graph looks up each moved pair's class id in it.  Image groups
-<sigma, tau> close inside the same S_d, on request only.
+process (cached).  census(d, mu) and origami_graph filter that one sweep.
+The sweep also tabulates, for every element of S_d, a conjugator onto the
+lex-least permutation of its cycle type, so the move graph stays in S_d's
+index space: whole-array products give the moved pairs, and two index
+lookups give each one's class id.  nielsen_moves and OrigamiPair are the
+per-pair form of the same moves.  Image groups <sigma, tau> close inside
+the same S_d, on request only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .elements import GroupElement
 from .graphs import MultiGraph, components, schreier_graph
-from .groups import FiniteGroup, bfs_closure, check_budget, closure_order
-from .groups import resolve_budget, symmetric_generators
+from .groups import FiniteGroup, _batch_multiply, bfs_closure, check_budget, closure_order
+from .groups import first_occurrences, resolve_budget, symmetric_generators
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -43,14 +46,6 @@ def _inv(a: Perm) -> Perm:
     out = [0] * len(a)
     for i, ai in enumerate(a):
         out[ai] = i
-    return tuple(out)
-
-
-def _conj(g: Perm, p: Perm) -> Perm:
-    """g p g^(-1), computed without forming g^(-1)."""
-    out = [0] * len(p)
-    for i, pi in enumerate(p):
-        out[g[i]] = g[pi]
     return tuple(out)
 
 
@@ -166,8 +161,8 @@ class OrigamiPair:
         sigma = tuple(int(x) for x in self.sigma)
         tau = tuple(int(x) for x in self.tau)
         d = len(sigma)
-        if sorted(sigma) != list(range(d)) or sorted(tau) != list(range(d)):
-            raise ValueError("sigma and tau must be permutations of the same degree")
+        if d == 0 or sorted(sigma) != list(range(d)) or sorted(tau) != list(range(d)):
+            raise ValueError("sigma and tau must be permutations of the same degree >= 1")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         comm = commutator(sigma, tau)
@@ -266,16 +261,6 @@ def _centralizer_generators(sigma0: Perm, lam_sorted: list[int]) -> list[Perm]:
     return out
 
 
-def _centralizer_order(lam: Sequence[int]) -> int:
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    out = 1
-    for length, m in mult.items():
-        out *= length**m * math.factorial(m)
-    return out
-
-
 def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...] | None:
     """Validate a census request before any sweep; returns mu in
     canonical descending order."""
@@ -291,35 +276,43 @@ def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...
 
 
 @lru_cache(maxsize=8)
-def _sweep(d: int) -> tuple[list[SweptClass], dict[Perm, np.ndarray]]:
+def _sweep(d: int) -> tuple[list[SweptClass], np.ndarray, np.ndarray, np.ndarray]:
     """The whole degree-d census, one sweep over every cycle type of sigma.
     The taus are S_d's elements renumbered in lex order, so each orbit under
     the centralizer of the lex-least sigma0 is led by its least tau.  Each
     transitive orbit is one class (sigma0, least tau, commutator type, full
     orbit size); sigma0 ascends, so the list is sorted and its index is the
-    class id.  The labels give, per sigma0, the class id of every S_d index
-    as tau, -1 where the pair is not in the census."""
+    class id.  Row r of the (types x d!) labels gives, for the r-th sigma0,
+    the class id of every S_d index as tau, -1 where the pair is not in the
+    census.  For each S_d index x, row[x] is the row of x's cycle type and
+    conj[x] the first g with g x g^-1 = sigma0 (0, the identity, for
+    x = sigma0), read off x = g^-1 sigma0 g over every g."""
     group = _symmetric_group(d)
+    mul = partial(_batch_multiply, group.kind, group.modulus)
     lex = np.lexsort(group.stack.T[::-1])  # S_d's indices in lex order
     rank = np.argsort(lex)
     taus = group.stack[lex].tolist()
     found: list[SweptClass] = []
-    labels: dict[Perm, np.ndarray] = {}
-    for sigma0 in sorted(lex_least_of_type(lam, d) for lam in partitions(d)):
-        lam = cycle_type(sigma0)
-        cgens = _centralizer_generators(sigma0, sorted(lam))
+    sigma0s = sorted(lex_least_of_type(lam, d) for lam in partitions(d))
+    labels = np.full((len(sigma0s), group.order), -1, dtype=np.int32)
+    row = np.empty(group.order, dtype=np.int32)
+    conj = np.empty(group.order, dtype=np.int32)
+    inverses = np.argsort(group.stack, axis=1)
+    for r, sigma0 in enumerate(sigma0s):
+        members, first = first_occurrences(
+            group.indices(mul(inverses, mul(np.array(sigma0), group.stack)))
+        )
+        row[members], conj[members] = r, first
+        cgens = _centralizer_generators(sigma0, sorted(cycle_type(sigma0)))
         cols = [rank[group.conjugation_indices(GroupElement.permutation(c))[lex]] for c in cgens]
         action = schreier_graph(np.array(cols, dtype=np.int32).reshape(len(cgens), group.order).T)
-        class_size = group.order // _centralizer_order(lam)
-        label = np.full(group.order, -1, dtype=np.int32)
         for orbit in components(action):
             tau = tuple(taus[orbit[0]])
             if is_transitive(sigma0, tau):  # conjugation preserves transitivity
-                label[orbit] = len(found)
+                labels[r, lex[orbit]] = len(found)
                 mu = cycle_type(commutator(sigma0, tau))
-                found.append((sigma0, tau, mu, orbit.size * class_size))
-        labels[sigma0] = label[rank]
-    return found, labels
+                found.append((sigma0, tau, mu, orbit.size * members.size))
+    return found, labels, row, conj
 
 
 @lru_cache(maxsize=None)
@@ -371,27 +364,6 @@ def nielsen_moves(p: OrigamiPair) -> list[OrigamiPair]:
     return out
 
 
-def _canonical_pair(pair: OrigamiPair) -> tuple[Perm, Perm]:
-    """A conjugate (sigma0, tau0) of an arbitrary pair with sigma0 the
-    lex-least permutation of its cycle type; tau0 is determined up to the
-    centralizer of sigma0, so any cycle alignment works."""
-    d = pair.degree
-    lam = cycle_type(pair.sigma)
-    target_cycles = []
-    start = 0
-    for length in sorted(lam):
-        target_cycles.append(list(range(start, start + length)))
-        start += length
-    source_cycles = sorted(cycles_of(pair.sigma), key=lambda c: (len(c), c[0]))
-    g = [0] * d
-    for src, dst in zip(source_cycles, target_cycles):
-        for a, b in zip(src, dst):
-            g[a] = b
-    g = tuple(g)
-    sigma0 = _conj(g, pair.sigma)
-    return sigma0, _conj(g, pair.tau)
-
-
 def origami_graph(
     d: int,
     mu: Sequence[int],
@@ -405,7 +377,7 @@ def origami_graph(
     A mu with no admissible pairs gives an explicit empty graph.
     """
     mu_key = _check_request(d, mu, cap)
-    classes, labels = _sweep(d)
+    classes, labels, row, conj = _sweep(d)
     keep = [
         cid
         for cid, (_, _, m, _) in enumerate(classes)
@@ -417,14 +389,20 @@ def origami_graph(
     )
     if not keep:
         return schreier_graph(np.empty((0, len(MOVE_NAMES)), dtype=np.int32), label=label)
-    moved = [
-        _canonical_pair(q) for cid in keep for q in nielsen_moves(OrigamiPair(*classes[cid][:2]))
-    ]
-    taus = _symmetric_group(d).indices(np.array([tau for _, tau in moved]))
+    group = _symmetric_group(d)
+    mul = partial(_batch_multiply, group.kind, group.modulus)
+    s, t = (np.array(perms) for perms in zip(*(classes[cid][:2] for cid in keep)))
+    s_inv, t_inv = np.argsort(s, axis=1), np.argsort(t, axis=1)
+    # the moved pairs of nielsen_moves, class-major and in MOVE_NAMES order
+    sigma = np.stack([s, s, t_inv, t], axis=1).reshape(-1, d)
+    tau = np.stack([mul(t, s), mul(t, s_inv), s, s_inv], axis=1).reshape(-1, d)
+    x = group.indices(sigma)
+    g = group.stack[conj[x]]  # g sigma g^-1 is sigma0 of row[x]
+    tau0 = group.indices(mul(g, mul(tau, np.argsort(g, axis=1))))
     # graph position of each class id; the extra last entry takes the label -1
     position = np.full(len(classes) + 1, -1)
     position[keep] = np.arange(len(keep))
-    images = position[[labels[s][t] for (s, _), t in zip(moved, taus.tolist())]]
+    images = position[labels[row[x], tau0]]
     if (images < 0).any():
         raise RuntimeError(
             "move left the filtered class set: image order not invariant? (unreachable)"

@@ -20,11 +20,12 @@ from thinlab.origami import (
     encode_pair,
     genus,
     is_transitive,
+    lex_least_of_type,
     nielsen_moves,
     origami_graph,
     parse_pair,
+    partitions,
     subgroup_order,
-    _conj,
 )
 from thinlab.spectra import lambda1
 
@@ -33,6 +34,14 @@ from thinlab.spectra import lambda1
 PAIRS_UP_TO_8 = st.integers(1, 8).flatmap(
     lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d)))
 )
+
+
+def _conj(g, p):
+    """g p g^(-1), computed without forming g^(-1)."""
+    out = [0] * len(p)
+    for i, pi in enumerate(p):
+        out[g[i]] = g[pi]
+    return tuple(out)
 
 
 def all_perms(d):
@@ -180,6 +189,10 @@ class TestGenus:
         for pair in hits[:5]:
             assert genus(pair) == 2
 
+    def test_degree_zero_pair_rejected(self):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            OrigamiPair((), ())
+
     def test_non_transitive_rejected(self):
         pair = OrigamiPair((0, 1, 2), (0, 2, 1))
         assert not pair.transitive
@@ -291,12 +304,20 @@ class TestOrigamiGraph:
                     genera = {classes[int(v)].genus for v in comp}
                     assert len(genera) == 1
 
-    @pytest.mark.parametrize("with_order", [False, True])
-    def test_columns_are_census_positions_of_moved_reps(self, with_order):
+    @pytest.mark.parametrize(
+        "degrees,with_order,every",
+        [
+            pytest.param((4, 5), False, 1, id="False"),
+            pytest.param((4, 5), True, 1, id="True"),
+            # a deterministic sample: 720 conjugators per moved pair
+            pytest.param((6,), False, 20, id="d6-every-20th"),
+        ],
+    )
+    def test_columns_are_census_positions_of_moved_reps(self, degrees, with_order, every):
         # vertex i is the i-th class of census(d, mu) with the image order;
         # column t holds the position of the brute-force canonical form of
         # move t applied to vertex i's representative
-        for d, mu in sorted({(d, c.mu) for d in (4, 5) for c in census(d)}):
+        for d, mu in sorted({(d, c.mu) for d in degrees for c in census(d)}):
             classes = census(d, mu=mu)
             orders = sorted({c.image_order for c in classes}) if with_order else [None]
             for order in orders:
@@ -304,9 +325,44 @@ class TestOrigamiGraph:
                 pos = {(c.rep.sigma, c.rep.tau): i for i, c in enumerate(kept)}
                 graph = origami_graph(d, mu, image_order=order)
                 assert graph.n_vertices == len(kept)
-                for v, c in enumerate(kept):
+                for v, c in list(enumerate(kept))[::every]:
                     for t, moved in enumerate(nielsen_moves(c.rep)):
                         assert graph.neighbors[v, t] == pos[brute_canonical(moved)]
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_inverse_moves_are_inverse_columns(self, d):
+        # schreier_graph checks only that the columns are inversion-closed
+        # as a multiset; T_inv undoes T and S_inv undoes S vertex by vertex
+        for mu in sorted({m for _, _, m, _ in origami_mod._sweep(d)[0]}):
+            n = origami_graph(d, mu).neighbors
+            assert np.array_equal(n[n[:, 0], 1], np.arange(len(n)))
+            assert np.array_equal(n[n[:, 2], 3], np.arange(len(n)))
+
+    def test_builds_no_per_pair_objects(self, monkeypatch):
+        expected = origami_graph(5, (3, 1, 1))
+        origami_mod._sweep.cache_clear()
+        origami_mod._census_class.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-pair object built")
+
+        monkeypatch.setattr(origami_mod, "OrigamiPair", refuse)
+        monkeypatch.setattr(origami_mod, "nielsen_moves", refuse)
+        graph = origami_graph(5, (3, 1, 1))
+        assert graph.label == expected.label
+        assert np.array_equal(graph.neighbors, expected.neighbors)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_conjugator_table(self, d):
+        # conj[x] conjugates x to the sigma0 of row[x], which has x's cycle type
+        _, labels, row, conj = origami_mod._sweep(d)
+        sigma0s = sorted(lex_least_of_type(lam, d) for lam in partitions(d))
+        assert labels.shape == (len(sigma0s), len(all_perms(d)))
+        stack = origami_mod._symmetric_group(d).stack.tolist()
+        for x, perm in enumerate(stack):
+            sigma0 = sigma0s[row[x]]
+            assert _conj(stack[conj[x]], perm) == sigma0
+            assert cycle_type(sigma0) == cycle_type(perm)
 
     def test_image_order_filter(self):
         classes = census(4, mu=(1, 1, 1, 1))
