@@ -14,8 +14,9 @@ The sweep also tabulates, for every element of S_d, a conjugator onto the
 lex-least permutation of its cycle type, so the move graph stays in S_d's
 index space: whole-array products give the moved pairs, and two index
 lookups give each one's class id.  nielsen_moves and OrigamiPair are the
-per-pair form of the same moves.  Image groups <sigma, tau> close inside
-the same S_d, on request only.
+per-pair form of the same moves.  They keep the image group <sigma, tau>
+and conjugation keeps its order, so one closure inside the same S_d per
+move-graph component gives every class its image order.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def is_transitive(sigma: Perm, tau: Perm) -> bool:
     d = len(sigma)
+    if d == 0 or len(tau) != d:
+        raise ValueError("sigma and tau must have the same degree >= 1")
     seen = [False] * d
     seen[0] = True
     frontier = [0]
@@ -315,18 +318,36 @@ def _sweep(d: int) -> tuple[list[SweptClass], np.ndarray, np.ndarray, np.ndarray
     return found, labels, row, conj
 
 
-@lru_cache(maxsize=None)
-def _census_class(d: int, cid: int) -> CensusClass:
-    """The record of one class of the degree-d sweep, built (and its image
-    group closed) on first request only."""
-    sigma, tau, _, orbit_size = _sweep(d)[0][cid]
-    rep = OrigamiPair(sigma, tau)
-    return CensusClass(
-        rep=rep,
-        orbit_size=orbit_size,
-        image_order=subgroup_order(sigma, tau),
-        genus=genus(rep),
-    )
+MOVE_NAMES = ("T", "T_inv", "S", "S_inv")
+
+
+@lru_cache(maxsize=8)
+def _moves(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-d move graph on class ids, and each class's image order.
+    Row c of the (classes x 4) array is the class ids of nielsen_moves of
+    class c's rep, in MOVE_NAMES order; every move is checked to land on a
+    census class of c's stratum.  The image order is constant on each
+    component, so it is closed once per component, at its first class."""
+    classes, labels, row, conj = _sweep(d)
+    group = _symmetric_group(d)
+    mul = partial(_batch_multiply, group.kind, group.modulus)
+    s, t = (np.array(perms) for perms in zip(*(c[:2] for c in classes)))
+    s_inv, t_inv = np.argsort(s, axis=1), np.argsort(t, axis=1)
+    # the moved pairs of nielsen_moves, class-major and in MOVE_NAMES order
+    sigma = np.stack([s, s, t_inv, t], axis=1).reshape(-1, d)
+    tau = np.stack([mul(t, s), mul(t, s_inv), s, s_inv], axis=1).reshape(-1, d)
+    x = group.indices(sigma)
+    g = group.stack[conj[x]]  # g sigma g^-1 is sigma0 of row[x]
+    tau0 = group.indices(mul(g, mul(tau, np.argsort(g, axis=1))))
+    images = labels[row[x], tau0].reshape(len(classes), len(MOVE_NAMES))
+    stratum = np.unique([str(m) for _, _, m, _ in classes], return_inverse=True)[1]
+    if (images < 0).any() or (stratum[images] != stratum[:, np.newaxis]).any():
+        raise RuntimeError("move left the census stratum: convention bug (unreachable)")
+    graph = schreier_graph(images)
+    orders = np.empty(len(classes), dtype=np.int64)
+    for comp in components(graph):
+        orders[comp] = subgroup_order(*classes[comp[0]][:2])
+    return graph.neighbors, orders
 
 
 def census(
@@ -334,17 +355,14 @@ def census(
 ) -> list[CensusClass]:
     """One CensusClass per simultaneous-conjugation orbit of transitive
     pairs of degree d, optionally filtered by commutator cycle type.  Every
-    call filters the one cached degree-d sweep, and the image-order closure
-    runs only for the classes returned."""
+    call filters the one cached degree-d sweep; the image orders come from
+    the cached move graph, one closure per component."""
     mu_key = _check_request(d, mu, cap)
     return [
-        _census_class(d, cid)
-        for cid, (_, _, m, _) in enumerate(_sweep(d)[0])
+        CensusClass(rep := OrigamiPair(sigma, tau), orbit_size, order, genus(rep))
+        for (sigma, tau, m, orbit_size), order in zip(_sweep(d)[0], _moves(d)[1].tolist())
         if mu_key is None or m == mu_key
     ]
-
-
-MOVE_NAMES = ("T", "T_inv", "S", "S_inv")
 
 
 def nielsen_moves(p: OrigamiPair) -> list[OrigamiPair]:
@@ -376,35 +394,16 @@ def origami_graph(
 
     A mu with no admissible pairs gives an explicit empty graph.
     """
+    if mu is None:
+        raise ValueError("origami_graph needs a commutator type mu")
     mu_key = _check_request(d, mu, cap)
-    classes, labels, row, conj = _sweep(d)
-    keep = [
-        cid
-        for cid, (_, _, m, _) in enumerate(classes)
-        if m == mu_key
-        and (image_order is None or _census_class(d, cid).image_order == image_order)
-    ]
+    neighbors, orders = _moves(d)
+    keep = np.array([m == mu_key for _, _, m, _ in _sweep(d)[0]])
+    keep = np.flatnonzero(keep if image_order is None else keep & (orders == image_order))
+    # stratum and image order are constant on components: whole ones are kept
+    position = np.full(len(orders), -1)
+    position[keep] = np.arange(keep.size)
     label = f"origami(d={d};mu={'+'.join(map(str, mu_key))}" + (
         f";|G|={image_order})" if image_order is not None else ")"
     )
-    if not keep:
-        return schreier_graph(np.empty((0, len(MOVE_NAMES)), dtype=np.int32), label=label)
-    group = _symmetric_group(d)
-    mul = partial(_batch_multiply, group.kind, group.modulus)
-    s, t = (np.array(perms) for perms in zip(*(classes[cid][:2] for cid in keep)))
-    s_inv, t_inv = np.argsort(s, axis=1), np.argsort(t, axis=1)
-    # the moved pairs of nielsen_moves, class-major and in MOVE_NAMES order
-    sigma = np.stack([s, s, t_inv, t], axis=1).reshape(-1, d)
-    tau = np.stack([mul(t, s), mul(t, s_inv), s, s_inv], axis=1).reshape(-1, d)
-    x = group.indices(sigma)
-    g = group.stack[conj[x]]  # g sigma g^-1 is sigma0 of row[x]
-    tau0 = group.indices(mul(g, mul(tau, np.argsort(g, axis=1))))
-    # graph position of each class id; the extra last entry takes the label -1
-    position = np.full(len(classes) + 1, -1)
-    position[keep] = np.arange(len(keep))
-    images = position[labels[row[x], tau0]]
-    if (images < 0).any():
-        raise RuntimeError(
-            "move left the filtered class set: image order not invariant? (unreachable)"
-        )
-    return schreier_graph(images.reshape(len(keep), len(MOVE_NAMES)), label=label)
+    return schreier_graph(position[neighbors[keep]], label=label)

@@ -144,6 +144,12 @@ class TestCensusAgainstBruteForce:
             )
             assert bfs_closure(gens).order == c.image_order
 
+    @pytest.mark.parametrize("d,every", [(6, 1), (7, 10)])
+    def test_image_order_is_each_class_own_closure(self, d, every):
+        # the census closes one class per move-graph component
+        for c in census(d)[::every]:
+            assert c.image_order == subgroup_order(c.rep.sigma, c.rep.tau)
+
     def test_degree_cap(self):
         with pytest.raises(BudgetExceeded):
             census(9)
@@ -192,6 +198,11 @@ class TestGenus:
     def test_degree_zero_pair_rejected(self):
         with pytest.raises(ValueError, match="degree >= 1"):
             OrigamiPair((), ())
+
+    @pytest.mark.parametrize("sigma,tau", [((), ()), ((1, 0), (0,)), ((0,), (1, 0))])
+    def test_transitivity_of_unequal_or_empty_degrees_refused(self, sigma, tau):
+        with pytest.raises(ValueError, match="same degree >= 1"):
+            is_transitive(sigma, tau)
 
     def test_non_transitive_rejected(self):
         pair = OrigamiPair((0, 1, 2), (0, 2, 1))
@@ -341,7 +352,7 @@ class TestOrigamiGraph:
     def test_builds_no_per_pair_objects(self, monkeypatch):
         expected = origami_graph(5, (3, 1, 1))
         origami_mod._sweep.cache_clear()
-        origami_mod._census_class.cache_clear()
+        origami_mod._moves.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-pair object built")
@@ -384,25 +395,27 @@ class TestOneSweepPerDegree:
             return closure(sigma, tau)
 
         origami_mod._sweep.cache_clear()
-        origami_mod._census_class.cache_clear()
+        origami_mod._moves.cache_clear()
         monkeypatch.setattr(origami_mod, "subgroup_order", counted)
         return calls
 
-    def test_census_run_closes_each_class_once(self, tmp_path, closures):
-        manifest = run(validate_config({"kind": "origami-census", "degree": 5}), out_dir=tmp_path)
-        assert not manifest.failed
-        n_classes = len(census(5))
-        assert len(closures) == n_classes
-        assert len(set(closures)) == n_classes
+    @pytest.mark.parametrize("d,n_components", [(5, 8), (6, 28), (7, 41)])
+    def test_census_closes_once_per_component(self, closures, d, n_components):
+        classes = census(d)
+        assert len(closures) == n_components
+        strata = {c.mu for c in classes}
+        assert sum(len(components(origami_graph(d, mu))) for mu in strata) == n_components
+        for mu in strata:
+            assert census(d, mu=mu) == [c for c in classes if c.mu == mu]
+            for order in {c.image_order for c in classes if c.mu == mu}:
+                origami_graph(d, mu, image_order=order)
+        assert len(closures) == n_components
 
-    def test_stratum_request_closes_only_its_classes(self, closures):
-        origami_graph(5, (3, 1, 1))
-        assert closures == []
-        stratum = census(5, mu=(3, 1, 1))
-        assert sorted(closures) == sorted((c.rep.sigma, c.rep.tau) for c in stratum)
-        origami_graph(5, (3, 1, 1), image_order=60)
-        census(5, mu=(3, 1, 1))
-        assert len(closures) == len(stratum)
+    def test_census_run_closes_once_per_component(self, tmp_path, closures):
+        config = {"kind": "origami-census", "degree": 5, "image_order": 60, "dot": True}
+        manifest = run(validate_config(config), out_dir=tmp_path)
+        assert not manifest.failed
+        assert len(closures) == 8
 
     def test_filters_share_one_sweep(self, closures):
         full = census(4)
@@ -428,6 +441,8 @@ class TestOneSweepPerDegree:
     def test_requests_checked_before_the_sweep(self, closures):
         with pytest.raises(ValueError):
             origami_graph(4, (3,))
+        with pytest.raises(ValueError, match="needs a commutator type mu"):
+            origami_graph(4, None)
         with pytest.raises(BudgetExceeded):
             origami_graph(5, (1,) * 5, cap=4)
         with pytest.raises(ValueError):

@@ -11,9 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(tmp_path, script, args):
+def run_script(tmp_path, script, args, **env_extra):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("THINLAB_BUDGET", None)
+    env.update(env_extra)
     argv = [sys.executable, str(ROOT / "scripts" / script)] + [a.format(tmp=tmp_path) for a in args]
     return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
 
@@ -38,3 +39,20 @@ def test_pointpush_refusal_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "matrix_group_order: orbit products at base point 2 over the limit of 2000000" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize(
+    "arg,env,refusal",
+    [
+        ("9", {}, "max_degree '9' is not an integer in 1..8"),
+        ("x", {}, "max_degree 'x' is not an integer in 1..8"),
+        ("6", {"THINLAB_BUDGET": "100"}, "census(d=5): S_5's 5! elements over the limit of 100"),
+    ],
+)
+def test_census_summary_refusal_exits_one_without_traceback(tmp_path, arg, env, refusal):
+    proc = run_script(tmp_path, "origami_census_summary.py", [arg], **env)
+    assert proc.returncode == 1, proc.stderr
+    assert f"refused: {refusal}" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    if not env:  # a bad degree is refused before any census runs
+        assert proc.stdout == ""
