@@ -16,9 +16,11 @@ per-element Python work on the int64 path.
 That is what makes SL2(F_p) for p ~ 100 (order ~10^6) a matter of seconds
 at desk scale.
 
-Inside an enumerated group, ``closure_order`` gives the order of the
-subgroup some elements generate; the Epi(F_n, G) scan and the census's
-image orders both use it.
+Inside an enumerated group, ``closure_orders`` gives the orders of the
+subgroups that a batch of generator sets generate, closing every set of
+the batch in one whole-array BFS over a (sets x elements) boolean array;
+the Epi(F_n, G) scan closes each chunk's distinct sets in one call, and the
+census closes one set per move-graph component in one call.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .elements import (
 DEFAULT_ELEMENT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "THINLAB_BUDGET"
 MULTIPLICATION_TABLE_ENTRIES = 4_000_000
+CHUNK = 1 << 16  # entries per whole-array step of closure_orders and of the pra module
 
 
 class BudgetExceeded(RuntimeError):
@@ -473,21 +476,44 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     return order
 
 
-def closure_order(columns: np.ndarray) -> int:
-    """Order of the subgroup that k elements of an enumerated group
-    generate, from the N x k array of their right-multiplication indices:
-    the size of the identity's (index 0's) orbit.  A BFS layer marks the
-    frontier's images in a boolean array and keeps the unseen ones; the
-    group is finite, so no inverse columns are needed."""
-    seen = np.zeros(columns.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        reached = np.zeros_like(seen)
-        reached[columns[frontier]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-    return int(np.count_nonzero(seen))
+def closure_orders(columns: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Orders of the subgroups that B generator sets inside an enumerated
+    group generate.  ``columns`` is an N x M array of right-multiplication
+    index columns, and row b of the B x k array ``sets`` names set b's
+    columns.  Each order is the size of the identity's (index 0's) orbit;
+    the group is finite, so no inverse columns are needed.
+
+    All the sets are closed in one BFS over a B x N boolean ``seen`` array.
+    The frontier is held as its (set, element) pairs b, x: the nonzero
+    entries of a boolean frontier, without the B x N array.  A layer marks
+    seen[b, columns[x, sets[b, s]]] one slot s at a time, and the pairs it
+    newly marks are the next frontier.  Right multiplication by one element
+    is a bijection, so a slot's images are distinct, and a pair two slots
+    reach is new only to the first.  The work is the subgroups' orders
+    times k, with no (B, N, k) array.  The sets go through in sub-batches
+    of max(1, CHUNK // N) rows, so ``seen`` and the frontier stay within
+    about CHUNK entries."""
+    n = columns.shape[0]
+    orders = np.empty(sets.shape[0], dtype=np.int64)
+    rows = max(1, CHUNK // n)
+    for lo in range(0, sets.shape[0], rows):
+        part = sets[lo : lo + rows]
+        seen = np.zeros(part.shape[0] * n, dtype=bool)  # row-major B x N
+        b = np.arange(part.shape[0])
+        x = np.zeros_like(b)
+        seen[b * n] = True
+        while b.size:
+            new_b, new_x = [], []
+            for slot in part.T:
+                y = columns[x, slot[b]]
+                flat = b * n + y
+                new = ~seen[flat]
+                seen[flat[new]] = True
+                new_b.append(b[new])
+                new_x.append(y[new])
+            b, x = np.concatenate(new_b), np.concatenate(new_x)
+        orders[lo : lo + part.shape[0]] = np.count_nonzero(seen.reshape(-1, n), axis=1)
+    return orders
 
 
 def is_prime(n: int) -> bool:

@@ -15,8 +15,9 @@ lex-least permutation of its cycle type, so the move graph stays in S_d's
 index space: whole-array products give the moved pairs, and two index
 lookups give each one's class id.  nielsen_moves and OrigamiPair are the
 per-pair form of the same moves.  They keep the image group <sigma, tau>
-and conjugation keeps its order, so one closure inside the same S_d per
-move-graph component gives every class its image order.
+and conjugation keeps its order, so closing each move-graph component's
+first pair inside the same S_d, every component in one batched closure,
+gives every class its image order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .elements import GroupElement
 from .graphs import MultiGraph, components, schreier_graph
-from .groups import FiniteGroup, _batch_multiply, bfs_closure, check_budget, closure_order
+from .groups import FiniteGroup, _batch_multiply, bfs_closure, check_budget, closure_orders
 from .groups import first_occurrences, resolve_budget, symmetric_generators
 
 DEFAULT_DEGREE_CAP = 8
@@ -79,9 +80,15 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 def is_transitive(sigma: Perm, tau: Perm) -> bool:
+    """Whether <sigma, tau> acts transitively on 0..d-1, by a BFS from 0.
+    Both must be permutations of one degree d >= 1 (ValueError naming the
+    bad one otherwise)."""
     d = len(sigma)
     if d == 0 or len(tau) != d:
         raise ValueError("sigma and tau must have the same degree >= 1")
+    for name, p in (("sigma", sigma), ("tau", tau)):
+        if sorted(p) != list(range(d)):
+            raise ValueError(f"{name} is not a permutation of 0..{d - 1}: {tuple(p)}")
     seen = [False] * d
     seen[0] = True
     frontier = [0]
@@ -104,11 +111,22 @@ def _symmetric_group(d: int) -> FiniteGroup:
     return bfs_closure(symmetric_generators(d))
 
 
+def _image_orders(pairs: Sequence[tuple[Perm, Perm]]) -> np.ndarray:
+    """Orders of <sigma, tau> for pairs of one degree d, closed together
+    inside the enumerated S_d: one ``closure_orders`` call on the
+    right-multiplication columns of the pairs' distinct permutations."""
+    d = len(pairs[0][0])
+    group = _symmetric_group(d)
+    members, sets = np.unique(group.indices(np.reshape(pairs, (-1, d))), return_inverse=True)
+    cols = np.empty((group.order, members.size), dtype=np.int32)
+    for j, i in enumerate(members.tolist()):
+        cols[:, j] = group.right_multiplication_indices(group.element(i))
+    return closure_orders(cols, sets.reshape(-1, 2))
+
+
 def subgroup_order(sigma: Perm, tau: Perm) -> int:
     """Order of <sigma, tau>, closed inside the enumerated S_d."""
-    group = _symmetric_group(len(sigma))
-    cols = [group.right_multiplication_indices(GroupElement.permutation(p)) for p in (sigma, tau)]
-    return closure_order(np.stack(cols, axis=1))
+    return int(_image_orders([(sigma, tau)])[0])
 
 
 def encode_pair(sigma: Perm, tau: Perm) -> str:
@@ -327,7 +345,8 @@ def _moves(d: int) -> tuple[np.ndarray, np.ndarray]:
     Row c of the (classes x 4) array is the class ids of nielsen_moves of
     class c's rep, in MOVE_NAMES order; every move is checked to land on a
     census class of c's stratum.  The image order is constant on each
-    component, so it is closed once per component, at its first class."""
+    component, so it is closed at each component's first class, every
+    component's in one batch."""
     classes, labels, row, conj = _sweep(d)
     group = _symmetric_group(d)
     mul = partial(_batch_multiply, group.kind, group.modulus)
@@ -344,9 +363,10 @@ def _moves(d: int) -> tuple[np.ndarray, np.ndarray]:
     if (images < 0).any() or (stratum[images] != stratum[:, np.newaxis]).any():
         raise RuntimeError("move left the census stratum: convention bug (unreachable)")
     graph = schreier_graph(images)
+    comps = components(graph)
     orders = np.empty(len(classes), dtype=np.int64)
-    for comp in components(graph):
-        orders[comp] = subgroup_order(*classes[comp[0]][:2])
+    for comp, order in zip(comps, _image_orders([classes[comp[0]][:2] for comp in comps])):
+        orders[comp] = order
     return graph.neighbors, orders
 
 
@@ -356,7 +376,7 @@ def census(
     """One CensusClass per simultaneous-conjugation orbit of transitive
     pairs of degree d, optionally filtered by commutator cycle type.  Every
     call filters the one cached degree-d sweep; the image orders come from
-    the cached move graph, one closure per component."""
+    the cached move graph, one closed set per component."""
     mu_key = _check_request(d, mu, cap)
     return [
         CensusClass(rep := OrigamiPair(sigma, tau), orbit_size, order, genus(rep))

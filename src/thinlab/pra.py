@@ -26,10 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MultiGraph, schreier_graph
-from .groups import FiniteGroup, _find, check_budget, closure_order, resolve_budget
+from .groups import CHUNK, FiniteGroup, _find, check_budget, closure_orders, resolve_budget
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-CHUNK = 1 << 16  # entries per whole-array step of the Epi scan and the move graph
 
 SIDES = ("left", "right")
 
@@ -123,8 +122,11 @@ def _epi_codes(
 
     The |G|^n candidate codes are decoded in chunks of about CHUNK
     digits.  Each row is reduced to its generator set, and each distinct
-    set is closed once, inside G's multiplication table.  Refuses to start
-    when |G|^n exceeds the candidate budget (or int64).
+    set is closed once, inside G's multiplication table: a chunk's sets
+    that no earlier chunk closed go through one ``closure_orders`` call,
+    and the sorted keys of the closed sets, with their verdicts, answer
+    the rest.  Refuses to start when |G|^n exceeds the candidate budget
+    (or int64).
     """
     budget = resolve_budget(budget, default=DEFAULT_CANDIDATE_BUDGET)
     size = group.order
@@ -132,8 +134,9 @@ def _epi_codes(
     by_rank = np.array(sorted(range(size), key=group.encoding), dtype=np.int64)
     table = group.multiplication_table()
     place = _place_values(size, n)
-    generates: dict[int, bool] = {}  # one closure per generator set
     found = []
+    # the closed sets' sorted keys and verdicts, from a sentinel no key equals
+    closed, verdicts = np.array([-1], dtype=np.int64), np.array([False])
     rows = max(1, CHUNK // n)
     for lo in range(0, candidates, rows):
         codes = np.arange(lo, min(lo + rows, candidates), dtype=np.int64)
@@ -143,12 +146,13 @@ def _epi_codes(
         digits[:, 1:] = np.where(repeat, digits[:, :1], digits[:, 1:])
         digits.sort(axis=1)
         keys, first, inverse = np.unique(digits @ place, return_index=True, return_inverse=True)
-        ok = []
-        for key, ranks in zip(keys.tolist(), digits[first]):
-            if key not in generates:
-                generates[key] = closure_order(table[:, by_rank[ranks]]) == size
-            ok.append(generates[key])
-        found.append(codes[np.array(ok, dtype=bool)[inverse]])
+        pos, known = _find(closed, keys)
+        generates = verdicts[pos]
+        new = np.flatnonzero(~known)
+        generates[new] = closure_orders(table, by_rank[digits[first[new]]]) == size
+        at = np.searchsorted(closed, keys[new])
+        closed, verdicts = np.insert(closed, at, keys[new]), np.insert(verdicts, at, generates[new])
+        found.append(codes[generates[inverse]])
     return np.concatenate(found), by_rank
 
 

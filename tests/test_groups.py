@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinlab.elements import GroupElement, identity_matrix, inverse, is_symplectic, multiply
+from thinlab import groups as groups_mod
 from thinlab.groups import (
     BudgetExceeded,
     GeneratorSet,
@@ -16,7 +18,7 @@ from thinlab.groups import (
     _key_powers,
     _keys,
     check_budget,
-    closure_order,
+    closure_orders,
     cyclic_generators,
     direct_product_of_cyclic,
     first_occurrences,
@@ -402,6 +404,24 @@ SL2_F5 = bfs_closure(sl2_generators(5))
 S5 = bfs_closure(symmetric_generators(5))
 
 
+# a batch of 1 to 40 generator sets of 1 to 3 element indices each; the
+# identity (index 0) and a small pool (1 to 5) make held identities and
+# repeated elements common
+SET_BATCHES = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 5), st.integers(0, 119)), min_size=k, max_size=k
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+
+
+def one_at_a_time(columns, sets):
+    return [int(closure_orders(columns, row[np.newaxis])[0]) for row in sets]
+
+
 class TestClosureOrder:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -410,16 +430,57 @@ class TestClosureOrder:
     )
     def test_matches_bfs_closure_of_the_subset(self, group, indices):
         # both groups have 120 elements; the oracle enumerates the subgroup
-        # from scratch, closure_order closes it inside the enumerated group
+        # from scratch, closure_orders closes it inside the enumerated group
         elems = [group.element(i) for i in indices]
         columns = np.stack([group.right_multiplication_indices(g) for g in elems], axis=1)
         expected = bfs_closure(GeneratorSet(elems)).order
-        assert closure_order(columns) == expected
-        assert closure_order(group.multiplication_table()[:, indices]) == expected
+        assert closure_orders(columns, np.arange(len(indices))[np.newaxis]).tolist() == [expected]
+        table = group.multiplication_table()
+        assert closure_orders(table, np.array([indices])).tolist() == [expected]
 
     def test_identity_and_generators(self):
-        assert closure_order(SL2_F5.multiplication_table()[:, [0]]) == 1
-        assert closure_order(SL2_F5.multiplication_table()[:, SL2_F5.generator_indices]) == 120
+        table = SL2_F5.multiplication_table()
+        assert closure_orders(table, np.array([[0]])).tolist() == [1]
+        assert closure_orders(table, np.array([SL2_F5.generator_indices])).tolist() == [120]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([SL2_F5, S5]), SET_BATCHES)
+    @example(S5, [[0], [1], [1], [0]])
+    @example(SL2_F5, [[0, 0, 0], [3, 3, 0], [1, 2, 1], list(SL2_F5.generator_indices) + [0]])
+    def test_batch_matches_bfs_closure_of_each_set(self, group, sets):
+        expected = [bfs_closure(GeneratorSet([group.element(i) for i in s])).order for s in sets]
+        assert closure_orders(group.multiplication_table(), np.array(sets)).tolist() == expected
+
+    def test_empty_batch(self):
+        orders = closure_orders(S5.multiplication_table(), np.zeros((0, 2), dtype=np.intp))
+        assert orders.shape == (0,)
+
+    @pytest.mark.parametrize("chunk", [None, 120, 240, 360])
+    def test_sub_batch_boundaries(self, chunk, monkeypatch):
+        # CHUNK // 120 sets fit under the cap: 546 by default, else 1, 2, 3,
+        # so the 1,100 sets span several sub-batches, the last one partial
+        if chunk is not None:
+            monkeypatch.setattr(groups_mod, "CHUNK", chunk)
+        table = S5.multiplication_table()
+        sets = np.random.default_rng(0).integers(0, 120, size=(1100, 2))
+        assert 1100 > groups_mod.CHUNK // 120
+        assert closure_orders(table, sets).tolist() == one_at_a_time(table, sets)
+
+    def test_sub_batches_bound_the_peak(self):
+        # 20,000 sets of S5 are 2.4 million (set, element) entries; closed
+        # unsplit, seen alone is that many bytes, and the peak was 15 MB;
+        # under the cap it is about 1.3 CHUNKs of int64s (0.68 MB)
+        table = S5.multiplication_table()
+        sets = np.random.default_rng(1).integers(0, 120, size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            orders = closure_orders(table, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sets.shape[0] * 120 > 30 * groups_mod.CHUNK
+        assert peak < 3 * groups_mod.CHUNK * 8
+        assert orders[:50].tolist() == one_at_a_time(table, sets[:50])
 
 
 class TestSymplecticClosure:

@@ -204,6 +204,15 @@ class TestGenus:
         with pytest.raises(ValueError, match="same degree >= 1"):
             is_transitive(sigma, tau)
 
+    @pytest.mark.parametrize(
+        "sigma,tau,bad", [((5,), (0,), "sigma"), ((0, 0), (1, 0), "sigma"), ((1, 0), (1, 1), "tau")]
+    )
+    def test_transitivity_of_non_permutations_refused(self, sigma, tau, bad):
+        # refused before the BFS, which would index out of range or count
+        # the repeated image's point as reached
+        with pytest.raises(ValueError, match=f"{bad} is not a permutation"):
+            is_transitive(sigma, tau)
+
     def test_non_transitive_rejected(self):
         pair = OrigamiPair((0, 1, 2), (0, 2, 1))
         assert not pair.transitive
@@ -386,36 +395,43 @@ class TestOrigamiGraph:
 class TestOneSweepPerDegree:
     @pytest.fixture
     def closures(self, monkeypatch):
-        """Empty census caches; records every image-group closure."""
+        """Empty census caches; records the number of sets each batched
+        image-group closure closes."""
         calls = []
-        closure = origami_mod.subgroup_order
+        closure = origami_mod.closure_orders
 
-        def counted(sigma, tau):
-            calls.append((sigma, tau))
-            return closure(sigma, tau)
+        def counted(columns, sets):
+            calls.append(len(sets))
+            return closure(columns, sets)
 
         origami_mod._sweep.cache_clear()
         origami_mod._moves.cache_clear()
-        monkeypatch.setattr(origami_mod, "subgroup_order", counted)
+        monkeypatch.setattr(origami_mod, "closure_orders", counted)
         return calls
 
     @pytest.mark.parametrize("d,n_components", [(5, 8), (6, 28), (7, 41)])
     def test_census_closes_once_per_component(self, closures, d, n_components):
+        # one batched call closes one set per component
         classes = census(d)
-        assert len(closures) == n_components
+        assert closures == [n_components]
         strata = {c.mu for c in classes}
         assert sum(len(components(origami_graph(d, mu))) for mu in strata) == n_components
         for mu in strata:
             assert census(d, mu=mu) == [c for c in classes if c.mu == mu]
             for order in {c.image_order for c in classes if c.mu == mu}:
                 origami_graph(d, mu, image_order=order)
-        assert len(closures) == n_components
+        assert closures == [n_components]
+
+    def test_moves_close_every_component_in_one_call(self, closures):
+        neighbors, _ = origami_mod._moves(6)
+        assert closures == [28]
+        assert len(components(origami_mod.schreier_graph(neighbors))) == 28
 
     def test_census_run_closes_once_per_component(self, tmp_path, closures):
         config = {"kind": "origami-census", "degree": 5, "image_order": 60, "dot": True}
         manifest = run(validate_config(config), out_dir=tmp_path)
         assert not manifest.failed
-        assert len(closures) == 8
+        assert closures == [8]
 
     def test_filters_share_one_sweep(self, closures):
         full = census(4)

@@ -171,18 +171,39 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             enumerate_epi(s3, 2, budget=10)
 
-    def test_one_closure_per_generator_set(self, s3, monkeypatch):
-        # the 6^3 triples of S3 hold C(6,1) + C(6,2) + C(6,3) = 41 distinct sets
+    @pytest.fixture
+    def closed_sets(self, monkeypatch):
+        """Records the sets array of every closure_orders call of the scan."""
         calls = []
-        original = pra_mod.closure_order
+        original = pra_mod.closure_orders
 
-        def counting(columns):
-            calls.append(columns.shape[1])
-            return original(columns)
+        def counting(columns, sets):
+            calls.append(sets)
+            return original(columns, sets)
 
-        monkeypatch.setattr(pra_mod, "closure_order", counting)
+        monkeypatch.setattr(pra_mod, "closure_orders", counting)
+        return calls
+
+    def test_one_closure_per_generator_set(self, s3, closed_sets):
+        # the 6^3 triples of S3 hold C(6,1) + C(6,2) + C(6,3) = 41 distinct
+        # sets, all closed in the one chunk's closure_orders call
         enumerate_epi(s3, 3)
-        assert len(calls) == 41
+        (sets,) = closed_sets
+        assert sets.shape == (41, 3)
+        assert len({frozenset(row) for row in sets.tolist()}) == 41
+
+    def test_sets_closed_by_an_earlier_chunk_are_not_closed_again(
+        self, s3, closed_sets, monkeypatch
+    ):
+        # 10 triples per chunk: 22 chunks, each closing only its sets that
+        # no earlier chunk closed, so the 41 sets are still closed once each
+        expected = [t.indices for t in enumerate_epi(s3, 3)]
+        closed_sets.clear()
+        monkeypatch.setattr(pra_mod, "CHUNK", 30)
+        assert [t.indices for t in enumerate_epi(s3, 3)] == expected
+        closed = [frozenset(row) for sets in closed_sets for row in sets.tolist()]
+        assert len(closed) == len(set(closed)) == 41
+        assert len(closed_sets) == 22
 
     @pytest.mark.parametrize("gens,n", ORACLE_CASES, ids=ORACLE_IDS)
     def test_order_is_encoding_order_of_brute_force_tuples(self, gens, n):
