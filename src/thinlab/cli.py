@@ -540,7 +540,7 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
 
     def body() -> list[Path]:
         _check_group_size(group_spec, resolve_budget(budget))
-        # the walk draws its coins and picks up front, 24 bytes a step
+        # the walk draws its coins and picks up front, about 16 bytes a step
         walk_budget = resolve_budget(budget, default=pra_mod.DEFAULT_CANDIDATE_BUDGET)
         check_budget("pra walk: steps", (steps,), walk_budget)
         gens = parse_group_spec(group_spec)

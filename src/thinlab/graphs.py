@@ -174,9 +174,18 @@ def components(g: MultiGraph) -> list[np.ndarray]:
     smallest vertex."""
     if not g.n_vertices:
         return []
-    _, labels = scipy.sparse.csgraph.connected_components(
-        g.adjacency(), directed=True, connection="weak"
+    return _components(g.adjacency())
+
+
+def _components(A: scipy.sparse.csr_matrix) -> list[np.ndarray]:
+    """The components of the graph on N >= 1 vertices whose sparse
+    adjacency is A, as ``components`` gives them; a connected graph's one
+    component is returned without a sort."""
+    count, labels = scipy.sparse.csgraph.connected_components(
+        A, directed=True, connection="weak"
     )
+    if count == 1:
+        return [np.arange(A.shape[0], dtype=np.int64)]
     # scipy does not document its label order: key each vertex by the
     # smallest vertex of its component instead
     _, smallest = first_occurrences(labels)

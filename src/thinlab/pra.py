@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,15 +219,23 @@ def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGra
         (codes.size, degree),
         budget,
     )
+    # the move table's build arrays are freed before schreier_graph checks it
+    moves = _move_table(group, n, codes, by_rank)
+    return schreier_graph(moves, label=f"pra({group.label or group.order};n={n})")
+
+
+def _move_table(group: FiniteGroup, n: int, codes: np.ndarray, by_rank: np.ndarray) -> np.ndarray:
+    """The (len(codes), 4n(n-1)) int32 table of pra_graph's neighbor
+    columns, built as many columns at once as fit in CHUNK entries."""
     i, j, left, negative = _move_arrays(n)
     rank = np.argsort(by_rank)  # group arithmetic on encoding ranks
     product = rank[group.multiplication_table()[np.ix_(by_rank, by_rank)]]
     inverse = rank[group.inverse_indices()[by_rank]]
     place = _place_values(group.order, n)
     digits = _digits(codes, group.order, n)
-    moves = np.empty((codes.size, degree), dtype=np.int32)
+    moves = np.empty((codes.size, i.size), dtype=np.int32)
     step = max(1, CHUNK // max(1, codes.size))  # moves per whole-array step
-    for lo in range(0, degree, step):
+    for lo in range(0, i.size, step):
         t = slice(lo, lo + step)
         gi, gj = digits[:, i[t]], digits[:, j[t]]
         gj = np.where(negative[t], inverse[gj], gj)
@@ -237,7 +246,7 @@ def pra_graph(group: FiniteGroup, n: int, budget: int | None = None) -> MultiGra
         if stray.size:
             raise ValueError(f"move {all_moves(n)[lo + stray[0]]} leaves Epi(F_{n}, G)")
         moves[:, t] = images
-    return schreier_graph(moves, label=f"pra({group.label or group.order};n={n})")
+    return moves
 
 
 @dataclass
@@ -278,14 +287,24 @@ def pra_walk(
     """Lazy walk (hold 1/2, else uniform move) on a built move graph from
     vertex 0, the lexicographically least generating tuple; reports visit
     counts and the total-variation distance to uniform on the start tuple's
-    component.  ``comps`` are the graph's components, so ``comps[0]`` is
-    the start's.  The walk steps on Python lists, and its coins and picks
-    are drawn up front."""
+    component.  ``comps`` are the graph's components, so ``comps[0]`` must
+    be the start's; an empty ``comps``, or one whose first entry misses
+    vertex 0, raises ``ValueError``.
+
+    The coins and picks are drawn up front, one whole array each, and only
+    the steps whose coin says "move" are kept.  Those steps are taken in
+    Python on the int32 neighbor table, read in place; each state the walk
+    enters is held with its run, the steps until the next move.  Every
+    visit count, at a checkpoint or at the end, is a ``bincount`` of the
+    states weighted by their runs, so the walk holds about 16 bytes a step
+    at its peak and no Python object per vertex."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not graph.n_vertices:
         raise ValueError("Epi set is empty")
     start = 0  # the least tuple in encoding order
+    if not len(comps) or not np.any(comps[0] == start):
+        raise ValueError(f"comps[0] must be the component of the start vertex {start}")
     component = comps[0]
 
     if checkpoints is None:
@@ -294,30 +313,34 @@ def pra_walk(
         marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= steps})
 
     rng = np.random.default_rng(seed)
-    visits = np.zeros(graph.n_vertices, dtype=np.int64)
-    tv_marks = []
-    state = start
     if steps and graph.degree:
-        coins = rng.integers(0, 2, size=steps).tolist()
-        picks = rng.integers(0, graph.degree, size=steps).tolist()
-        markset = set(marks)
-        nbrs = graph.neighbors.tolist()
-        counts = [0] * graph.n_vertices
-        for t in range(steps):
-            if coins[t]:
-                state = nbrs[state][picks[t]]
-            counts[state] += 1
-            if (t + 1) in markset:
-                partial = np.array(counts, dtype=np.int64)
-                tv_marks.append((t + 1, _tv_to_uniform(partial, t + 1, component)))
-        visits[:] = counts
-    elif steps:
+        moves = np.flatnonzero(rng.integers(0, 2, size=steps))  # the steps that move
+        picks = rng.integers(0, graph.degree, size=steps)[moves]
+    else:
         # no moves (arity 1): the walk sits still
-        visits[state] = steps
-        for m in marks:
-            partial = np.zeros_like(visits)
-            partial[state] = m
-            tv_marks.append((m, _tv_to_uniform(partial, m, component)))
+        moves = picks = np.empty(0, dtype=np.int64)
+    states = _walk_states(graph, start, picks)
+    del picks
+    # states[i] is entered at step moves[i - 1] (the start at step 0) and
+    # held until the next move, or to the end
+    runs = np.empty(states.size)
+    runs[:-1] = moves
+    runs[-1] = steps
+    runs[1:] -= moves
+
+    n = graph.n_vertices
+    counts = np.zeros(n)
+    counted = 0  # states[:counted] are in counts with their whole runs
+    tv_marks = []
+    for m in marks:
+        last = int(np.searchsorted(moves, m))  # states[: last + 1] are entered before step m
+        counts += np.bincount(states[counted : last + 1], runs[counted : last + 1], minlength=n)
+        counted = last + 1
+        partial = counts.copy()
+        partial[states[last]] -= (moves[last] if last < moves.size else steps) - m
+        tv_marks.append((m, _tv_to_uniform(partial, m, component)))
+    counts += np.bincount(states[counted:], runs[counted:], minlength=n)
+    visits = counts.astype(np.int64)
 
     tv = _tv_to_uniform(visits, steps, component)
     return WalkStats(
@@ -329,6 +352,20 @@ def pra_walk(
         tv_distance=tv,
         tv_checkpoints=tuple(tv_marks),
     )
+
+
+def _walk_states(graph: MultiGraph, start: int, picks: np.ndarray) -> np.ndarray:
+    """The start, then the state after each move: from state s, pick p goes
+    to ``graph.neighbors[s, p]``, read through a flat memoryview."""
+    nbrs = memoryview(graph.neighbors.reshape(-1))
+    k = graph.degree
+    states = array("q", [start])
+    append = states.append
+    state = start
+    for pick in memoryview(picks):
+        state = nbrs[state * k + pick]
+        append(state)
+    return np.frombuffer(states, dtype=np.int64)
 
 
 class _UnionFind:

@@ -46,7 +46,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 
-from .graphs import MultiGraph, components
+from .graphs import MultiGraph, _components
 
 DENSE_CUTOFF = 3000
 ITERATIVE_TOL = 1e-6
@@ -306,12 +306,14 @@ def lambda1(
     if method == "auto":
         method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
 
-    comps = components(graph)
-    zm = len(comps)
     n, k = graph.n_vertices, graph.degree
     t0 = time.perf_counter()
-
-    A = graph.adjacency() / k
+    # one sparse A gives the components and, scaled in place, A/k: scipy's
+    # A / k multiplies the data by 1 / k, so every bit is the same
+    A = graph.adjacency()
+    comps = _components(A)
+    zm = len(comps)
+    A.data *= 1 / k
     if zm >= 2:
         # lambda1 is 0 with an exact kernel vector, once no edge is seen to
         # leave its component; no solve needed

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from thinlab.groups import (
     symmetric_generators,
 )
 from thinlab import pra as pra_mod
-from thinlab.graphs import components
+from thinlab.graphs import components, schreier_graph
 from thinlab.pra import (
     EpiTuple,
     PraMove,
@@ -369,28 +370,96 @@ class TestGraph:
             assert (report.lambda1 > 1e-12) == connected
 
 
+def quiet_pra_graph(gens, n):
+    """pra_graph of the group gens generate, without the arity-1 warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return pra_graph(bfs_closure(gens), n)
+
+
+def doubled_cycle(n):
+    """The n-cycle with every edge doubled: each row repeats both its
+    neighbors."""
+    x = np.arange(n)
+    return schreier_graph(np.stack([(x + 1) % n, (x - 1) % n] * 2, axis=1))
+
+
+WALK_GRAPHS = {
+    "S4_n3": lambda: quiet_pra_graph(symmetric_generators(4), 3),
+    "S3_n3": lambda: quiet_pra_graph(symmetric_generators(3), 3),
+    "V4_n2": lambda: quiet_pra_graph(direct_product_of_cyclic([2, 2]), 2),
+    "Z5_n1": lambda: quiet_pra_graph(cyclic_generators(5), 1),
+    "doubled_C7": lambda: doubled_cycle(7),
+}
+
+
 class TestWalk:
     @pytest.mark.parametrize(
-        "gens,n,steps,checkpoints",
+        "name,steps,checkpoints",
         [
-            (symmetric_generators(4), 3, 100_000, None),
-            (symmetric_generators(3), 3, 30_000, [1, 7, 999, 30_000, 40_000]),
-            (direct_product_of_cyclic([2, 2]), 2, 5_000, None),
-            (cyclic_generators(5), 1, 100, None),
+            ("S4_n3", 100_000, None),
+            ("S4_n3", 99_999, None),
+            ("S3_n3", 30_000, [1, 7, 999, 30_000, 40_000]),
+            ("S3_n3", 1, None),
+            ("V4_n2", 5_000, None),
+            ("V4_n2", 5_001, [0, 3, 3, 17, 5_001, 5_001, 5_002, 10**6]),
+            ("Z5_n1", 100, None),
+            ("Z5_n1", 101, [0, 1, 1, 50, 101, 200]),
+            ("doubled_C7", 1_001, [0, 1, 1, 2, 500, 1_001, 2_000]),
+            ("doubled_C7", 1, [0, 1, 2]),
         ],
-        ids=["S4_n3", "S3_n3", "V4_n2", "Z5_n1"],
+        ids=[
+            "S4_n3",
+            "S4_n3_odd",
+            "S3_n3",
+            "S3_n3_one_step",
+            "V4_n2",
+            "V4_n2_odd_marks",
+            "Z5_n1",
+            "Z5_n1_odd_marks",
+            "doubled_C7",
+            "doubled_C7_one_step",
+        ],
     )
-    def test_bit_identical_to_numpy_scalar_walk(self, gens, n, steps, checkpoints):
-        group = bfs_closure(gens)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            graph = pra_graph(group, n)
+    def test_bit_identical_to_numpy_scalar_walk(self, name, steps, checkpoints):
+        graph = WALK_GRAPHS[name]()
         for seed in (0, 1, 2**40 + 3):
             stats = pra_walk(graph, components(graph), steps, seed, checkpoints)
             visits, tv, tv_marks = numpy_scalar_walk(graph, steps, seed, checkpoints)
             assert np.array_equal(stats.visits, visits) and stats.visits.dtype == visits.dtype
             assert stats.tv_distance == tv
             assert stats.tv_checkpoints == tv_marks
+
+    def test_comps_must_start_with_the_start_vertex(self):
+        # Z5 at arity 1: four singleton components, vertex 0 in the first
+        graph = WALK_GRAPHS["Z5_n1"]()
+        comps = components(graph)
+        with pytest.raises(ValueError, match="start vertex 0"):
+            pra_walk(graph, comps[::-1], 1000, 0)
+        with pytest.raises(ValueError, match="start vertex 0"):
+            pra_walk(graph, [], 10, 0)
+
+    @pytest.mark.parametrize(
+        "name,steps,limit",
+        [
+            # the Python lists of the 10,080 x 24 move table peaked at 12.2 MB
+            ("S4_n3", 100_000, 4_000_000),
+            # 24 bytes a step when the coins and picks were kept whole
+            ("V4_n2", 10**6, 24 * 10**6),
+        ],
+        ids=["S4_n3", "V4_n2_per_step"],
+    )
+    def test_peak_memory(self, name, steps, limit):
+        graph = WALK_GRAPHS[name]()
+        comps = components(graph)
+        pra_walk(graph, comps, 100, 0)
+        tracemalloc.start()
+        try:
+            pra_walk(graph, comps, steps, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
     def test_identical_seed_identical_stats(self, v4):
         a = walk(v4, 2, 5000, seed=42)

@@ -499,10 +499,10 @@ class TestEdgesAndErrors:
     def test_bad_tol_or_maxiter_rejected_before_any_solve(self, method, kwargs, monkeypatch):
         # tol = 0 or NaN ran every Lanczos step before failing, tol = inf
         # reported an unconverged value and maxiter < 1 a one-step estimate
-        def no_solve(graph):
+        def no_solve(A):
             raise AssertionError("a solve started")
 
-        monkeypatch.setattr(spectra, "components", no_solve)
+        monkeypatch.setattr(spectra, "_components", no_solve)
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             lambda1(sl2_graph(11), method=method, **kwargs)
 
@@ -524,7 +524,7 @@ class TestEdgesAndErrors:
         # has, but edges join them, so the split is refused, not reported
         # as lambda1 = 0 with zero_mult 2
         halves = [np.arange(6, dtype=np.int64), np.arange(6, 12, dtype=np.int64)]
-        monkeypatch.setattr(spectra, "components", lambda graph: halves)
+        monkeypatch.setattr(spectra, "_components", lambda A: halves)
         with pytest.raises(RuntimeError, match="kernel mismatch"):
             lambda1(cyclic_graph(12), method=method)
 
