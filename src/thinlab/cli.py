@@ -61,7 +61,6 @@ from .graphs import (
     torsion_projection,
 )
 from .spectra import (
-    _METHODS,
     CSV_FIELDS,
     SpectralReport,
     esperantist_fit,
@@ -211,8 +210,9 @@ def parse_group_spec(spec: str) -> GeneratorSet:
 
 
 def _group(key: str, value, params: dict) -> str:
-    _group_spec_sizes(_want_str(key, value))  # fail early on bad specs
-    return value
+    spec = _want_str(key, value).strip()
+    _group_spec_sizes(spec)  # fail early on bad specs
+    return spec
 
 
 def _mu(key: str, value, params: dict) -> tuple[int, ...]:
@@ -237,13 +237,11 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, Any]]] = {
     "cayley-sweep": {
         **_SWEEP_KEYS,
         "gens": (_choice("standard", "chain"), "standard"),
-        "method": (_choice(*_METHODS), "auto"),
         "dot": (_flag, False),
     },
     "schreier-sweep": {
         **_SWEEP_KEYS,
         "compare_cayley": (_flag, False),
-        "method": (_choice(*_METHODS), "auto"),
     },
     "pointpush": _SWEEP_KEYS,
     "pra": {
@@ -426,7 +424,7 @@ def _sweep(builder: Callable[[int], MultiGraph], params: dict, jobs: int | None,
     """family_sweep over the config's primes: one task per prime, plus
     spectra.csv and the plot files for the primes that were solved."""
     primes = params["primes"]
-    sweep = family_sweep(builder, primes, method=params["method"], jobs=jobs)
+    sweep = family_sweep(builder, primes, jobs=jobs)
     tasks = [_entry(f"p={p}", sweep.errors.get(p)) for p in primes]
     reports = iter(sweep.reports)  # the solved primes' reports, in order
     by_prime = {p: next(reports) for p in primes if p not in sweep.errors}
@@ -483,7 +481,7 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
         ok = quotient_check(cay, built.pop(p), torsion_projection(group))
         del group  # freed before the solve, which sets the peak
-        cay_lam, sch = lambda1(cay, method=params["method"]).lambda1, by_prime[p]
+        cay_lam, sch = lambda1(cay).lambda1, by_prime[p]
         gap_ok = sch.lambda1 >= cay_lam - 1e-9
         return [p, sch.n_vertices, _float(sch.lambda1), _float(cay_lam), ok, gap_ok]
 
@@ -686,7 +684,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_spec = sub.add_parser("spectra", help="lambda1 of a dumped graph")
     p_spec.add_argument("--graph", type=str, required=True, help="binary adjacency dump")
-    p_spec.add_argument("--method", type=str, default="auto", choices=_METHODS)
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -697,7 +694,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "spectra":
         try:
             graph = load_graph(args.graph, label=Path(args.graph).stem)
-            report = lambda1(graph, method=args.method)
+            report = lambda1(graph)
         except Exception as exc:  # noqa: BLE001
             logger.error("spectra failed: %s: %s", type(exc).__name__, exc)
             return 1
@@ -719,7 +716,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.command == "census":
                 out = args.out or f"thinlab-census-d{args.degree}"
             else:
-                out = args.out or f"thinlab-pra-{args.group}-n{args.arity}"
+                out = args.out or f"thinlab-pra-{config.params['group']}-n{args.arity}"
         manifest = run(config, out_dir=out, jobs=jobs, seed=seed)
     except ConfigError as exc:
         logger.error("config error: %s", exc)

@@ -10,9 +10,11 @@ components pass proves the constant vector the simple top eigenvector of
 A/k, so it is deflated exactly: plain Lanczos on A/k restricted to 1-perp,
 keeping no basis, has theta_2 as its top Ritz value and
 lambda1 = 1 - theta_2.  A second pass of the same recurrence rebuilds the
-Ritz vector, and a residual on the sparse A/k above ``tol`` resumes the
-recurrence instead of being reported (Paige 1976; Cullum and Willoughby
-1985).
+Ritz vector, and a residual on the sparse A/k above the tolerance resumes
+the recurrence instead of being reported (Paige 1976; Cullum and
+Willoughby 1985).  The graph's size alone picks the solver: dense up to
+``DENSE_CUTOFF`` vertices, iterative above.  The iterative solver reports a
+residual of at most ``ITERATIVE_TOL`` within 10 N Lanczos steps.
 
 The dense solver proves its value the bottom of the nonzero spectrum.  It
 runs the same Lanczos to a residual of 1e-10, then factors
@@ -25,16 +27,13 @@ spectrum, so success shows that no eigenvalue of L on 1-perp lies below
 lambda1 - 1e-9; a Ritz value never lies below the true lambda1, so the two
 are within 1e-9.  If Lanczos does not converge or the factorisation fails,
 a symmetric eigendecomposition (eigh) of the dense L decides; no other
-path calls eigh.  ``tol`` and ``maxiter`` apply to the iterative solver
-only.
+path calls eigh.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,9 +58,6 @@ _BREAKDOWN = 1e-12
 # value its Cholesky certificate proves the spectrum empty
 _CERTIFIED_TOL = 1e-10
 _CERTIFICATE_MARGIN = 1e-9
-
-# the solver choices lambda1 accepts
-_METHODS = ("auto", "dense", "iterative")
 
 CSV_FIELDS = ("graph_id", "N", "k", "lambda1", "zero_mult", "solver", "residual", "seconds")
 
@@ -267,44 +263,26 @@ def _lambda1_lanczos(A, n: int, tol: float, maxiter: int) -> tuple[float, float,
         q_prev, q = q, w
 
 
-def lambda1(
-    graph: MultiGraph,
-    method: str = "auto",
-    tol: float | None = None,
-    maxiter: int | None = None,
-) -> SpectralReport:
+def lambda1(graph: MultiGraph) -> SpectralReport:
     """Spectral gap report for one graph.
 
-    Whatever the method, a disconnected graph reports lambda1 = 0 with an
-    exact kernel vector, and a ``RuntimeError`` ("kernel mismatch") is
-    raised if an edge leaves its component or, on a connected graph, if a
-    row sum of A/k is off 1 by more than 1e-12.  On a connected graph
-    method "dense" reports a Lanczos value certified the bottom of the
-    nonzero spectrum by a Cholesky factorisation of the shifted Laplacian
-    held as a packed upper triangle, with a symmetric eigendecomposition of
-    the dense Laplacian as the fallback;
-    "iterative" runs Lanczos on A/k restricted to the constant-free
-    subspace; "auto" is dense up to ``DENSE_CUTOFF`` vertices.  ``tol`` and
-    ``maxiter`` apply to the iterative path only, and a bad value of either
-    raises ``ValueError`` whatever the method.  ``tol`` (default
-    ``ITERATIVE_TOL``, finite and > 0) bounds the reported residual
-    ||L x - lambda1 x|| / ||x||, and ``maxiter`` (default 10 N, an int
-    >= 1) bounds the Lanczos steps; past it ``ConvergenceError`` is raised.
+    A disconnected graph reports lambda1 = 0 with an exact kernel vector,
+    and a ``RuntimeError`` ("kernel mismatch") is raised if an edge leaves
+    its component or, on a connected graph, if a row sum of A/k is off 1 by
+    more than 1e-12.  A connected graph of at most ``DENSE_CUTOFF``
+    vertices gets solver "dense": a Lanczos value certified the bottom of
+    the nonzero spectrum by a Cholesky factorisation of the shifted
+    Laplacian held as a packed upper triangle, with a symmetric
+    eigendecomposition of the dense Laplacian as the fallback.  A larger
+    one gets "iterative": Lanczos on A/k restricted to the constant-free
+    subspace, whose reported residual ||L x - lambda1 x|| / ||x|| is at
+    most ``ITERATIVE_TOL``; past 10 N steps ``ConvergenceError`` is raised.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
     if graph.n_vertices < 2:
         raise ValueError("lambda1 undefined for a single-vertex graph")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if tol is not None and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if maxiter is not None and (
-        isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 1
-    ):
-        raise ValueError(f"maxiter must be an int >= 1, got {maxiter!r}")
-    if method == "auto":
-        method = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
+    solver = "dense" if graph.n_vertices <= DENSE_CUTOFF else "iterative"
 
     n, k = graph.n_vertices, graph.degree
     t0 = time.perf_counter()
@@ -328,13 +306,11 @@ def lambda1(
         drift = float(np.abs(np.asarray(A.sum(axis=1)).ravel() - 1.0).max())
         if drift > 1e-12:
             raise RuntimeError(f"kernel mismatch: a row sum of A/k is off 1 by {drift}")
-        if method == "dense":
+        if solver == "dense":
             lam, res, x = _lambda1_certified(A, n)
         else:
-            tol = ITERATIVE_TOL if tol is None else tol
-            maxiter = 10 * n if maxiter is None else maxiter
-            lam, res, x = _lambda1_lanczos(A, n, tol, maxiter)
-    return SpectralReport(graph.label, n, k, lam, zm, method, res, time.perf_counter() - t0, x)
+            lam, res, x = _lambda1_lanczos(A, n, ITERATIVE_TOL, 10 * n)
+    return SpectralReport(graph.label, n, k, lam, zm, solver, res, time.perf_counter() - t0, x)
 
 
 @dataclass
@@ -352,20 +328,20 @@ class SweepResult:
 def family_sweep(
     builder: Callable[[int], MultiGraph],
     primes: Sequence[int],
-    method: str = "auto",
     jobs: int | None = None,
 ) -> SweepResult:
-    """Build and solve one graph per prime, concurrently unless there is
-    one worker, in which case the primes run in the calling thread; a
-    failure for one prime is recorded and the sweep continues.  The reports
-    carry no eigenvector, so no N-sized array outlives its prime."""
+    """Build and solve one graph per prime with ``lambda1``, concurrently
+    unless there is one worker, in which case the primes run in the calling
+    thread; a failure for one prime is recorded and the sweep continues.
+    The reports carry no eigenvector, so no N-sized array outlives its
+    prime."""
     if not primes:
         raise ValueError("need at least one prime")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def task(p: int) -> SpectralReport:
-        report = lambda1(builder(p), method=method)
+        report = lambda1(builder(p))
         report.eigenvector = None  # N floats per prime, read by no sweep caller
         return report
 

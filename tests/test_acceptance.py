@@ -60,9 +60,19 @@ def test_criterion_1_group_enumeration_exactness():
     report(1, elapsed, "SL2(F_p) orders 6,24,120,336,1320 and |Sp4(F3)|=51840, exact")
 
 
-def test_criterion_2_spectral_combinatorial_agreement():
+def test_criterion_2_spectral_combinatorial_agreement(monkeypatch):
     t0 = time.time()
-    from thinlab import origami, pra
+    from thinlab import origami, pra, spectra
+
+    def both_solvers(graph):
+        """The dense and the iterative report: DENSE_CUTOFF just admits the
+        graph to the dense path, then just keeps it out."""
+        reports = []
+        for cutoff in (graph.n_vertices, graph.n_vertices - 1):
+            monkeypatch.setattr(spectra, "DENSE_CUTOFF", cutoff)
+            reports.append(lambda1(graph))
+        assert [r.solver for r in reports] == ["dense", "iterative"]
+        return reports
 
     pool = [from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], label="2K3")]
     for n in range(4, 12):
@@ -84,8 +94,7 @@ def test_criterion_2_spectral_combinatorial_agreement():
     assert len(pool) >= 20
 
     for graph in pool:
-        dense = lambda1(graph, method="dense")
-        iterative = lambda1(graph, method="iterative")
+        dense, iterative = both_solvers(graph)
         ncomp = len(components(graph))
         assert dense.zero_multiplicity == ncomp == iterative.zero_multiplicity
         # independent spectral count of the zero eigenvalue
@@ -93,14 +102,16 @@ def test_criterion_2_spectral_combinatorial_agreement():
         assert int((np.abs(np.linalg.eigvalsh(L)) < 1e-9).sum()) == ncomp
         assert abs(dense.lambda1 - iterative.lambda1) <= 1e-8, graph.label
 
-    assert abs(lambda1(k4, method="dense").lambda1 - 4 / 3) <= 1e-9
-    assert abs(lambda1(k4, method="iterative").lambda1 - 4 / 3) <= 1e-6
+    dense, iterative = both_solvers(k4)
+    assert abs(dense.lambda1 - 4 / 3) <= 1e-9
+    assert abs(iterative.lambda1 - 4 / 3) <= 1e-6
     for n in (4, 6, 9, 11):
         gens = cyclic_generators(n)
         cyc = cayley_graph(bfs_closure(gens), gens)
         want = 1 - np.cos(2 * np.pi / n)
-        assert abs(lambda1(cyc, method="dense").lambda1 - want) <= 1e-9
-        assert abs(lambda1(cyc, method="iterative").lambda1 - want) <= 1e-6
+        dense, iterative = both_solvers(cyc)
+        assert abs(dense.lambda1 - want) <= 1e-9
+        assert abs(iterative.lambda1 - want) <= 1e-6
     elapsed = time.time() - t0
     report(2, elapsed, f"{len(pool)} graphs: zero-mult = components, K4 and cycles exact, cross <= 1e-8")
 

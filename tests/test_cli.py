@@ -23,7 +23,8 @@ from thinlab.cli import (
 )
 from thinlab.graphs import cayley_graph, from_edges, save_graph, to_dot
 from thinlab.groups import BudgetExceeded, bfs_closure, sl2_generators
-from thinlab.spectra import family_sweep, lambda1
+from thinlab import spectra as spectra_mod
+from thinlab.spectra import DENSE_CUTOFF, family_sweep, lambda1
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -158,7 +159,7 @@ class TestConfigValidation:
             {"kind": "pra", "group": "S3", "arity": "9" * 5000, "steps": 1},
             {"kind": "cayley-sweep", "genus": 1, "primes": ["x" * 5000]},
             {"kind": "cayley-sweep", "genus": 1, "primes": [3] * 5000},
-            {"kind": "cayley-sweep", "genus": 1, "primes": [3], "method": "m" * 5000},
+            {"kind": "cayley-sweep", "genus": 1, "primes": [3], "gens": "m" * 5000},
             {"kind": "origami-census", "degree": 3, "mu": "1," * 5000 + "1"},
             {"kind": "pra", "group": "S3", "arity": 2, "steps": 1, "k" * 5000: 1},
         ],
@@ -376,16 +377,30 @@ class TestRun:
         rows = read_csv(tmp_path / "out" / "spectra.csv")
         assert [(int(r["k"]), int(r["N"])) for r in rows] == [(6, 24), (6, 120)]
 
-    def test_config_method_iterative(self, tmp_path):
+    def test_sweep_solver_follows_dense_cutoff(self, tmp_path, monkeypatch):
+        # N = 120 and 336: a cutoff of 100 keeps both off the dense path
         reports = {}
-        for method in ("dense", "iterative"):
-            raw = {"kind": "cayley-sweep", "genus": 1, "primes": [5, 7], "method": method}
-            manifest = run(validate_config(raw), out_dir=tmp_path / method, jobs=1)
+        raw = {"kind": "cayley-sweep", "genus": 1, "primes": [5, 7]}
+        for cutoff in (DENSE_CUTOFF, 100):
+            monkeypatch.setattr(spectra_mod, "DENSE_CUTOFF", cutoff)
+            manifest = run(validate_config(raw), out_dir=tmp_path / str(cutoff), jobs=1)
             assert not manifest.failed
-            reports[method] = read_csv(tmp_path / method / "spectra.csv")
-        assert {r["solver"] for r in reports["iterative"]} == {"iterative"}
-        for dense, iterative in zip(reports["dense"], reports["iterative"]):
+            reports[cutoff] = read_csv(tmp_path / str(cutoff) / "spectra.csv")
+        assert {r["solver"] for r in reports[DENSE_CUTOFF]} == {"dense"}
+        assert {r["solver"] for r in reports[100]} == {"iterative"}
+        for dense, iterative in zip(reports[DENSE_CUTOFF], reports[100]):
             assert abs(float(dense["lambda1"]) - float(iterative["lambda1"])) < 1e-8
+
+    @pytest.mark.parametrize("kind", ["cayley-sweep", "schreier-sweep"])
+    def test_method_key_rejected(self, tmp_path, kind):
+        # the graph's size alone picks the solver, so a config cannot force
+        # the dense path (43 GB for SL2(F47)) onto a large graph
+        raw = {"kind": kind, "genus": 1, "primes": [47], "method": "dense"}
+        with pytest.raises(ConfigError, match="method"):
+            validate_config(raw)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_task_failure_recorded(self, tmp_path):
         config = validate_config(
@@ -469,8 +484,8 @@ class TestEmitPlotdata:
         # two disjoint 40-cycles: eigh rounds their second zero eigenvalue to +2.6e-17
         edges = [(i, (i + 1) % 40) for i in range(40)]
         disconnected = from_edges(80, edges + [(40 + u, 40 + v) for u, v in edges])
-        reports = [(p, lambda1(sl2_graph(p), method="dense")) for p in (3, 5, 7)]
-        reports.append((11, lambda1(disconnected, method="dense")))
+        reports = [(p, lambda1(sl2_graph(p))) for p in (3, 5, 7)]
+        reports.append((11, lambda1(disconnected)))
         emit_plotdata(reports, tmp_path)
         rows = (tmp_path / "plot_p_lambda1.dat").read_text().splitlines()[1:]
         assert [row.split()[0] for row in rows] == ["3", "5", "7"]
@@ -748,6 +763,21 @@ class TestMainExitCodes:
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["status"] == "failed"
 
+    def test_pra_group_spec_stripped(self, tmp_path, caplog, monkeypatch):
+        # the spec's surrounding whitespace reached the default output
+        # directory, the task name and pra.csv
+        caplog.set_level(logging.INFO, logger="thinlab")
+        monkeypatch.chdir(tmp_path)
+        assert main(["pra", "--group", " S3 ", "--arity", "2", "--steps", "10"]) == 0
+        assert "pra(S3,n=2): ok" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["thinlab-pra-S3-n2"]
+        assert read_csv(tmp_path / "thinlab-pra-S3-n2" / "pra.csv")[0]["group"] == "S3"
+        raw = {"kind": "pra", "group": "S3\n", "arity": 2, "steps": 10}
+        out = tmp_path / "config-out"
+        assert main(["run", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+        assert (out / "pra.csv").read_text().splitlines()[1].startswith("S3,2,")
+        assert json.loads((out / "walk.json").read_text())["group"] == "S3"
+
     def test_pra_subcommand(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="thinlab")
         out = tmp_path / "pra-out"
@@ -769,6 +799,15 @@ class TestMainExitCodes:
         lines = out.strip().split("\n")
         assert lines[0].startswith("graph_id,N,k,lambda1")
         assert lines[1].split(",")[1] == "24"
+
+    def test_spectra_method_flag_exits_2(self, tmp_path, capsys):
+        gens = sl2_generators(3)
+        dump = tmp_path / "g.tlg"
+        save_graph(cayley_graph(bfs_closure(gens), gens), dump)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["spectra", "--graph", str(dump), "--method", "dense"])
+        assert exc_info.value.code == 2
+        assert "--method" in capsys.readouterr().err
 
     def test_spectra_missing_file_exits_1(self):
         assert main(["spectra", "--graph", "/nonexistent.bin"]) == 1

@@ -311,7 +311,7 @@ class TestOrigamiGraph:
 
     def test_feeds_spectra(self):
         graph = origami_graph(3, (3,))
-        report = lambda1(graph, method="dense")
+        report = lambda1(graph)
         assert report.n_vertices == graph.n_vertices
         assert report.zero_multiplicity == len(components(graph))
 

@@ -365,7 +365,7 @@ class TestGraph:
     def test_connectivity_bridges_to_lambda1(self, v4, s3):
         for group in (v4, s3):
             graph = pra_graph(group, 2)
-            report = lambda1(graph, method="dense")
+            report = lambda1(graph)
             connected = len(components(graph)) == 1
             assert (report.lambda1 > 1e-12) == connected
 

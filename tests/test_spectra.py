@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -19,6 +20,7 @@ from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symme
 from thinlab.graphs import cayley_graph, components, from_edges, schreier_graph, torsion_action
 from thinlab import spectra
 from thinlab.spectra import (
+    DENSE_CUTOFF,
     ITERATIVE_TOL,
     ConvergenceError,
     esperantist_fit,
@@ -47,6 +49,25 @@ def two_cycles(n):
 def sl2_graph(p):
     gens = sl2_generators(p)
     return cayley_graph(bfs_closure(gens), gens)
+
+
+def solve(graph, solver):
+    """lambda1(graph) by the named solver: DENSE_CUTOFF is set to just
+    admit the graph to the dense path, or just keep it out."""
+    cutoff = graph.n_vertices if solver == "dense" else graph.n_vertices - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "DENSE_CUTOFF", cutoff)
+        report = lambda1(graph)
+    assert report.solver == solver
+    return report
+
+
+def lanczos(graph, tol=ITERATIVE_TOL, maxiter=None):
+    """The iterative solver on a connected graph's A/k, with its tolerance
+    and step cap set directly."""
+    n = graph.n_vertices
+    A = graph.adjacency() / graph.degree
+    return spectra._lambda1_lanczos(A, n, tol, 10 * n if maxiter is None else maxiter)
 
 
 def arpack_oracle(graph, tol=ITERATIVE_TOL):
@@ -138,8 +159,8 @@ def graph_pool():
 class TestLambda1Exact:
     def test_k4(self):
         graph = from_edges(4, K4_EDGES, label="K4")
-        dense = lambda1(graph, method="dense")
-        iterative = lambda1(graph, method="iterative")
+        dense = solve(graph, "dense")
+        iterative = solve(graph, "iterative")
         assert abs(dense.lambda1 - 4 / 3) < 1e-9
         assert abs(iterative.lambda1 - 4 / 3) < 1e-6
         assert abs(dense.lambda1 - iterative.lambda1) < 1e-8
@@ -148,36 +169,36 @@ class TestLambda1Exact:
     def test_cycle(self, n):
         want = 1 - np.cos(2 * np.pi / n)
         graph = cyclic_graph(n)
-        assert abs(lambda1(graph, method="dense").lambda1 - want) < 1e-9
-        assert abs(lambda1(graph, method="iterative").lambda1 - want) < 1e-6
+        assert abs(solve(graph, "dense").lambda1 - want) < 1e-9
+        assert abs(solve(graph, "iterative").lambda1 - want) < 1e-6
 
     def test_four_cycle_is_one(self):
-        assert abs(lambda1(cyclic_graph(4), method="dense").lambda1 - 1.0) < 1e-12
+        assert abs(solve(cyclic_graph(4), "dense").lambda1 - 1.0) < 1e-12
 
     def test_triangle(self):
         graph = from_edges(3, [(0, 1), (1, 2), (0, 2)], label="K3")
-        for method in ("dense", "iterative"):
-            assert abs(lambda1(graph, method=method).lambda1 - 1.5) < 1e-9
+        for solver in ("dense", "iterative"):
+            assert abs(solve(graph, solver).lambda1 - 1.5) < 1e-9
 
     def test_single_edge_lambda_two(self):
         graph = from_edges(2, [(0, 1)], label="K2")
-        assert abs(lambda1(graph, method="dense").lambda1 - 2.0) < 1e-12
-        assert abs(lambda1(graph, method="iterative").lambda1 - 2.0) < 1e-9
+        assert abs(solve(graph, "dense").lambda1 - 2.0) < 1e-12
+        assert abs(solve(graph, "iterative").lambda1 - 2.0) < 1e-9
 
     def test_disconnected(self):
         # exactly zero: eigh's rounding noise can be positive (+2.6e-17 on
         # two 40-cycles), which would pass as a connected graph's gap
         for graph in (from_edges(6, TWO_TRIANGLES, label="2K3"), two_cycles(40)):
-            for method in ("dense", "iterative"):
-                report = lambda1(graph, method=method)
-                assert report.lambda1 == 0.0, (graph.label, method)
+            for solver in ("dense", "iterative"):
+                report = solve(graph, solver)
+                assert report.lambda1 == 0.0, (graph.label, solver)
                 assert report.zero_multiplicity == 2
 
     def test_all_loops_action(self):
         n = 7
         ident = np.arange(n, dtype=np.int32)
         graph = schreier_graph(np.stack([ident, ident], axis=1))
-        report = lambda1(graph, method="dense")
+        report = solve(graph, "dense")
         assert report.lambda1 == pytest.approx(0.0, abs=1e-12)
         assert report.zero_multiplicity == n
 
@@ -187,7 +208,7 @@ class TestInvariants:
         pool = [g for g in graph_pool() if g.n_vertices >= 2]
         assert len(pool) >= 20
         for graph in pool:
-            report = lambda1(graph, method="dense")
+            report = solve(graph, "dense")
             assert report.zero_multiplicity == len(components(graph))
             assert report.zero_multiplicity == spectrum_zero_count(graph)
             assert -1e-9 <= report.lambda1 <= 2 + 1e-9
@@ -196,8 +217,8 @@ class TestInvariants:
         pool = [g for g in graph_pool() if g.n_vertices >= 2]
         checked = connected = 0
         for graph in pool:
-            dense = lambda1(graph, method="dense")
-            iterative = lambda1(graph, method="iterative")
+            dense = solve(graph, "dense")
+            iterative = solve(graph, "iterative")
             assert abs(dense.lambda1 - iterative.lambda1) < 1e-8, graph.label
             checked += 1
             if dense.zero_multiplicity == 1:
@@ -209,16 +230,16 @@ class TestInvariants:
     def test_iterative_matches_dense_on_degenerate_sl2(self, p):
         # N = 1320 and 2184; lambda1 has multiplicity p + 1 (12 and 14)
         graph = sl2_graph(p)
-        dense = lambda1(graph, method="dense")
-        iterative = lambda1(graph, method="iterative")
+        dense = solve(graph, "dense")
+        iterative = solve(graph, "iterative")
         assert abs(dense.lambda1 - iterative.lambda1) <= 1e-8
         assert abs(iterative.eigenvector.sum()) <= 1e-8
         assert iterative.residual <= ITERATIVE_TOL
 
     def test_rayleigh_certificate(self):
         for graph in (sl2_graph(7), cyclic_graph(30)):
-            for method in ("dense", "iterative"):
-                report = lambda1(graph, method=method)
+            for solver in ("dense", "iterative"):
+                report = solve(graph, solver)
                 A = graph.dense_adjacency()
                 L = np.eye(graph.n_vertices) - A / graph.degree
                 x = report.eigenvector
@@ -231,16 +252,16 @@ class TestInvariants:
         gens = sl2_generators(5)
         swapped = GeneratorSet([gens.elements[1], gens.elements[0]], label="swapped")
         group = bfs_closure(gens)
-        lam1 = lambda1(cayley_graph(group, gens), method="dense").lambda1
-        lam2 = lambda1(cayley_graph(group, swapped), method="dense").lambda1
+        lam1 = solve(cayley_graph(group, gens), "dense").lambda1
+        lam2 = solve(cayley_graph(group, swapped), "dense").lambda1
         assert abs(lam1 - lam2) < 1e-10
 
     @pytest.mark.parametrize("ell", [3, 5, 7, 11])
     def test_schreier_gap_at_least_cayley_gap(self, ell):
         gens = sl2_generators(ell)
         group = bfs_closure(gens)
-        cay = lambda1(cayley_graph(group, gens), method="dense").lambda1
-        sch = lambda1(schreier_graph(torsion_action(gens)), method="dense").lambda1
+        cay = solve(cayley_graph(group, gens), "dense").lambda1
+        sch = solve(schreier_graph(torsion_action(gens)), "dense").lambda1
         assert sch >= cay - 1e-9
 
 
@@ -251,7 +272,7 @@ class TestLanczosOracles:
     @pytest.mark.parametrize("p", [17, 19, 23])
     def test_matches_arpack_on_sl2(self, p):
         graph = sl2_graph(p)  # N = 4896, 6840, 12144
-        report = lambda1(graph, method="iterative")
+        report = solve(graph, "iterative")
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
         assert report.residual <= ITERATIVE_TOL
 
@@ -260,19 +281,19 @@ class TestLanczosOracles:
 
         graph = pra.pra_graph(bfs_closure(symmetric_generators(3)), 3)  # N = 168, k = 24
         assert len(components(graph)) == 1
-        report = lambda1(graph, method="iterative")
+        report = solve(graph, "iterative")
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
-        assert abs(report.lambda1 - lambda1(graph, method="dense").lambda1) <= 1e-8
+        assert abs(report.lambda1 - solve(graph, "dense").lambda1) <= 1e-8
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
     def test_reported_residual_within_tol(self, tol):
         graph = sl2_graph(17)
-        report = lambda1(graph, method="iterative", tol=tol)
-        assert report.residual <= tol
-        assert abs(np.linalg.norm(report.eigenvector) - 1.0) <= 1e-12
-        assert abs(report.eigenvector.sum()) <= 1e-8
+        lam, res, x = lanczos(graph, tol)
+        assert res <= tol
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert abs(x.sum()) <= 1e-8
         # the eigenvalue error is about residual^2 / gap
-        assert abs(report.lambda1 - arpack_oracle(graph)) <= max(1e-8, 10 * tol * tol)
+        assert abs(lam - arpack_oracle(graph)) <= max(1e-8, 10 * tol * tol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", list(range(3, 13)))
@@ -288,11 +309,11 @@ class TestLanczosOracles:
             return top_ritz(alpha, beta)
 
         monkeypatch.setattr(spectra, "_top_ritz", record)
-        cycle = lambda1(cyclic_graph(n), method="iterative")
+        cycle = solve(cyclic_graph(n), "iterative")
         assert steps == [n // 2]
         assert abs(cycle.lambda1 - (1 - np.cos(2 * np.pi / n))) <= 1e-12
         steps.clear()
-        kn = lambda1(complete_graph(n), method="iterative")
+        kn = solve(complete_graph(n), "iterative")
         assert steps == [1]
         assert abs(kn.lambda1 - n / (n - 1)) <= 1e-12
 
@@ -313,7 +334,7 @@ class TestLanczosOracles:
         monkeypatch.setattr(spectra, "_ritz_vector", record)
         monkeypatch.setattr(spectra, "_residual", fail_first)
         graph = sl2_graph(13)
-        report = lambda1(graph, method="iterative")
+        report = solve(graph, "iterative")
         assert len(builds) == 2 and builds[1] > builds[0]
         assert report.residual <= ITERATIVE_TOL
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
@@ -440,7 +461,7 @@ class TestCertifiedDense:
         wrong = (float(w[j]), spectra._residual(A, float(w[j]), V[:, j]), V[:, j])
         monkeypatch.setattr(spectra, "_lambda1_lanczos", lambda *args: wrong)
         calls = count_eigh(monkeypatch)
-        report = lambda1(graph, method="dense")
+        report = solve(graph, "dense")
         assert wrong[1] <= 1e-10  # a true eigenpair, only not the bottom one
         assert calls == [1]
         assert abs(report.lambda1 - bottom) <= 1e-12
@@ -453,7 +474,7 @@ class TestCertifiedDense:
         graph = sl2_graph(7)
         monkeypatch.setattr(spectra, "_lambda1_lanczos", fail)
         calls = count_eigh(monkeypatch)
-        report = lambda1(graph, method="dense")
+        report = solve(graph, "dense")
         assert calls == [1]
         assert report.solver == "dense"
         assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
@@ -472,16 +493,16 @@ class TestEdgesAndErrors:
             lambda1(graph)
 
     def test_convergence_error_carries_estimate(self):
-        graph = sl2_graph(11)  # N = 1320, forced iterative
+        graph = sl2_graph(11)  # N = 1320
         with pytest.raises(ConvergenceError) as exc_info:
-            lambda1(graph, method="iterative", maxiter=1, tol=1e-14)
+            lanczos(graph, tol=1e-14, maxiter=1)
         exc = exc_info.value
         assert exc.iterations == 1
         # after one step T is 1 x 1: a Ritz value and its estimate exist
         assert np.isfinite(exc.best_estimate) and 0.0 <= exc.best_estimate <= 2.0
         assert np.isfinite(exc.residual) and exc.residual > 1e-14
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -496,18 +517,20 @@ class TestEdgesAndErrors:
             {"maxiter": True},
         ],
     )
-    def test_bad_tol_or_maxiter_rejected_before_any_solve(self, method, kwargs, monkeypatch):
-        # tol = 0 or NaN ran every Lanczos step before failing, tol = inf
-        # reported an unconverged value and maxiter < 1 a one-step estimate
+    def test_bad_tol_or_maxiter_rejected_before_any_solve(self, solver, kwargs, monkeypatch):
+        # lambda1 takes no tol or maxiter: ITERATIVE_TOL and 10 N steps are
+        # fixed, so no value of either reaches a solve on either side of
+        # DENSE_CUTOFF (tol = 0 or NaN once ran every Lanczos step)
         def no_solve(A):
             raise AssertionError("a solve started")
 
         monkeypatch.setattr(spectra, "_components", no_solve)
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            lambda1(sl2_graph(11), method=method, **kwargs)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", DENSE_CUTOFF if solver == "dense" else 1000)
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            lambda1(sl2_graph(11), **kwargs)
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_row_sum_drift_refused(self, method, monkeypatch):
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    def test_row_sum_drift_refused(self, solver, monkeypatch):
         # the deflation of the constant vector rests on every row sum of A/k
         # being 1; a matrix that breaks it is refused, not solved, by both
         # solvers
@@ -516,24 +539,45 @@ class TestEdgesAndErrors:
         A[0, 1] += 1e-6
         monkeypatch.setattr(graph, "adjacency", lambda: A.tocsr())
         with pytest.raises(RuntimeError, match="row sum"):
-            lambda1(graph, method=method)
+            solve(graph, solver)
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_partition_crossed_by_an_edge_refused(self, method, monkeypatch):
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    def test_partition_crossed_by_an_edge_refused(self, solver, monkeypatch):
         # two paths of the 12-cycle: two pieces, as a two-component graph
         # has, but edges join them, so the split is refused, not reported
         # as lambda1 = 0 with zero_mult 2
         halves = [np.arange(6, dtype=np.int64), np.arange(6, 12, dtype=np.int64)]
         monkeypatch.setattr(spectra, "_components", lambda A: halves)
         with pytest.raises(RuntimeError, match="kernel mismatch"):
-            lambda1(cyclic_graph(12), method=method)
+            solve(cyclic_graph(12), solver)
 
     def test_auto_switches_on_cutoff(self, monkeypatch):
         graph = cyclic_graph(12)
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 20)
-        assert lambda1(graph, method="auto").solver == "dense"
+        assert lambda1(graph).solver == "dense"
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 5)
-        assert lambda1(graph, method="auto").solver == "iterative"
+        assert lambda1(graph).solver == "iterative"
+
+    def test_above_cutoff_never_enters_the_dense_path(self, monkeypatch):
+        # the packed triangle is about N^2 / 2 doubles: 43 GB for SL2(F47),
+        # so nothing above DENSE_CUTOFF may reach it, nor the eigh fallback
+        def dense_path(*args, **kwargs):
+            raise AssertionError("the dense path was entered")
+
+        for name in ("_shifted_laplacian_rfp", "_dense_laplacian"):
+            monkeypatch.setattr(spectra, name, dense_path)
+        monkeypatch.setattr(scipy.linalg, "eigh", dense_path)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 100)
+        graph = sl2_graph(7)  # N = 336
+        report = lambda1(graph)
+        assert report.solver == "iterative"
+        assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-8
+        with pytest.raises(TypeError, match="method"):
+            lambda1(graph, method="dense")
+
+    def test_the_graph_alone_picks_the_solver(self):
+        assert list(inspect.signature(lambda1).parameters) == ["graph"]
+        assert list(inspect.signature(family_sweep).parameters) == ["builder", "primes", "jobs"]
 
 
 class TestFamilySweep:
@@ -593,14 +637,14 @@ class TestMemory:
         n = graph.n_vertices
         tracemalloc.start()
         try:
-            lambda1(graph, method="dense")
+            solve(graph, "dense")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * n * n * 8
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_disconnected_graph_needs_no_dense_matrix(self, method, monkeypatch):
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    def test_disconnected_graph_needs_no_dense_matrix(self, solver, monkeypatch):
         # 1,500 components: the edges are checked against the components in
         # O(Nk), so neither solver calls eigh or forms an N x N array; the
         # peak is about 24 N-vectors
@@ -610,14 +654,14 @@ class TestMemory:
         calls = count_eigh(monkeypatch)
         tracemalloc.start()
         try:
-            report = lambda1(graph, method=method)
+            report = solve(graph, solver)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.lambda1 == 0.0 and report.zero_multiplicity == n
         assert calls == []
         assert peak < 100 * n * 8
-        two = lambda1(two_cycles(40), method=method)
+        two = solve(two_cycles(40), solver)
         assert two.zero_multiplicity == 2 and calls == []
 
     def test_iterative_solve_stores_no_basis(self):
@@ -629,7 +673,7 @@ class TestMemory:
         n = graph.n_vertices
         tracemalloc.start()
         try:
-            lambda1(graph, method="iterative")
+            solve(graph, "iterative")
             _, peak = tracemalloc.get_traced_memory()
             A = graph.adjacency() / graph.degree
             tracemalloc.reset_peak()
@@ -663,10 +707,10 @@ class TestMemory:
                 with open("/proc/self/status") as status:
                     return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-            lambda1(sl2_graph(5), method="dense")
+            lambda1(sl2_graph(5))
             graph = sl2_graph(13)
             base = high_water_kb()
-            report = lambda1(graph, method="dense")
+            report = lambda1(graph)
             assert report.solver == "dense" and report.n_vertices == 2184
             print(high_water_kb() - base)
             """
@@ -721,7 +765,7 @@ class TestEsperantist:
 
 class TestCsv:
     def test_header_and_rows(self, tmp_path):
-        reports = [lambda1(cyclic_graph(n), method="dense") for n in (5, 6)]
+        reports = [solve(cyclic_graph(n), "dense") for n in (5, 6)]
         path = tmp_path / "out.csv"
         write_reports_csv(reports, path)
         lines = path.read_text().strip().split("\n")
@@ -730,7 +774,7 @@ class TestCsv:
         assert lines[1].split(",")[1] == "5"
 
     def test_seconds_suppressed(self, tmp_path):
-        reports = [lambda1(cyclic_graph(5), method="dense")]
+        reports = [solve(cyclic_graph(5), "dense")]
         path = tmp_path / "out.csv"
         write_reports_csv(reports, path, include_seconds=False)
         assert path.read_text().strip().split("\n")[1].endswith(",")
