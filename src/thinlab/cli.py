@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import logging
 import re
@@ -32,11 +31,13 @@ from .groups import (
     GeneratorSet,
     bfs_closure,
     check_budget,
+    check_vector_keys,
     cyclic_generators,
     direct_product_of_cyclic,
     is_prime,
     resolve_budget,
     sl2_generators,
+    sp_order_factors,
     symmetric_generators,
 )
 from .monodromy import (
@@ -231,7 +232,6 @@ _REQUIRED_KEY = object()
 _SWEEP_KEYS = {
     "genus": (_integer(1), _REQUIRED_KEY),
     "primes": (_primes, _REQUIRED_KEY),
-    "budget": (_integer(1), None),
 }
 _SCHEMA: dict[str, dict[str, tuple[Callable, Any]]] = {
     "cayley-sweep": {
@@ -248,13 +248,11 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, Any]]] = {
         "group": (_group, _REQUIRED_KEY),
         "arity": (_integer(1), _REQUIRED_KEY),
         "steps": (_integer(0), _REQUIRED_KEY),
-        "budget": (_integer(1), None),
     },
     "origami-census": {
         "degree": (_integer(1), _REQUIRED_KEY),
         "mu": (_mu, None),
         "image_order": (_integer(1), None),
-        "cap": (_integer(1), origami_mod.DEFAULT_DEGREE_CAP),
         "dot": (_flag, False),
     },
 }
@@ -379,27 +377,24 @@ def _sweep_generators(genus: int, gens_choice: str, p: int) -> GeneratorSet:
 
 def _sweep_order(genus: int, p: int) -> tuple[str, Iterable[int]]:
     """Name and lazy order factors of the group a sweep's generators
-    generate mod p: SL2(F_p), of order p(p^2 - 1), at genus 1.  At genus
-    g >= 2 the chain transvections generate Sp_2g(F_p), of order
-    p^(g^2) (p^2 - 1) (p^4 - 1) ... (p^2g - 1), for odd p and the symmetric
+    generate mod p: SL2(F_p) = Sp_2(F_p) at genus 1.  At genus g >= 2 the
+    chain transvections generate Sp_2g(F_p) for odd p and the symmetric
     group S_(2g+2) for p = 2 (A'Campo, Comment. Math. Helv. 1979)."""
     if genus == 1:
-        return f"SL2(F{p})", (p, p - 1, p + 1)
+        return f"SL2(F{p})", sp_order_factors(1, p)
     if p == 2:
         return f"S{_brief(2 * genus + 2)}", range(1, 2 * genus + 3)
-    powers = (p for _ in range(genus * genus))
-    cyclotomic = (p ** (2 * i) - 1 for i in range(1, genus + 1))
-    return f"Sp{_brief(2 * genus)}(F{p})", itertools.chain(powers, cyclotomic)
+    return f"Sp{_brief(2 * genus)}(F{p})", sp_order_factors(genus, p)
 
 
-def _sweep_group(genus: int, gens_choice: str, p: int, budget: int | None) -> tuple:
+def _sweep_group(genus: int, gens_choice: str, p: int) -> tuple:
     """A sweep's generators mod p and the group they enumerate.  The
     group's closed-form order is refused above the element budget before
     any generator is built, where bfs_closure would refuse it after."""
     name, factors = _sweep_order(genus, p)
-    check_budget(f"{name}: elements", factors, resolve_budget(budget))
+    check_budget(f"{name}: elements", factors, resolve_budget())
     gens = _sweep_generators(genus, gens_choice, p)
-    return gens, bfs_closure(gens, budget=budget)
+    return gens, bfs_closure(gens)
 
 
 def _entry(name: str, error: str | None = None) -> dict:
@@ -439,7 +434,7 @@ def _run_cayley_sweep(params: dict, seed: int, jobs: int | None, outdir: Path):
     dot_graphs: dict[int, MultiGraph] = {}
 
     def builder(p: int) -> MultiGraph:
-        gens, group = _sweep_group(genus, params["gens"], p, params["budget"])
+        gens, group = _sweep_group(genus, params["gens"], p)
         graph = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
         if params["dot"]:
             if graph.n_vertices <= DOT_VERTEX_LIMIT:
@@ -464,9 +459,9 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
     built: dict[int, MultiGraph] = {}
 
     def builder(p: int) -> MultiGraph:
-        check_torsion_states(p, 2 * genus, params["budget"])  # before any generator is built
+        check_torsion_states(p, 2 * genus)  # before any generator is built
         gens = _sweep_generators(genus, "standard", p)
-        moves = torsion_action(gens, budget=params["budget"])
+        moves = torsion_action(gens)
         graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
         if params["compare_cayley"]:
             built[p] = graph
@@ -477,7 +472,7 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         return tasks, outputs
 
     def compare(p: int) -> list:
-        gens, group = _sweep_group(genus, "standard", p, params["budget"])
+        gens, group = _sweep_group(genus, "standard", p)
         cay = cayley_graph(group, gens, label=f"cayley_g{genus}_p{p}")
         ok = quotient_check(cay, built.pop(p), torsion_projection(group))
         del group  # freed before the solve, which sets the peak
@@ -499,18 +494,19 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
 
 def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
     genus, primes = params["genus"], params["primes"]
+    # a prime whose vector keys overflow int64 fails before anything is built
+    tasks = {p: _task(f"p={p}", lambda: check_vector_keys(p, 2 * genus))[0] for p in primes}
+    left = [p for p in primes if tasks[p]["status"] == "ok"]
+    if not left:
+        return list(tasks.values()), []
     chain = build_chain(genus)
     words = point_pushing_generators(genus)
     mats = [braid_to_matrix(w, chain) for w in words]
 
-    tasks = []
     prime_data = {}
     flags = congruence_report(mats, [])
-    for p in primes:
-        entry, report = _task(
-            f"p={p}", lambda: congruence_report(mats, [p], budget=params["budget"])
-        )
-        tasks.append(entry)
+    for p in left:
+        tasks[p], report = _task(f"p={p}", lambda: congruence_report(mats, [p]))
         if report is not None:
             order, full_order = report.prime_orders[p]
             prime_data[str(p)] = {
@@ -526,7 +522,7 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
         "primes": prime_data,
     }
     catalog = catalog_json(mats, label=f"pointpush_g{genus}")
-    return tasks, [
+    return list(tasks.values()), [
         _write_json(outdir / "congruence.json", payload),
         _write_json(outdir / "generators.json", catalog),
     ]
@@ -534,16 +530,15 @@ def _run_pointpush(params: dict, seed: int, jobs: int | None, outdir: Path):
 
 def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
     group_spec, n, steps = params["group"], params["arity"], params["steps"]
-    budget = params["budget"]
 
     def body() -> list[Path]:
-        _check_group_size(group_spec, resolve_budget(budget))
+        _check_group_size(group_spec, resolve_budget())
         # the walk draws its coins and picks up front, about 16 bytes a step
-        walk_budget = resolve_budget(budget, default=pra_mod.DEFAULT_CANDIDATE_BUDGET)
+        walk_budget = resolve_budget(default=pra_mod.DEFAULT_CANDIDATE_BUDGET)
         check_budget("pra walk: steps", (steps,), walk_budget)
         gens = parse_group_spec(group_spec)
-        group = bfs_closure(gens, budget=budget)
-        graph = pra_mod.pra_graph(group, n, budget=budget)
+        group = bfs_closure(gens)
+        graph = pra_mod.pra_graph(group, n)
         comps = components(graph)
         orbits = sorted((len(c) for c in comps), reverse=True)
         lam = ""
@@ -574,10 +569,10 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
 
 
 def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path):
-    d, cap, image_order = params["degree"], params["cap"], params["image_order"]
+    d, image_order = params["degree"], params["image_order"]
 
     def body() -> list[Path]:
-        classes = origami_mod.census(d, mu=params["mu"], cap=cap)
+        classes = origami_mod.census(d, mu=params["mu"])
         if image_order is not None:
             classes = [c for c in classes if c.image_order == image_order]
         # vertex v of a stratum's move graph is that stratum's v-th class
@@ -585,7 +580,7 @@ def _run_origami_census(params: dict, seed: int, jobs: int | None, outdir: Path)
         graphs_by_mu = {}
         for mu in sorted({c.mu for c in classes}, reverse=True):
             positions = [i for i, c in enumerate(classes) if c.mu == mu]
-            graph = origami_mod.origami_graph(d, mu, image_order=image_order, cap=cap)
+            graph = origami_mod.origami_graph(d, mu, image_order=image_order)
             graphs_by_mu[mu] = graph
             for cid, verts in enumerate(components(graph)):
                 for v in verts:

@@ -25,6 +25,8 @@ census closes one set per move-graph component in one call.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -311,8 +313,7 @@ class FiniteGroup:
         return self._inv_indices
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[i, j])
+        """Index of element(i) * element(j), multiplied out: the table's oracle."""
         return self.index_of(multiply(self.element(i), self.element(j)))
 
     def __repr__(self) -> str:
@@ -398,6 +399,13 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     return FiniteGroup(gens, *found)
 
 
+def check_vector_keys(m: int, n: int) -> int:
+    """The m^n vector keys ``matrix_group_order`` codes as int64, refused at
+    2^63; a ``pointpush`` prime checks it before any matrix is built."""
+    what = f"matrix_group_order: {m}^{n} vector keys"
+    return check_budget(what, (m for _ in range(n)), 2**63 - 1)
+
+
 def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     """Order of the group of matrices mod m that ``gens`` generate, from an
     exact stabilizer chain along the basis rows e_0, ..., e_(n-1), without
@@ -425,7 +433,7 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         raise ValueError("matrix_group_order needs matrices mod a positive modulus")
     budget = resolve_budget(budget)
     m, n = e.modulus, e.dimension
-    check_budget(f"matrix_group_order: {m}^{n} vector keys", (m,) * n, 2**63 - 1)
+    check_vector_keys(m, n)
     vector_powers = m ** np.arange(n, dtype=np.int64)
     powers = _key_powers("matrix", (n, n), m)
     identity_key = _keys(e.data[np.newaxis], "matrix", m, powers)[0]
@@ -531,16 +539,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def sp_order_factors(g: int, p: int) -> Iterator[int]:
+    """|Sp_2g(F_p)| = p^(g^2) * prod_{i=1..g} (p^(2i) - 1), as lazy factors."""
+    powers = (p for _ in range(g * g))
+    return itertools.chain(powers, (p ** (2 * i) - 1 for i in range(1, g + 1)))
+
+
 def sp_order(g: int, p: int) -> int:
-    """|Sp_2g(F_p)| = p^(g^2) * prod_{i=1..g} (p^(2i) - 1), exact."""
+    """|Sp_2g(F_p)|, exact: the product of ``sp_order_factors``."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    out = p ** (g * g)
-    for i in range(1, g + 1):
-        out *= p ** (2 * i) - 1
-    return out
+    return math.prod(sp_order_factors(g, p))
 
 
 def sl2_generators(modulus: int) -> GeneratorSet:

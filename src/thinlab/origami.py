@@ -22,7 +22,7 @@ gives every class its image order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
@@ -33,7 +33,7 @@ from .graphs import MultiGraph, components, schreier_graph
 from .groups import FiniteGroup, _batch_multiply, bfs_closure, check_budget, closure_orders
 from .groups import first_occurrences, resolve_budget, symmetric_generators
 
-DEFAULT_DEGREE_CAP = 8
+DEFAULT_DEGREE_CAP = 8  # read at call time; a safety gate, not a setting
 
 Perm = tuple[int, ...]
 SweptClass = tuple[Perm, Perm, tuple[int, ...], int]  # sigma0, least tau, mu, orbit size
@@ -170,13 +170,13 @@ def parse_pair(text: str) -> "OrigamiPair":
 
 @dataclass(frozen=True)
 class OrigamiPair:
-    """A pair of permutations with cached commutator data."""
+    """A pair of permutations with its commutator data, computed at init."""
 
     sigma: Perm
     tau: Perm
-    commutator: Perm = None  # type: ignore[assignment]
-    commutator_type: tuple[int, ...] = None  # type: ignore[assignment]
-    transitive: bool = None  # type: ignore[assignment]
+    commutator: Perm = field(init=False)
+    commutator_type: tuple[int, ...] = field(init=False)
+    transitive: bool = field(init=False)
 
     def __post_init__(self):
         sigma = tuple(int(x) for x in self.sigma)
@@ -282,12 +282,12 @@ def _centralizer_generators(sigma0: Perm, lam_sorted: list[int]) -> list[Perm]:
     return out
 
 
-def _check_request(d: int, mu: Sequence[int] | None, cap: int) -> tuple[int, ...] | None:
+def _check_request(d: int, mu: Sequence[int] | None) -> tuple[int, ...] | None:
     """Validate a census request before any sweep; returns mu in
     canonical descending order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    check_budget(f"census(d={d}): degree", (d,), cap)
+    check_budget(f"census(d={d}): degree", (d,), DEFAULT_DEGREE_CAP)
     # image groups close inside S_d: its d! elements must fit the budget
     check_budget(f"census(d={d}): S_{d}'s {d}! elements", range(2, d + 1), resolve_budget())
     mu_key = tuple(sorted(mu, reverse=True)) if mu is not None else None
@@ -370,14 +370,12 @@ def _moves(d: int) -> tuple[np.ndarray, np.ndarray]:
     return graph.neighbors, orders
 
 
-def census(
-    d: int, mu: Sequence[int] | None = None, cap: int = DEFAULT_DEGREE_CAP
-) -> list[CensusClass]:
+def census(d: int, mu: Sequence[int] | None = None) -> list[CensusClass]:
     """One CensusClass per simultaneous-conjugation orbit of transitive
     pairs of degree d, optionally filtered by commutator cycle type.  Every
     call filters the one cached degree-d sweep; the image orders come from
     the cached move graph, one closed set per component."""
-    mu_key = _check_request(d, mu, cap)
+    mu_key = _check_request(d, mu)
     return [
         CensusClass(rep := OrigamiPair(sigma, tau), orbit_size, order, genus(rep))
         for (sigma, tau, m, orbit_size), order in zip(_sweep(d)[0], _moves(d)[1].tolist())
@@ -402,12 +400,7 @@ def nielsen_moves(p: OrigamiPair) -> list[OrigamiPair]:
     return out
 
 
-def origami_graph(
-    d: int,
-    mu: Sequence[int],
-    image_order: int | None = None,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> MultiGraph:
+def origami_graph(d: int, mu: Sequence[int], image_order: int | None = None) -> MultiGraph:
     """The 4-regular move graph on census classes with commutator type mu,
     optionally restricted to classes with a given image-group order.
     Vertex i is the i-th class of census(d, mu) with that image order.
@@ -416,7 +409,7 @@ def origami_graph(
     """
     if mu is None:
         raise ValueError("origami_graph needs a commutator type mu")
-    mu_key = _check_request(d, mu, cap)
+    mu_key = _check_request(d, mu)
     neighbors, orders = _moves(d)
     keep = np.array([m == mu_key for _, _, m, _ in _sweep(d)[0]])
     keep = np.flatnonzero(keep if image_order is None else keep & (orders == image_order))

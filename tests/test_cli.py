@@ -22,7 +22,7 @@ from thinlab.cli import (
     validate_config,
 )
 from thinlab.graphs import cayley_graph, from_edges, save_graph, to_dot
-from thinlab.groups import BudgetExceeded, bfs_closure, sl2_generators
+from thinlab.groups import BUDGET_ENV_VAR, BudgetExceeded, bfs_closure, sl2_generators
 from thinlab import spectra as spectra_mod
 from thinlab.spectra import DENSE_CUTOFF, family_sweep, lambda1
 
@@ -297,9 +297,10 @@ class TestRun:
         catalog = json.loads((tmp_path / "out" / "generators.json").read_text())
         assert catalog["dimension"] == 2 and len(catalog["matrices"]) == 2
 
-    def test_pointpush_budget_fails_its_task(self, tmp_path):
+    def test_pointpush_budget_fails_its_task(self, tmp_path, monkeypatch):
         # SL2(F3) fits 100 orbit and Schreier products; SL2(F67) does not
-        payload = {"kind": "pointpush", "genus": 1, "primes": [3, 67], "budget": 100}
+        monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+        payload = {"kind": "pointpush", "genus": 1, "primes": [3, 67]}
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
         ok, failed = json.loads((out / "manifest.json").read_text())["tasks"]
@@ -402,10 +403,71 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_task_failure_recorded(self, tmp_path):
-        config = validate_config(
-            {"kind": "cayley-sweep", "genus": 1, "primes": [3, 11], "budget": 30}
-        )
+    @pytest.mark.parametrize(
+        "kind,key",
+        [
+            ("cayley-sweep", "budget"),
+            ("schreier-sweep", "budget"),
+            ("pointpush", "budget"),
+            ("pra", "budget"),
+            ("origami-census", "cap"),
+        ],
+    )
+    def test_limit_key_rejected(self, tmp_path, kind, key):
+        # THINLAB_BUDGET is the one budget setting and the census degree cap
+        # a constant, so a config can raise neither (a cap of 9 would start
+        # a d = 9 census that no budget sizes)
+        raw = {**VALID_CONFIGS[kind], key: 9}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            validate_config(raw)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_schema_sets_no_limit(self):
+        assert sum(len(keys) for keys in cli_mod._SCHEMA.values()) == 16
+        assert not {"budget", "cap"} & set().union(*cli_mod._SCHEMA.values())
+
+    @pytest.mark.parametrize("genus", [40, 10**6])
+    def test_pointpush_refuses_unkeyable_primes_before_building(
+        self, tmp_path, monkeypatch, genus
+    ):
+        # 3^(2g) vector keys overflow int64: refused in closed form, before
+        # the chain and its matrices are built
+        def refuse(*args):
+            raise AssertionError("chain built for a genus no prime can decide")
+
+        monkeypatch.setattr(cli_mod, "build_chain", refuse)
+        payload = {"kind": "pointpush", "genus": genus, "primes": [3, 5]}
+        out = tmp_path / "out"
+        began = time.perf_counter()
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        assert time.perf_counter() - began < 2.0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert tasks == [
+            {
+                "name": f"p={p}",
+                "status": "failed",
+                "error": f"BudgetExceeded: matrix_group_order: {p}^{2 * genus} vector keys "
+                "over the limit of 9223372036854775807",
+            }
+            for p in (3, 5)
+        ]
+
+    def test_pointpush_keeps_prime_order_around_a_refused_prime(self, tmp_path):
+        # 1048573^4 vector keys overflow int64 at genus 2; p = 3 still runs
+        payload = {"kind": "pointpush", "genus": 2, "primes": [1048573, 3]}
+        manifest = run(validate_config(payload), out_dir=tmp_path / "out")
+        refused, ok = manifest.tasks
+        assert refused["name"] == "p=1048573" and "1048573^4 vector keys" in refused["error"]
+        assert ok == {"name": "p=3", "status": "ok"}
+        primes = json.loads((tmp_path / "out" / "congruence.json").read_text())["primes"]
+        assert list(primes) == ["3"] and primes["3"]["surjective"] is True
+
+    def test_task_failure_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "30")
+        config = validate_config({"kind": "cayley-sweep", "genus": 1, "primes": [3, 11]})
         manifest = run(config, out_dir=tmp_path / "out")
         assert manifest.failed
         statuses = {t["name"]: t["status"] for t in manifest.tasks}
@@ -426,7 +488,8 @@ class TestSweepGroupOrder:
     @pytest.mark.parametrize("genus,p,gens", CASES)
     def test_refuses_exactly_where_bfs_closure_would(self, monkeypatch, genus, p, gens):
         order = bfs_closure(cli_mod._sweep_generators(genus, gens, p)).order
-        _, group = cli_mod._sweep_group(genus, gens, p, order)
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(order))
+        _, group = cli_mod._sweep_group(genus, gens, p)
         assert group.order == order
         with pytest.raises(BudgetExceeded):
             bfs_closure(cli_mod._sweep_generators(genus, gens, p), budget=order - 1)
@@ -435,8 +498,9 @@ class TestSweepGroupOrder:
             raise AssertionError("generators built for a group above the budget")
 
         monkeypatch.setattr(cli_mod, "_sweep_generators", refuse)
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(order - 1))
         with pytest.raises(BudgetExceeded, match=f"over the limit of {order - 1}$"):
-            cli_mod._sweep_group(genus, gens, p, order - 1)
+            cli_mod._sweep_group(genus, gens, p)
 
     @pytest.mark.parametrize(
         "genus,p,name",
@@ -455,15 +519,10 @@ class TestSweepGroupOrder:
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
         assert task["error"] == f"BudgetExceeded: {name}: elements over the limit of 2000000"
 
-    def test_comparison_refused_in_closed_form(self, tmp_path):
+    def test_comparison_refused_in_closed_form(self, tmp_path, monkeypatch):
         # the torsion graphs fit 30 states; SL2(F5), with 120 elements, does not
-        raw = {
-            "kind": "schreier-sweep",
-            "genus": 1,
-            "primes": [3, 5],
-            "compare_cayley": True,
-            "budget": 30,
-        }
+        monkeypatch.setenv(BUDGET_ENV_VAR, "30")
+        raw = {"kind": "schreier-sweep", "genus": 1, "primes": [3, 5], "compare_cayley": True}
         manifest = run(validate_config(raw), out_dir=tmp_path / "out", jobs=1)
         ok, failed = manifest.tasks
         assert ok == {"name": "p=3", "status": "ok"}
@@ -519,23 +578,16 @@ class TestMainExitCodes:
         )
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    def test_task_failure_exits_1(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {"kind": "cayley-sweep", "genus": 1, "primes": [11], "budget": 30},
-        )
+    def test_task_failure_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "30")
+        path = write_config(tmp_path, {"kind": "cayley-sweep", "genus": 1, "primes": [11]})
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
-    def test_failed_cayley_comparison_recorded_in_manifest(self, tmp_path):
+    def test_failed_cayley_comparison_recorded_in_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "30")
         path = write_config(
             tmp_path,
-            {
-                "kind": "schreier-sweep",
-                "genus": 1,
-                "primes": [3, 5],
-                "compare_cayley": True,
-                "budget": 30,
-            },
+            {"kind": "schreier-sweep", "genus": 1, "primes": [3, 5], "compare_cayley": True},
         )
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
@@ -589,9 +641,9 @@ class TestMainExitCodes:
             raise AssertionError("generators built for a group above the budget")
 
         monkeypatch.setattr(cli_mod, "parse_group_spec", refuse)
-        payload = {"kind": "pra", "group": spec, "arity": 2, "steps": 1}
         if budget is not None:
-            payload["budget"] = budget
+            monkeypatch.setenv(BUDGET_ENV_VAR, str(budget))
+        payload = {"kind": "pra", "group": spec, "arity": 2, "steps": 1}
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
@@ -617,18 +669,16 @@ class TestMainExitCodes:
         assert "elements seen" not in task["error"]
 
     @pytest.mark.filterwarnings("ignore:arity 1")
-    def test_group_at_budget_runs(self, tmp_path):
+    def test_group_at_budget_runs(self, tmp_path, monkeypatch):
         # arity 1: the budget also caps the Epi scan, here at 6^1 candidates
-        path = write_config(
-            tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 1, "steps": 1, "budget": 6}
-        )
+        monkeypatch.setenv(BUDGET_ENV_VAR, "6")
+        path = write_config(tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 1, "steps": 1})
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    def test_pra_budget_also_caps_epi_candidates(self, tmp_path):
+    def test_pra_budget_also_caps_epi_candidates(self, tmp_path, monkeypatch):
         # 6 elements fit the budget, the 6^2 = 36 Epi candidates do not
-        path = write_config(
-            tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 2, "steps": 1, "budget": 6}
-        )
+        monkeypatch.setenv(BUDGET_ENV_VAR, "6")
+        path = write_config(tmp_path, {"kind": "pra", "group": "Z2xZ3", "arity": 2, "steps": 1})
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
@@ -669,19 +719,18 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli_mod, "parse_group_spec", refuse)
         out = tmp_path / "out"
         for steps, budget in ((10**12, None), (101, 100)):
-            payload = {"kind": "pra", "group": "S3", "arity": 2, "steps": steps}
             if budget is not None:
-                payload["budget"] = budget
+                monkeypatch.setenv(BUDGET_ENV_VAR, str(budget))
+            payload = {"kind": "pra", "group": "S3", "arity": 2, "steps": steps}
             assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
             (task,) = json.loads((out / "manifest.json").read_text())["tasks"]
             limit = budget or pra_mod.DEFAULT_CANDIDATE_BUDGET
             assert task["error"] == f"BudgetExceeded: pra walk: steps over the limit of {limit}"
 
-    def test_torsion_states_capped_by_budget(self, tmp_path):
+    def test_torsion_states_capped_by_budget(self, tmp_path, monkeypatch):
         # 31^2 - 1 = 960 torsion states are refused before they are allocated
-        path = write_config(
-            tmp_path, {"kind": "schreier-sweep", "genus": 1, "primes": [31], "budget": 10}
-        )
+        monkeypatch.setenv(BUDGET_ENV_VAR, "10")
+        path = write_config(tmp_path, {"kind": "schreier-sweep", "genus": 1, "primes": [31]})
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
         (task,) = json.loads((out / "manifest.json").read_text())["tasks"]

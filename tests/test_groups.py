@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from thinlab.groups import (
     _key_powers,
     _keys,
     check_budget,
+    check_vector_keys,
     closure_orders,
     cyclic_generators,
     direct_product_of_cyclic,
@@ -27,6 +30,7 @@ from thinlab.groups import (
     resolve_budget,
     sl2_generators,
     sp_order,
+    sp_order_factors,
     symmetric_generators,
 )
 from thinlab.monodromy import (
@@ -116,6 +120,13 @@ class TestSpOrder:
     def test_formula_matches_sl2(self):
         for p in (2, 3, 5, 7, 11, 13):
             assert sp_order(1, p) == p * (p**2 - 1)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_is_the_product_of_its_factors(self, g, p):
+        # the sweep's budget gate reads the factors, congruence_report the order
+        closed_form = p ** (g * g) * math.prod(p ** (2 * i) - 1 for i in range(1, g + 1))
+        assert sp_order(g, p) == math.prod(sp_order_factors(g, p)) == closed_form
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -594,6 +605,12 @@ class TestMatrixGroupOrder:
     def test_refuses_what_it_cannot_key(self):
         with pytest.raises(BudgetExceeded, match="vector keys"):
             matrix_group_order(GeneratorSet([identity_matrix(4, 2**20)]))
+        # 3^39 fits below 2^63, 3^40 does not; refused in closed form at any n
+        assert check_vector_keys(3, 39) == 3**39
+        for n in (40, 2 * 10**6, 10**30):
+            message = f"matrix_group_order: 3^{n} vector keys over the limit of {2**63 - 1}"
+            with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+                check_vector_keys(3, n)
         with pytest.raises(ValueError, match="positive modulus"):
             matrix_group_order(z_sl2_s())
         with pytest.raises(ValueError, match="positive modulus"):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from pathlib import Path
 
@@ -150,10 +151,18 @@ class TestCensusAgainstBruteForce:
         for c in census(d)[::every]:
             assert c.image_order == subgroup_order(c.rep.sigma, c.rep.tau)
 
-    def test_degree_cap(self):
-        with pytest.raises(BudgetExceeded):
+    def test_degree_cap(self, monkeypatch):
+        with pytest.raises(BudgetExceeded, match="census\\(d=9\\): degree over the limit of 8"):
             census(9)
+        # the cap is read at call time
+        monkeypatch.setattr(origami_mod, "DEFAULT_DEGREE_CAP", 3)
         with pytest.raises(BudgetExceeded):
+            census(4)
+
+    def test_cap_is_not_a_parameter(self):
+        for fn in (census, origami_graph):
+            assert "cap" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError):
             census(4, cap=3)
 
     def test_bad_mu_rejected(self):
@@ -198,6 +207,17 @@ class TestGenus:
     def test_degree_zero_pair_rejected(self):
         with pytest.raises(ValueError, match="degree >= 1"):
             OrigamiPair((), ())
+
+    @pytest.mark.parametrize(
+        "derived", [{"commutator": (9, 9, 9)}, {"commutator_type": (42,)}, {"transitive": False}]
+    )
+    def test_derived_fields_are_not_arguments(self, derived):
+        # they were silently overwritten; now passing one is an error
+        with pytest.raises(TypeError):
+            OrigamiPair((1, 0, 2), (0, 2, 1), **derived)
+        pair = OrigamiPair((1, 0, 2), (0, 2, 1))
+        assert (pair.commutator, pair.commutator_type, pair.transitive) == ((2, 0, 1), (3,), True)
+        assert "commutator_type=(3,)" in repr(pair)
 
     @pytest.mark.parametrize("sigma,tau", [((), ()), ((1, 0), (0,)), ((0,), (1, 0))])
     def test_transitivity_of_unequal_or_empty_degrees_refused(self, sigma, tau):
@@ -443,8 +463,9 @@ class TestOneSweepPerDegree:
 
     def test_degree_above_element_budget_refused_before_the_sweep(self, closures, monkeypatch):
         # 10! = 3,628,800 is above the default element budget of 2,000,000
+        monkeypatch.setattr(origami_mod, "DEFAULT_DEGREE_CAP", 10)
         with pytest.raises(BudgetExceeded, match="10!"):
-            census(10, cap=10)
+            census(10)
         monkeypatch.setenv("THINLAB_BUDGET", "100")
         with pytest.raises(BudgetExceeded, match="5!"):
             census(5)
@@ -454,13 +475,14 @@ class TestOneSweepPerDegree:
         assert closures == []
         assert len(census(4)) == 26  # 4! = 24 fits
 
-    def test_requests_checked_before_the_sweep(self, closures):
+    def test_requests_checked_before_the_sweep(self, closures, monkeypatch):
         with pytest.raises(ValueError):
             origami_graph(4, (3,))
         with pytest.raises(ValueError, match="needs a commutator type mu"):
             origami_graph(4, None)
+        monkeypatch.setattr(origami_mod, "DEFAULT_DEGREE_CAP", 4)
         with pytest.raises(BudgetExceeded):
-            origami_graph(5, (1,) * 5, cap=4)
+            origami_graph(5, (1,) * 5)
         with pytest.raises(ValueError):
             census(0)
         assert origami_mod._sweep.cache_info().misses == 0

@@ -13,6 +13,7 @@ from thinlab.groups import (
     bfs_closure,
     cyclic_generators,
     direct_product_of_cyclic,
+    sl2_generators,
     symmetric_generators,
 )
 from thinlab import pra as pra_mod
@@ -288,6 +289,18 @@ class TestGraph:
         assert graph.degree == len(expected) == 4 * n * (n - 1)
         for t, column in enumerate(expected):
             assert np.array_equal(graph.neighbors[:, t], column)
+
+    @pytest.mark.parametrize(
+        "gens", [symmetric_generators(3), symmetric_generators(4), sl2_generators(3)],
+        ids=["S3", "S4", "SL2(F3)"],
+    )
+    def test_oracle_does_not_read_the_multiplication_table(self, gens):
+        # a transposed table swaps left and right moves in the columns; the
+        # oracle multiplies the elements, so it must catch that
+        group = bfs_closure(gens)
+        group._mul_table = group.multiplication_table().T.copy()
+        expected = np.stack(apply_move_columns(group, 2), axis=1)
+        assert not np.array_equal(pra_graph(group, 2).neighbors, expected)
 
     def test_empty_epi_gives_empty_graph(self):
         # Z2^3 needs three generators
