@@ -10,13 +10,21 @@ I - A/k has exact zero row sums.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .groups import FiniteGroup, GeneratorSet, check_budget, first_occurrences, resolve_budget
+from .groups import (
+    BudgetExceeded,
+    FiniteGroup,
+    GeneratorSet,
+    check_budget,
+    first_occurrences,
+    resolve_budget,
+)
 
 MAX_VERTICES = 2**31 - 1
 DOT_VERTEX_LIMIT = 500
@@ -121,22 +129,37 @@ def from_edges(n: int, edges: Sequence[tuple[int, int]], label: str = "") -> Mul
 
 def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = None) -> MultiGraph:
     """Cayley graph with right-multiplication edges q -- q*s over the
-    symmetrized generator multiset; k = multiset size."""
+    symmetrized generator multiset; k = multiset size.
+
+    A generator that is one of the group's own symmetrized generators takes
+    its column from the group's BFS move table, and the group's own
+    generator set takes the whole table, shared read-only; any other
+    generator is multiplied out and looked up."""
     for g in gens.symmetrized:
         if g not in group:
             raise ValueError(f"generator not in group: {g!r}")
-    cols = [group.right_multiplication_indices(s) for s in gens.symmetrized]
+    if gens.symmetrized == group.symmetrized:
+        moves = group.moves
+    else:
+        own = {s: t for t, s in enumerate(group.symmetrized)}
+        cols = [
+            group.moves[:, own[s]] if s in own else group.right_multiplication_indices(s)
+            for s in gens.symmetrized
+        ]
+        moves = np.stack(cols, axis=1)
     if label is None:
         label = f"cayley({gens.label or group.label})"
-    return schreier_graph(np.stack(cols, axis=1), label=label)
+    return schreier_graph(moves, label=label)
 
 
-def _sorted_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array with at least one column, as one sorted
-    array of their bytes: equal for two arrays iff their rows are the same
-    multiset."""
-    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))
-    return np.sort(rows.ravel())
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two C-contiguous 2-d arrays of one shape, with at least one
+    column, hold the same multiset of rows: each is ordered by its rows'
+    bytes, and the rows are compared in that order, one pair at a time, so
+    no sorted copy of either array is made."""
+    row = np.dtype((np.void, a.itemsize * a.shape[1]))
+    order_a, order_b = (np.argsort(x.view(row).ravel()) for x in (a, b))
+    return all(np.array_equal(a[i], b[j]) for i, j in zip(order_a, order_b))
 
 
 def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
@@ -163,7 +186,7 @@ def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
         raise ValueError(f"move {bad[0]} is not a bijection on the state set")
     # inversion closure, with multiplicity: the moves and their inverses
     # are the same multiset of rows
-    if n and not np.array_equal(_sorted_rows(images), _sorted_rows(inverses)):
+    if n and not _same_rows(images, inverses):
         raise ValueError("move multiset is not closed under inversion")
     # bijective moves closed under inversion make a symmetric adjacency
     return MultiGraph._symmetric(moves, label)
@@ -234,9 +257,15 @@ def _all_nonzero_vectors(dim: int, modulus: int) -> np.ndarray:
 def check_torsion_states(m: int, dim: int, budget: int | None = None) -> int:
     """The m^dim - 1 nonzero vectors of (Z/m)^dim, refused above the element
     budget.  Known before any generator is built, so a schreier-sweep checks
-    it first, with the message torsion_action would give."""
+    it first, with the message torsion_action would give.  m^dim - 1 is over
+    the budget iff m^dim is over budget + 1, which is checked factor by
+    factor, so m^dim is never formed at a huge dim."""
     what = f"torsion_action: {m}^{dim} - 1 states"
-    return check_budget(what, (m**dim - 1,), resolve_budget(budget))
+    budget = resolve_budget(budget)
+    try:
+        return check_budget(what, itertools.repeat(m, dim), budget + 1) - 1
+    except BudgetExceeded:
+        raise BudgetExceeded(what, budget) from None
 
 
 def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:

@@ -2,9 +2,14 @@
 
 One engine, ``_bfs``, does every keyed orbit search: a layered BFS from one
 point under k moves, each layer a stacked numpy array mapped a batch of
-moves at a time.  ``bfs_closure`` runs it on the identity under right
-multiplication, one generator per batch, and ``matrix_group_order`` on the
-basis rows of its stabilizer chain, all generators per batch.  Every point
+moves at a time.  It returns the orbit with its (N, k) int32 move table,
+the index of every point's image under every move, which it learns while
+deduplicating.  ``bfs_closure`` runs it on the identity under right
+multiplication, max(1, min(k, CHUNK // F)) generators per batch on a layer
+of F elements, and keeps the table as the group's ``moves``: the Cayley
+graph of the group's own generators is that table, with no product formed
+twice.  ``matrix_group_order`` runs it on the basis rows of its stabilizer
+chain, all generators per batch.  Every point
 has one key: an element's is its mixed-radix int64 code (the base-m digits
 of a matrix's entries, or the base-d digits of a permutation's images);
 where m^(n^2) or d^d does not fit below 2^63, or the modulus is 0, the key
@@ -47,7 +52,7 @@ from .elements import (
 DEFAULT_ELEMENT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "THINLAB_BUDGET"
 MULTIPLICATION_TABLE_ENTRIES = 4_000_000
-CHUNK = 1 << 16  # entries per whole-array step of closure_orders and of the pra module
+CHUNK = 1 << 16  # entries per whole-array step of bfs_closure, closure_orders and the pra module
 
 
 class BudgetExceeded(RuntimeError):
@@ -176,35 +181,46 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, sorted_keys[pos] == keys
 
 
-def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_occurrences(keys: np.ndarray, return_inverse: bool = False) -> tuple[np.ndarray, ...]:
     """The sorted distinct keys and the index of each one's first
-    occurrence: exactly ``np.unique(keys, return_index=True)``, but from
-    the default argsort rather than a stable one.  Equal keys form runs
-    in the sorted order, and a run's smallest original index is its
-    first occurrence."""
+    occurrence, and with ``return_inverse`` the position of each key among
+    the distinct ones: exactly ``np.unique(keys, return_index=True,
+    return_inverse=...)``, but from the default argsort rather than a
+    stable one.  Equal keys form runs in the sorted order, and a run's
+    smallest original index is its first occurrence."""
     order = np.argsort(keys)
     ordered = keys[order]
     new = np.ones(keys.shape[0], dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     heads = np.flatnonzero(new)
-    return ordered[heads], np.minimum.reduceat(order, heads)
+    found = ordered[heads], np.minimum.reduceat(order, heads)
+    if not return_inverse:
+        return found
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return (*found, inverse)
 
 
 class FiniteGroup:
     """A fully enumerated group: elements in BFS discovery order, index 0
-    the identity, plus the BFS tree that found them.
+    the identity, plus the BFS tree that found them and its move table.
 
     The elements' keys, sorted, with the index of each, are the one
     membership structure: every lookup is a ``searchsorted`` against them.
+    ``moves`` is the read-only (N, k) int32 table of right multiplication
+    by the symmetrized generators: moves[i, t] is the index of
+    element(i) * symmetrized[t].
     """
 
     def __init__(
         self,
         gens: GeneratorSet,
         stack: np.ndarray,
-        keys: np.ndarray,
+        sorted_keys: np.ndarray,
+        key_index: np.ndarray,
         parents: np.ndarray,
         steps: np.ndarray,
+        moves: np.ndarray,
         layer_starts: tuple[int, ...],
     ):
         e = gens.identity()
@@ -214,10 +230,12 @@ class FiniteGroup:
         self.stack = stack
         self.stack.flags.writeable = False
         self._powers = _key_powers(self.kind, e.data.shape, self.modulus)
-        self._key_index = np.argsort(keys)
-        self._sorted_keys = keys[self._key_index]
+        self._sorted_keys = sorted_keys
+        self._key_index = key_index
+        self.symmetrized = gens.symmetrized
+        self.moves = moves
+        self.moves.flags.writeable = False
         # element i = element(parents[i]) * symmetrized[steps[i]], layer by layer
-        self._symmetrized = gens.symmetrized
         self._parents = parents
         self._steps = steps
         self._layer_starts = layer_starts
@@ -303,7 +321,7 @@ class FiniteGroup:
         in one batch per layer: the inverse of q*s is s^(-1) * q^(-1)."""
         if self._inv_indices is None:
             inv = np.zeros(self.order, dtype=np.int32)
-            sym = np.stack([s.data for s in self._symmetrized])
+            sym = np.stack([s.data for s in self.symmetrized])
             s_inv = sym[(np.arange(len(sym)) + len(sym) // 2) % len(sym)]
             for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
                 q_inv = self.stack[inv[self._parents[a:b]]]
@@ -321,57 +339,89 @@ class FiniteGroup:
 
 
 def _bfs(
-    start: np.ndarray, act: Callable, key: Callable, k: int, batch: int, budget: int, what: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    start: np.ndarray,
+    act: Callable,
+    key: Callable,
+    k: int,
+    chunk: int | None,
+    budget: int,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Breadth-first orbit of the one-point stack ``start`` under k moves.
 
     ``act(rows, moves)`` maps a stack of points under the moves of the range
     ``moves``, move-major, and ``key(rows)`` gives one sortable key per
-    point.  Each layer is mapped ``batch`` moves at a time.  Of a batch's
+    point.  A layer of F points is mapped max(1, min(k, chunk // F)) moves
+    at a time, or all k at once where ``chunk`` is None.  Of a batch's
     images, the first occurrence of each key is new unless an earlier layer
     or an earlier batch of this layer holds it, so within a layer points are
     found move-major, then in parent order, whatever the batch.  New points
     are counted against ``budget`` (BudgetExceeded(what)) before they are
-    kept.  Returns the points in discovery order, their keys, parents and
-    steps (point i is point parents[i] under move steps[i]) and the layer
-    starts.
+    kept.  Next to the sorted keys of the points found so far runs the index
+    of each, so every image's index is known as soon as its batch is
+    deduped: a new image gets its discovery index, a known one the stored
+    index.
+
+    Returns the points in discovery order, their keys sorted and the index
+    of each, their parents and steps (point i is point parents[i] under move
+    steps[i]), the (N, k) int32 move table (row x holds the index of x's
+    image under each move) and the layer starts.
     """
     frontier = start
-    points, point_keys = [start], [key(start)]
-    parents, steps = [np.array([-1])], [np.array([-1])]
+    points, parents, steps, tables = [start], [np.array([-1])], [np.array([-1])], []
     starts, count = [0, 1], 1
-    seen = point_keys[0]  # sorted keys of all finished layers
+    # the sorted keys of all finished layers, and the index of each
+    seen, seen_at = key(start), np.zeros(1, dtype=np.int32)
 
     while True:
-        rows, keys, fresh = [], [], []  # fresh: sorted keys new in this layer
+        f = frontier.shape[0]
+        batch = k if chunk is None else max(1, min(k, chunk // f))
+        table = np.empty((f, k), dtype=np.int32)
+        rows, fresh = [], []  # fresh: the sorted keys new in this layer, with their indices
         for j in range(0, k, batch):
-            images = act(frontier, range(j, min(j + batch, k)))
-            image_keys = key(images)
-            uniq, first = first_occurrences(image_keys)
-            new = ~_find(seen, uniq)[1]
-            for earlier in fresh:
-                new &= ~_find(earlier, uniq)[1]
-            at = np.sort(first[new])
-            if count + at.size > budget:
+            moves = range(j, min(j + batch, k))
+            images = act(frontier, moves)
+            uniq, first, inverse = first_occurrences(key(images), return_inverse=True)
+            # the index of each distinct image; the key arrays searched are
+            # disjoint, so each one searches only what the earlier ones lack
+            pos, found = _find(seen, uniq)
+            at = np.where(found, seen_at[pos], -1)
+            new = np.flatnonzero(~found)
+            for earlier, earlier_at in fresh:
+                pos, found = _find(earlier, uniq[new])
+                at[new[found]] = earlier_at[pos[found]]
+                new = new[~found]
+            if count + new.size > budget:
                 raise BudgetExceeded(what, budget)
-            if at.size:
-                move, parent = np.divmod(at, frontier.shape[0])
-                fresh.append(uniq[new])
-                rows.append(images[at])
-                keys.append(image_keys[at])
+            if new.size:
+                in_order = new[np.argsort(first[new])]  # the new images, in discovery order
+                at[in_order] = np.arange(count, count + new.size)
+                taken = first[in_order]  # their first positions among the images
+                move, parent = np.divmod(taken, f)
+                fresh.append((uniq[new], at[new]))
+                rows.append(images[taken])
                 parents.append(starts[-2] + parent)
                 steps.append(j + move)
-                count += at.size
+                count += new.size
+            table[:, moves.start : moves.stop] = at[inverse].reshape(len(moves), f).T
+        tables.append(table)
         if not rows:
             break
         frontier = np.concatenate(rows)
         points.append(frontier)
-        point_keys.append(np.concatenate(keys))
         starts.append(count)
         # a stable sort is a timsort here: it merges the sorted runs in linear time
-        seen = np.sort(np.concatenate([seen, *fresh]), kind="stable")
+        fresh_keys, fresh_at = zip(*fresh)
+        seen = np.concatenate([seen, *fresh_keys])
+        by_key = np.argsort(seen, kind="stable")
+        seen, seen_at = seen[by_key], np.concatenate([seen_at, *fresh_at])[by_key]
 
-    return (*map(np.concatenate, (points, point_keys, parents, steps)), tuple(starts))
+    # joined one list at a time, so only one is ever held twice
+    points = np.concatenate(points)
+    tables = np.concatenate(tables)
+    parents = np.concatenate(parents)
+    steps = np.concatenate(steps)
+    return points, seen, seen_at, parents, steps, tables, tuple(starts)
 
 
 def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
@@ -379,8 +429,11 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     identity, aborting with BudgetExceeded above the element budget.
 
     The orbit of the identity under right multiplication by the symmetrized
-    generators, one generator per batch, so the peak is one frontier of
-    products; new elements are counted before they are kept.
+    generators.  A layer of F elements is multiplied by max(1, min(k,
+    CHUNK // F)) generators at a time, so small layers take all k at once
+    and the peak is about one frontier of products; new elements are
+    counted before they are kept.  The BFS's move table is the group's
+    ``moves``, which ``cayley_graph`` reads.
     """
     e = gens.identity()
     kind, modulus = e.kind, e.modulus
@@ -388,14 +441,14 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     sym = [s.data for s in gens.symmetrized]
 
     def act(rows: np.ndarray, moves: range) -> np.ndarray:
-        (j,) = moves
-        return _batch_multiply(kind, modulus, rows, sym[j])
+        products = [_batch_multiply(kind, modulus, rows, sym[j]) for j in moves]
+        return products[0] if len(products) == 1 else np.concatenate(products)
 
     def key(rows: np.ndarray) -> np.ndarray:
         return _keys(rows, kind, modulus, powers)
 
     budget = resolve_budget(budget)
-    found = _bfs(e.data[np.newaxis], act, key, len(sym), 1, budget, "bfs_closure: elements")
+    found = _bfs(e.data[np.newaxis], act, key, len(sym), CHUNK, budget, "bfs_closure: elements")
     return FiniteGroup(gens, *found)
 
 
@@ -421,11 +474,12 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     generators stay inversion-closed: the product for (x, s) is inverted by
     the one for (x*s, s^(-1)), so no matrix is ever inverted here.
 
-    The orbit is ``_bfs`` on e_i, all generators per batch, and the
-    transversal follows its BFS tree.  Every orbit batch and each level's
-    |orbit| * |generators| Schreier products are checked against the
-    element budget before they are formed, and each orbit's points before
-    they are kept; vector keys need m^n below 2^63.
+    The orbit is ``_bfs`` on e_i, all generators per batch; the transversal
+    follows its BFS tree, and its move table gives the position of each
+    x*s.  Every orbit batch and each level's |orbit| * |generators|
+    Schreier products are checked against the element budget before they
+    are formed, and each orbit's points before they are kept; vector keys
+    need m^n below 2^63.
     ``bfs_closure(gens).order`` is the independent oracle.
     """
     e = gens.identity()
@@ -451,8 +505,9 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
             return (np.matmul(rows, level[moves.start : moves.stop]) % m).reshape(-1, n)
 
         what = f"matrix_group_order: orbit points at base point {base}"
-        points, codes, parents, steps, starts = _bfs(
-            e.data[base][np.newaxis], act, lambda rows: rows @ vector_powers, k, k, budget, what
+        # moved[x, j]: the orbit position of point x times generator j
+        points, _, _, parents, steps, moved, starts = _bfs(
+            e.data[base][np.newaxis], act, lambda rows: rows @ vector_powers, k, None, budget, what
         )
         order *= points.shape[0]
         if base == n - 1:
@@ -466,10 +521,6 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         for a, b in zip(starts[1:], starts[2:]):
             u[a:b] = np.matmul(u[parents[a:b]], level[steps[a:b]]) % m
             u_inv[a:b] = np.matmul(level[inv[steps[a:b]]], u_inv[parents[a:b]]) % m
-        # moved[x, j]: the orbit position of point x times generator j
-        by_code = np.argsort(codes)
-        images = np.matmul(points, level) % m
-        moved = by_code[_find(codes[by_code], images @ vector_powers)[0]].T
         prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv[moved]) % m
         prods = prods.reshape(-1, n, n)
         keys = _keys(prods, "matrix", m, powers)
@@ -479,7 +530,7 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         if not first.size:
             break
         x, j = np.divmod(first, k)
-        inv = _find(uniq, keys[moved[x, j] * k + inv[j]])[0]
+        inv = _find(uniq, keys[moved[x, j].astype(np.int64) * k + inv[j]])[0]
         level = prods[first]
     return order
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from thinlab.pra import pra_graph
 from thinlab.graphs import (
     MultiGraph,
     cayley_graph,
+    check_torsion_states,
     components,
     from_edges,
     load_graph,
@@ -158,6 +160,70 @@ class TestCayley:
             assert quotient_check(graph, graph, translate)
 
 
+def lookup_table(group, gens) -> np.ndarray:
+    """The Cayley neighbor table by multiplying every element by every
+    generator and looking the products up: cayley_graph's oracle."""
+    return np.stack([group.right_multiplication_indices(s) for s in gens.symmetrized], axis=1)
+
+
+class TestCayleyMoveTable:
+    @pytest.mark.parametrize(
+        "gens",
+        [sl2_generators(13), symmetric_generators(6), standard_symplectic_generators(2, 3)],
+        ids=["sl2_13", "S6", "sp4_3"],
+    )
+    def test_own_generators_share_the_bfs_table(self, gens):
+        group = bfs_closure(gens)
+        graph = cayley_graph(group, gens)
+        assert graph.neighbors is group.moves
+        assert not graph.neighbors.flags.writeable
+        assert np.array_equal(graph.neighbors, lookup_table(group, gens))
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_permuted_generators(self, p):
+        group = bfs_closure(sl2_generators(p))
+        T, S = sl2_generators(p).elements
+        for gens in (GeneratorSet([S, T]), GeneratorSet([T]), GeneratorSet([S, S, T])):
+            graph = cayley_graph(group, gens)
+            assert not np.shares_memory(graph.neighbors, group.moves)
+            assert np.array_equal(graph.neighbors, lookup_table(group, gens))
+
+    def test_subgroup_generators_inside_a_larger_group(self):
+        full = bfs_closure(sl2_generators(7))
+        T = sl2_generators(7).elements[0]
+        t_squared = GroupElement.matrix([[1, 2], [0, 1]], 7)
+        minus_i = GroupElement.matrix([[6, 0], [0, 6]], 7)
+        # none, one and all of the symmetrized generators are the group's own
+        for gens in (
+            GeneratorSet([t_squared, minus_i]),
+            GeneratorSet([T, minus_i]),
+            GeneratorSet([T, inverse(T)]),
+        ):
+            graph = cayley_graph(full, gens)
+            assert np.array_equal(graph.neighbors, lookup_table(full, gens))
+            assert len(components(graph)) == full.order // bfs_closure(gens).order
+
+    def test_other_modulus_is_not_the_groups_own(self):
+        # T mod 5 and T mod 7 have the same entries but are not the same element
+        group = bfs_closure(sl2_generators(5))
+        with pytest.raises(ValueError, match="not in group"):
+            cayley_graph(group, sl2_generators(7))
+
+    def test_closure_and_cayley_peak_memory(self):
+        # the graph shares the group's move table: neither the columns of
+        # right_multiplication_indices nor a second table are built
+        gens = sl2_generators(47)
+        tracemalloc.start()
+        try:
+            group = bfs_closure(gens)
+            graph = cayley_graph(group, gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.order == 103_776 and graph.neighbors is group.moves
+        assert peak <= 17_000_000
+
+
 class TestComponents:
     def test_cycle_connected(self):
         gens = cyclic_generators(10)
@@ -261,6 +327,24 @@ class TestSchreier:
         monkeypatch.setenv("THINLAB_BUDGET", "10")
         with pytest.raises(BudgetExceeded):
             torsion_action(gens)
+
+    def test_torsion_state_check_is_exact_at_the_budget(self):
+        assert check_torsion_states(31, 2, budget=960) == 960
+        with pytest.raises(BudgetExceeded) as exc_info:
+            check_torsion_states(31, 2, budget=959)
+        assert str(exc_info.value) == "torsion_action: 31^2 - 1 states over the limit of 959"
+        assert exc_info.value.budget == 959
+        assert check_torsion_states(2, 1, budget=1) == 1
+
+    def test_torsion_state_check_never_forms_a_huge_power(self):
+        # 3^(2 * 10^7) has 9.5 million digits; forming it took seconds
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc_info:
+            check_torsion_states(3, 2 * 10**7, budget=2_000_000)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc_info.value) == (
+            "torsion_action: 3^20000000 - 1 states over the limit of 2000000"
+        )
 
     def test_identity_moves_give_loops(self):
         n = 5

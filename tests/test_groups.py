@@ -292,7 +292,8 @@ class TestCodedGroups:
         ids=["sl2_13", "sp4_3", "S6", "Z2xZ3xZ5xZ7"],
     )
     def test_engine_order_does_not_depend_on_batch(self, gens):
-        # all k moves in one batch find what bfs_closure finds one move at a time
+        # one move per batch and all k moves in one batch find what
+        # bfs_closure finds with its own batch rule, and the same move table
         group = bfs_closure(gens)
         e = gens.identity()
         powers = _key_powers(e.kind, e.data.shape, e.modulus)
@@ -304,13 +305,54 @@ class TestCodedGroups:
         def key(rows):
             return _keys(rows, e.kind, e.modulus, powers)
 
-        k = gens.k
-        points, keys, parents, steps, starts = _bfs(e.data[np.newaxis], act, key, k, k, 10**6, "")
-        assert np.array_equal(points, group.stack)
-        assert np.array_equal(keys[group._key_index], group._sorted_keys)
-        assert np.array_equal(parents, group._parents)
-        assert np.array_equal(steps, group._steps)
-        assert starts == group._layer_starts
+        tables = []
+        for chunk in (1, None):  # batches of 1 and of k moves
+            found = _bfs(e.data[np.newaxis], act, key, gens.k, chunk, 10**6, "")
+            points, sorted_keys, key_index, parents, steps, table, starts = found
+            assert np.array_equal(points, group.stack)
+            assert np.array_equal(sorted_keys, group._sorted_keys)
+            assert np.array_equal(key_index, group._key_index)
+            assert np.array_equal(key(points)[key_index], sorted_keys)
+            assert np.array_equal(parents, group._parents)
+            assert np.array_equal(steps, group._steps)
+            assert starts == group._layer_starts
+            assert table.dtype == np.int32 and table.shape == (group.order, gens.k)
+            tables.append(table)
+        lookups = np.stack([group.right_multiplication_indices(s) for s in gens.symmetrized], axis=1)
+        assert np.array_equal(tables[0], tables[1])
+        assert np.array_equal(tables[0], lookups)
+        assert np.array_equal(group.moves, lookups)
+        assert not group.moves.flags.writeable
+
+    def test_batch_rule_follows_the_frontier(self, monkeypatch):
+        # SL2(F47)'s layers (at most 15,886 elements) take all 4 moves at
+        # once; with CHUNK at 2,000 the big layers take one move at a time
+        # and the small ones up to four
+        gens = sl2_generators(47)
+        group = bfs_closure(gens)
+        sizes = np.diff(group._layer_starts + (group.order,))
+        assert sizes.max() == 15_886 and 4 * sizes.max() <= groups_mod.CHUNK
+        calls = []
+        engine = groups_mod._bfs
+
+        def spy(start, act, key, k, chunk, budget, what):
+            def counted(rows, moves):
+                calls.append((rows.shape[0], moves))
+                return act(rows, moves)
+
+            return engine(start, counted, key, k, chunk, budget, what)
+
+        monkeypatch.setattr(groups_mod, "_bfs", spy)
+        monkeypatch.setattr(groups_mod, "CHUNK", 2_000)
+        small = bfs_closure(gens)
+        batches = set()
+        for f, moves in calls:
+            batch = max(1, min(4, 2_000 // f))
+            assert moves.start % batch == 0 and len(moves) == min(batch, 4 - moves.start)
+            batches.add(batch)
+        assert {1, 4} < batches
+        assert np.array_equal(small.stack, group.stack)
+        assert np.array_equal(small.moves, group.moves)
 
     def test_key_kind_boundary(self):
         # degree 15: 15^15 < 2^63 fits the int64 code; degree 16: 16^16 = 2^64 does not
@@ -336,8 +378,8 @@ class TestCodedGroups:
             group.right_multiplication_indices(GroupElement.matrix([[2, 0], [0, 1]], 3))
 
     def test_budget_exceeded_mid_layer(self):
-        # layer 1 of SL2(F11) is T, S, T^-1, S^-1, one per generator batch:
-        # budget 2 admits T and stops at the batch holding S
+        # layer 1 of SL2(F11) is T, S, T^-1, S^-1, all four in one batch:
+        # budget 2 stops at that batch
         with pytest.raises(BudgetExceeded) as exc_info:
             bfs_closure(sl2_generators(11), budget=2)
         assert exc_info.value.budget == 2
@@ -374,6 +416,14 @@ class TestCheckBudget:
             group.multiplication_table()
 
 
+def assert_inverse_matches_np_unique(keys):
+    uniq, first, inverse = first_occurrences(keys, return_inverse=True)
+    assert np.array_equal(first, first_occurrences(keys)[1])
+    expected = np.unique(keys, return_inverse=True)[1]
+    assert np.array_equal(inverse, expected) and inverse.dtype == expected.dtype
+    assert list(uniq[inverse]) == list(keys)
+
+
 class TestFirstOccurrences:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 5), max_size=60))
@@ -383,6 +433,7 @@ class TestFirstOccurrences:
         expected_uniq, expected_first = np.unique(keys, return_index=True)
         assert np.array_equal(uniq, expected_uniq) and uniq.dtype == expected_uniq.dtype
         assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
+        assert_inverse_matches_np_unique(keys)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.binary(max_size=3), max_size=60))
@@ -393,6 +444,7 @@ class TestFirstOccurrences:
         expected_uniq, expected_first = np.unique(keys, return_index=True)
         assert uniq.dtype == object and list(uniq) == list(expected_uniq)
         assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
+        assert_inverse_matches_np_unique(keys)
 
     @pytest.mark.parametrize(
         "keys",
@@ -409,6 +461,7 @@ class TestFirstOccurrences:
         expected_uniq, expected_first = np.unique(keys, return_index=True)
         assert list(uniq) == list(expected_uniq) and uniq.dtype == expected_uniq.dtype
         assert np.array_equal(first, expected_first) and first.dtype == expected_first.dtype
+        assert_inverse_matches_np_unique(keys)
 
 
 SL2_F5 = bfs_closure(sl2_generators(5))
