@@ -52,6 +52,7 @@ from .graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
+    torsion_symmetry,
 )
 from .spectra import (
     ConvergenceError,

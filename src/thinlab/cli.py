@@ -60,6 +60,7 @@ from .graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
+    torsion_symmetry,
 )
 from .spectra import (
     CSV_FIELDS,
@@ -462,7 +463,8 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         check_torsion_states(p, 2 * genus)  # before any generator is built
         gens = _sweep_generators(genus, "standard", p)
         moves = torsion_action(gens)
-        graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}")
+        symmetry = torsion_symmetry(p, 2 * genus)
+        graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}", symmetry=symmetry)
         if params["compare_cayley"]:
             built[p] = graph
         return graph
@@ -539,11 +541,13 @@ def _run_pra(params: dict, seed: int, jobs: int | None, outdir: Path):
         gens = parse_group_spec(group_spec)
         group = bfs_closure(gens)
         graph = pra_mod.pra_graph(group, n)
-        comps = components(graph)
-        orbits = sorted((len(c) for c in comps), reverse=True)
+        # solved first: the graph keeps the components the solve's sparse A
+        # gave, so the orbit sizes and the walk build no second one
         lam = ""
         if graph.n_vertices >= 2 and graph.degree >= 1:
             lam = _float(lambda1(graph).lambda1)
+        comps = components(graph)
+        orbits = sorted((len(c) for c in comps), reverse=True)
         walk = pra_mod.pra_walk(graph, comps, steps, seed)
         tvs = ";".join(f"{t}:{_float(tv)}" for t, tv in walk.tv_checkpoints)
         orbit_sizes = ";".join(str(s) for s in orbits)

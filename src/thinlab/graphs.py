@@ -17,12 +17,15 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
+from .elements import GroupElement, identity_like
 from .groups import (
     BudgetExceeded,
     FiniteGroup,
     GeneratorSet,
     check_budget,
     first_occurrences,
+    is_prime,
+    primitive_root,
     resolve_budget,
 )
 
@@ -32,7 +35,20 @@ _DUMP_MAGIC = b"TLG1"
 
 
 class MultiGraph:
-    """k-regular undirected multigraph in fixed-width adjacency form."""
+    """k-regular undirected multigraph in fixed-width adjacency form.
+
+    ``symmetry``, if a builder knows one, is a vertex permutation sigma
+    meant to commute with the adjacency, as an (N,) integer array: sigma[u]
+    is u's image.  Nothing checks it here; ``spectra.lambda1`` verifies it
+    from the neighbor table before it splits the Laplacian along its
+    orbits, and ignores it otherwise.
+
+    The graph is immutable, so its components, once a search has found
+    them (``components`` or ``lambda1``), are kept in ``_comps`` and not
+    searched for again."""
+
+    symmetry: np.ndarray | None = None
+    _comps: list[np.ndarray] | None = None
 
     def __init__(self, neighbors: np.ndarray, label: str = ""):
         nbrs = np.asarray(neighbors)
@@ -47,12 +63,12 @@ class MultiGraph:
         self.neighbors.flags.writeable = False
 
     @classmethod
-    def _symmetric(cls, neighbors: np.ndarray, label: str) -> "MultiGraph":
+    def _symmetric(cls, neighbors: np.ndarray, label: str, symmetry: np.ndarray | None) -> "MultiGraph":
         """The graph on an int32 (N, k) array already known to be a
         symmetric adjacency in range, as schreier_graph's checked move
         arrays are: skips _check_symmetric."""
         graph = cls.__new__(cls)
-        graph.neighbors, graph.label = neighbors, label
+        graph.neighbors, graph.label, graph.symmetry = neighbors, label, symmetry
         neighbors.flags.writeable = False
         return graph
 
@@ -134,7 +150,13 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     A generator that is one of the group's own symmetrized generators takes
     its column from the group's BFS move table, and the group's own
     generator set takes the whole table, shared read-only; any other
-    generator is multiplied out and looked up."""
+    generator is multiplied out and looked up.
+
+    The graph's ``symmetry`` is left multiplication by the listed generator
+    of largest order h (the first such), which commutes with every right
+    multiplication; its orbits are the N / h right cosets of that
+    generator's cyclic group.  It is read down the group's BFS tree
+    (``left_multiplication_indices``), and left unset where h = 1."""
     for g in gens.symmetrized:
         if g not in group:
             raise ValueError(f"generator not in group: {g!r}")
@@ -149,7 +171,20 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
         moves = np.stack(cols, axis=1)
     if label is None:
         label = f"cayley({gens.label or group.label})"
-    return schreier_graph(moves, label=label)
+    orders = [_element_order(g) for g in gens.elements]
+    h = max(orders)
+    symmetry = None
+    if h >= 2:
+        symmetry = group.left_multiplication_indices(gens.elements[orders.index(h)])
+    return schreier_graph(moves, label=label, symmetry=symmetry)
+
+
+def _element_order(g: GroupElement) -> int:
+    """The order of an element of a finite group, by repeated product."""
+    e, power, h = identity_like(g), g, 1
+    while power != e:
+        power, h = power * g, h + 1
+    return h
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
@@ -162,11 +197,14 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
     return all(np.array_equal(a[i], b[j]) for i, j in zip(order_a, order_b))
 
 
-def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
+def schreier_graph(
+    moves: np.ndarray, label: str = "", symmetry: np.ndarray | None = None
+) -> MultiGraph:
     """Graph of a group action: x -- m(x) for every move m; k = number of
     moves.  ``moves`` is the (N, k) array in ``MultiGraph.neighbors``
     layout: row x lists x's image under each move.  Each column must be a
-    bijection of range(N), and the columns an inversion-closed multiset."""
+    bijection of range(N), and the columns an inversion-closed multiset.
+    ``symmetry`` becomes the graph's, unchecked (see ``MultiGraph``)."""
     moves = np.asarray(moves)
     if moves.ndim != 2:
         raise ValueError("moves must be a 2-d (N, k) array")
@@ -189,15 +227,18 @@ def schreier_graph(moves: np.ndarray, label: str = "") -> MultiGraph:
     if n and not _same_rows(images, inverses):
         raise ValueError("move multiset is not closed under inversion")
     # bijective moves closed under inversion make a symmetric adjacency
-    return MultiGraph._symmetric(moves, label)
+    return MultiGraph._symmetric(moves, label, symmetry)
 
 
 def components(g: MultiGraph) -> list[np.ndarray]:
-    """Connected components as sorted vertex index arrays, ordered by their
-    smallest vertex."""
+    """Connected components as sorted read-only vertex index arrays, ordered
+    by their smallest vertex.  A graph's first search is kept, so after
+    ``lambda1`` no sparse adjacency is built here."""
     if not g.n_vertices:
         return []
-    return _components(g.adjacency())
+    if g._comps is None:
+        g._comps = _components(g.adjacency())
+    return list(g._comps)
 
 
 def _components(A: scipy.sparse.csr_matrix) -> list[np.ndarray]:
@@ -208,12 +249,15 @@ def _components(A: scipy.sparse.csr_matrix) -> list[np.ndarray]:
         A, directed=True, connection="weak"
     )
     if count == 1:
-        return [np.arange(A.shape[0], dtype=np.int64)]
+        members = np.arange(A.shape[0], dtype=np.int64)
+        members.flags.writeable = False
+        return [members]
     # scipy does not document its label order: key each vertex by the
     # smallest vertex of its component instead
     _, smallest = first_occurrences(labels)
     roots = smallest[labels]
     members = np.argsort(roots, kind="stable").astype(np.int64)
+    members.flags.writeable = False
     return np.split(members, np.flatnonzero(np.diff(roots[members])) + 1)
 
 
@@ -287,6 +331,22 @@ def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
             raise ValueError("generator sends a nonzero vector to zero")
         moves[:, t] = codes - 1
     return moves
+
+
+def torsion_symmetry(m: int, dim: int) -> np.ndarray | None:
+    """Multiplication by the least primitive root r mod an odd prime m, as
+    a permutation of ``torsion_action``'s states: entry x is the state of
+    r times the torsion point with base-m code x + 1.  Scalars commute with
+    every matrix, so it commutes with the torsion action, and r has order
+    m - 1 with no nonzero fixed vector below that power, so all its orbits
+    have m - 1 states.  None where m is not an odd prime."""
+    if m < 3 or not is_prime(m):
+        return None
+    check_torsion_states(m, dim)
+    scaled = _all_nonzero_vectors(dim, m)
+    scaled *= primitive_root(m)
+    scaled %= m
+    return (_vector_codes(scaled, m) - 1).astype(np.int32)
 
 
 def torsion_projection(group: FiniteGroup) -> np.ndarray:

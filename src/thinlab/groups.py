@@ -295,6 +295,18 @@ class FiniteGroup:
         """Index array of q -> q*s over all elements q, in one batch."""
         return self.indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
 
+    def left_multiplication_indices(self, g: GroupElement) -> np.ndarray:
+        """Index array of q -> g*q over all elements q, propagated down the
+        BFS tree with no product formed: element i is element(parents[i]) *
+        symmetrized[steps[i]], so g * element(i) is the move of g *
+        element(parents[i]) by steps[i], read from ``moves`` a layer at a
+        time."""
+        left = np.empty(self.order, dtype=np.int32)
+        left[0] = self.index_of(g)
+        for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
+            left[a:b] = self.moves[left[self._parents[a:b]], self._steps[a:b]]
+        return left
+
     def conjugation_indices(self, s: GroupElement) -> np.ndarray:
         """Index array of q -> s*q*s^(-1) over all elements q, in one batch."""
         q_s_inv = _batch_multiply(self.kind, self.modulus, self.stack, inverse(s).data)
@@ -588,6 +600,23 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p: the
+    least r with r^((p - 1) / q) != 1 for every prime q dividing p - 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    factors, rest, q = [], p - 1, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors))
 
 
 def sp_order_factors(g: int, p: int) -> Iterator[int]:

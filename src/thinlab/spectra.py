@@ -17,17 +17,32 @@ Willoughby 1985).  The graph's size alone picks the solver: dense up to
 residual of at most ``ITERATIVE_TOL`` within 10 N Lanczos steps.
 
 The dense solver proves its value the bottom of the nonzero spectrum.  It
-runs the same Lanczos to a residual of 1e-10, then factors
-M = L + 2 11^T / N - (lambda1 - 1e-9) I by Cholesky.  Only M's upper
-triangle is formed, straight from the sparse A/k, in LAPACK's rectangular
-full packed format (about N^2/2 doubles, N padded to even), and dpftrf
-factors it in place at level-3 BLAS speed (Gustavson et al., ACM TOMS
-37(2), 2010).  M moves the constant vector to eigenvalue 2, the top of L's
-spectrum, so success shows that no eigenvalue of L on 1-perp lies below
-lambda1 - 1e-9; a Ritz value never lies below the true lambda1, so the two
-are within 1e-9.  If Lanczos does not converge or the factorisation fails,
-a symmetric eigendecomposition (eigh) of the dense L decides; no other
-path calls eigh.
+runs the same Lanczos to a residual of 1e-10, then shows by Cholesky that
+M = L + 2 11^T / N - (lambda1 - 1e-9) I is positive definite.  M moves the
+constant vector to eigenvalue 2, the top of L's spectrum, so success shows
+that no eigenvalue of L on 1-perp lies below lambda1 - 1e-9; a Ritz value
+never lies below the true lambda1, so the two are within 1e-9.
+
+M is factored on blocks where the graph has a symmetry: a vertex
+permutation sigma that its builder knows (left multiplication by a
+generator on a Cayley graph, a primitive root's scalar multiplication on a
+torsion graph).  sigma is first verified from the neighbor table alone: a
+bijection, all orbits of one size h >= 2, and sigma(neighbors(u)) =
+neighbors(sigma(u)) as multisets.  The characters of the cyclic group it
+generates then split M into h blocks of order n = N / h, of which the
+blocks j = 0..h/2 decide (the others are their conjugates); each is
+factored by dpotrf or zpotrf (Serre, Linear Representations of Finite
+Groups, section 7).  SL2(F13)'s certificate is then 7 factorizations of
+168 x 168 instead of one of 2,184 x 2,184.
+
+Without a symmetry, or if it fails a check or a block fails, M is
+factored whole: only its upper triangle is formed, straight from the
+sparse A/k, in LAPACK's rectangular full packed format (about N^2/2
+doubles, N padded to even), and dpftrf factors it in place at level-3 BLAS
+speed (Gustavson et al., ACM TOMS 37(2), 2010).  If Lanczos does not
+converge or that factorisation fails, a symmetric eigendecomposition
+(eigh) of the dense L decides; no other path calls eigh.  Whichever
+factorisation decides, the reported value is the same Lanczos value.
 """
 
 from __future__ import annotations
@@ -168,13 +183,98 @@ def _rfp_cholesky(rfp: np.ndarray, m: int) -> bool:
     return info == 0
 
 
-def _lambda1_certified(A, n: int) -> tuple[float, float, np.ndarray]:
+def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """The orbits of the graph's ``symmetry`` sigma, verified from the
+    neighbor table alone, or None if sigma is missing or fails a check.
+
+    sigma must be a bijection of the N vertices whose orbits all have one
+    size h >= 2, and sigma(neighbors(u)) must equal neighbors(sigma(u)) as
+    multisets for every u, which is exactly sigma commuting with A.
+    Returns the orbit representatives (each orbit's smallest vertex, in
+    increasing order), each vertex's orbit and its exponent e, with vertex
+    w = sigma^e(representative of w's orbit), and h."""
+    sigma, nbrs = graph.symmetry, graph.neighbors
+    n = graph.n_vertices
+    if sigma is None:
+        return None
+    sigma = np.asarray(sigma)
+    if sigma.shape != (n,) or sigma.dtype.kind not in "iu":
+        return None
+    if sigma.min() < 0 or sigma.max() >= n or np.bincount(sigma, minlength=n).max() != 1:
+        return None
+    if not np.array_equal(np.sort(sigma[nbrs], axis=1), np.sort(nbrs[sigma], axis=1)):
+        return None
+    # each cycle walked once from its smallest vertex
+    perm = sigma.tolist()
+    orbit, power, reps, sizes = [-1] * n, [0] * n, [], set()
+    for v in range(n):
+        if orbit[v] < 0:
+            u, e = v, 0
+            while orbit[u] < 0:
+                orbit[u], power[u] = len(reps), e
+                u, e = perm[u], e + 1
+            reps.append(v)
+            sizes.add(e)
+    h = sizes.pop()
+    if sizes or h < 2:
+        return None
+    return np.array(reps), np.array(orbit), np.array(power), h
+
+
+def _blocks_cholesky(graph: MultiGraph, orbits, shift: float) -> bool:
+    """True iff M = L + 2 11^T / N - shift I is positive definite, decided
+    on the blocks that sigma's characters split it into (Serre, Linear
+    Representations of Finite Groups, section 7).
+
+    With omega = exp(2 pi i / h), the vectors phi_(c,j)(sigma^e r_c) =
+    omega^(j e) / sqrt(h), one per orbit c and character j, are an
+    orthonormal basis in which A is block diagonal: block j is the n x n
+    matrix B_j[c, c'] = sum of omega^(j e(w)) over the neighbors w of r_c
+    in orbit c', with n = N / h.  The constants are sqrt(h) times the sum
+    of the phi_(c,0), so 2 11^T / N is 2 11^T / n in block 0 and 0 in the
+    others.  Block h - j is the conjugate of block j, with the same
+    spectrum, so j = 0..h/2 decide.  A real block (j = 0, and j = h/2 for
+    even h) is factored by dpotrf, a complex one by zpotrf."""
+    reps, orbit, power, h = orbits
+    n, k = reps.size, graph.degree
+    nbrs = graph.neighbors[reps]
+    cell = (np.arange(n)[:, np.newaxis] * n + orbit[nbrs]).ravel()
+    e = power[nbrs].ravel()
+    roots = np.exp(2j * np.pi / h * np.arange(h))
+    for j in range(h // 2 + 1):
+        weights = roots[j * e % h] * (-1 / k)
+        real = 2 * j % h == 0
+        M = np.empty(n * n, dtype=np.float64 if real else np.complex128)
+        M.real = np.bincount(cell, weights.real, n * n)
+        if not real:
+            M.imag = np.bincount(cell, weights.imag, n * n)
+        M = M.reshape(n, n)
+        if j == 0:
+            M += 2.0 / n
+        M.flat[:: n + 1] += 1.0 - shift
+        # M.T is M's Fortran view: M itself where real, its conjugate,
+        # with the same spectrum, where complex
+        potrf = lapack.dpotrf if real else lapack.zpotrf
+        # the factor overwrites M, and neither outlives its block
+        if potrf(M.T, overwrite_a=1, clean=0)[1] != 0:
+            return False
+        del M
+    return True
+
+
+def _lambda1_certified(graph: MultiGraph, A, n: int) -> tuple[float, float, np.ndarray]:
     """The dense lambda1 of a connected graph: the Lanczos value with a
     Cholesky certificate that it is the bottom of L's spectrum on 1-perp,
-    or, when Lanczos does not converge or the certificate fails, eigh's."""
+    or, when Lanczos does not converge or the certificate fails, eigh's.
+    The certificate factors the blocks of a verified graph symmetry, and
+    else, or if a block fails, the packed N x N matrix."""
     try:
         lam, res, x = _lambda1_lanczos(A, n, _CERTIFIED_TOL, 10 * n)
-        if _rfp_cholesky(*_shifted_laplacian_rfp(A, lam - _CERTIFICATE_MARGIN)):
+        shift = lam - _CERTIFICATE_MARGIN
+        orbits = _symmetry_orbits(graph)
+        if orbits is not None and _blocks_cholesky(graph, orbits, shift):
+            return lam, res, x
+        if _rfp_cholesky(*_shifted_laplacian_rfp(A, shift)):
             return lam, res, x
     except ConvergenceError:
         pass
@@ -271,12 +371,15 @@ def lambda1(graph: MultiGraph) -> SpectralReport:
     its component or, on a connected graph, if a row sum of A/k is off 1 by
     more than 1e-12.  A connected graph of at most ``DENSE_CUTOFF``
     vertices gets solver "dense": a Lanczos value certified the bottom of
-    the nonzero spectrum by a Cholesky factorisation of the shifted
-    Laplacian held as a packed upper triangle, with a symmetric
-    eigendecomposition of the dense Laplacian as the fallback.  A larger
-    one gets "iterative": Lanczos on A/k restricted to the constant-free
-    subspace, whose reported residual ||L x - lambda1 x|| / ||x|| is at
-    most ``ITERATIVE_TOL``; past 10 N steps ``ConvergenceError`` is raised.
+    the nonzero spectrum by Cholesky factorisations of the shifted
+    Laplacian.  They run on the n x n blocks of the graph's ``symmetry``
+    where it passes its checks, else on the Laplacian held as a packed
+    upper triangle, and a symmetric eigendecomposition of the dense
+    Laplacian is the fallback of both.  A larger one gets "iterative":
+    Lanczos on A/k restricted to the constant-free subspace, whose reported
+    residual ||L x - lambda1 x|| / ||x|| is at most ``ITERATIVE_TOL``; past
+    10 N steps ``ConvergenceError`` is raised.  The components found are
+    kept on the graph for ``graphs.components``.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
@@ -307,9 +410,10 @@ def lambda1(graph: MultiGraph) -> SpectralReport:
         if drift > 1e-12:
             raise RuntimeError(f"kernel mismatch: a row sum of A/k is off 1 by {drift}")
         if solver == "dense":
-            lam, res, x = _lambda1_certified(A, n)
+            lam, res, x = _lambda1_certified(graph, A, n)
         else:
             lam, res, x = _lambda1_lanczos(A, n, ITERATIVE_TOL, 10 * n)
+    graph._comps = comps  # checked above, and kept for ``components``
     return SpectralReport(graph.label, n, k, lam, zm, solver, res, time.perf_counter() - t0, x)
 
 

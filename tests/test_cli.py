@@ -21,7 +21,7 @@ from thinlab.cli import (
     run,
     validate_config,
 )
-from thinlab.graphs import cayley_graph, from_edges, save_graph, to_dot
+from thinlab.graphs import MultiGraph, cayley_graph, from_edges, save_graph, to_dot
 from thinlab.groups import BUDGET_ENV_VAR, BudgetExceeded, bfs_closure, sl2_generators
 from thinlab import spectra as spectra_mod
 from thinlab.spectra import DENSE_CUTOFF, family_sweep, lambda1
@@ -367,6 +367,36 @@ class TestRun:
         manifest = run(config, out_dir=tmp_path / "out")
         assert not manifest.failed
         assert len(calls) == 1
+
+    def test_pra_run_builds_one_adjacency(self, tmp_path, monkeypatch):
+        # the solve's sparse A also gives the orbit sizes and the walk's
+        # component
+        calls = []
+        original = MultiGraph.adjacency
+
+        def counting(graph):
+            calls.append(graph.n_vertices)
+            return original(graph)
+
+        monkeypatch.setattr(MultiGraph, "adjacency", counting)
+        config = validate_config({"kind": "pra", "group": "S3", "arity": 2, "steps": 100})
+        manifest = run(config, out_dir=tmp_path / "out")
+        assert not manifest.failed
+        assert len(calls) == 1
+
+    def test_schreier_sweep_certifies_on_the_blocks(self, tmp_path, monkeypatch):
+        # the torsion graphs and the Cayley graphs they are compared with
+        # carry a symmetry that lambda1 verifies, so no dense solve builds
+        # the packed N x N matrix
+        def packed(A, shift):
+            raise AssertionError(f"packed certificate built at N = {A.shape[0]}")
+
+        monkeypatch.setattr(spectra_mod, "_shifted_laplacian_rfp", packed)
+        config = validate_config(
+            {"kind": "schreier-sweep", "genus": 1, "primes": [5, 7, 31], "compare_cayley": True}
+        )
+        manifest = run(config, out_dir=tmp_path / "out", jobs=1)
+        assert not manifest.failed, manifest.tasks
 
     def test_chain_generators_at_genus_1(self, tmp_path):
         # the three chain transvections generate SL2(F_p): k = 6

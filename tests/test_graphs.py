@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from thinlab.graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
+    torsion_symmetry,
 )
 
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -166,6 +168,19 @@ def lookup_table(group, gens) -> np.ndarray:
     return np.stack([group.right_multiplication_indices(s) for s in gens.symmetrized], axis=1)
 
 
+def left_products(group, g) -> np.ndarray:
+    """g * x for every element x, multiplied out: (g x)(i) = g(x(i)) for
+    permutations, the matrix product mod m for matrices."""
+    if group.kind == "matrix":
+        return np.matmul(g.data, group.stack) % group.modulus
+    return g.data[group.stack]
+
+
+def element_order(g) -> int:
+    e = g ** 0
+    return next(h for h in itertools.count(1) if g**h == e)
+
+
 class TestCayleyMoveTable:
     @pytest.mark.parametrize(
         "gens",
@@ -203,6 +218,35 @@ class TestCayleyMoveTable:
             assert np.array_equal(graph.neighbors, lookup_table(full, gens))
             assert len(components(graph)) == full.order // bfs_closure(gens).order
 
+    @pytest.mark.parametrize(
+        "gens,order",
+        [(sl2_generators(7), 7), (symmetric_generators(6), 6), (standard_symplectic_generators(2, 3), 3)],
+        ids=["sl2_7", "S6", "sp4_3"],
+    )
+    def test_symmetry_is_left_multiplication_by_the_longest_generator(self, gens, order):
+        # T of order 7, the 6-cycle, and the first of the order-3
+        # transvections; read down the BFS tree, checked against g * x
+        # multiplied out and looked up
+        group = bfs_closure(gens)
+        orders = [element_order(g) for g in gens.elements]
+        assert max(orders) == order
+        g = gens.elements[orders.index(order)]
+        graph = cayley_graph(group, gens)
+        assert np.array_equal(graph.symmetry, group.indices(left_products(group, g)))
+
+    def test_symmetry_of_other_generators(self):
+        # t^2 (order 7) and -I (order 2) inside SL2(F7): the graph's own
+        # listed generator of largest order, not the group's
+        full = bfs_closure(sl2_generators(7))
+        t_squared = GroupElement.matrix([[1, 2], [0, 1]], 7)
+        minus_i = GroupElement.matrix([[6, 0], [0, 6]], 7)
+        graph = cayley_graph(full, GeneratorSet([minus_i, t_squared]))
+        assert np.array_equal(graph.symmetry, full.indices(left_products(full, t_squared)))
+
+    def test_no_symmetry_from_the_identity(self):
+        gens = cyclic_generators(1)
+        assert cayley_graph(bfs_closure(gens), gens).symmetry is None
+
     def test_other_modulus_is_not_the_groups_own(self):
         # T mod 5 and T mod 7 have the same entries but are not the same element
         group = bfs_closure(sl2_generators(5))
@@ -225,6 +269,24 @@ class TestCayleyMoveTable:
 
 
 class TestComponents:
+    def test_search_is_kept_on_the_graph(self, monkeypatch):
+        # lambda1's search is the graph's: components builds no sparse
+        # adjacency after it, and the arrays it shares are read-only
+        from thinlab.spectra import lambda1
+
+        gens = sl2_generators(5)
+        graph = cayley_graph(bfs_closure(gens), gens)
+        lambda1(graph)
+        monkeypatch.setattr(graph, "adjacency", lambda: pytest.fail("adjacency rebuilt"))
+        comps = components(graph)
+        assert len(comps) == 1 and np.array_equal(comps[0], np.arange(120))
+        assert not comps[0].flags.writeable
+        comps.clear()
+        assert len(components(graph)) == 1
+        two = from_edges(6, TWO_TRIANGLES)
+        assert [c.tolist() for c in components(two)] == [[0, 1, 2], [3, 4, 5]]
+        assert not any(c.flags.writeable for c in components(two))
+
     def test_cycle_connected(self):
         gens = cyclic_generators(10)
         assert len(components(cayley_graph(bfs_closure(gens), gens))) == 1
@@ -318,6 +380,22 @@ class TestSchreier:
         assert graph.n_vertices == ell**2 - 1
         assert graph.degree == 4
         assert len(components(graph)) == 1  # SL2 transitive on nonzero vectors
+
+    @pytest.mark.parametrize("p,dim", [(3, 2), (5, 2), (31, 2), (3, 4)])
+    def test_torsion_symmetry_is_scalar_multiplication(self, p, dim):
+        # the least r whose powers are all of F_p^*, times each state's
+        # vector, coded as torsion_action codes it
+        r = next(r for r in range(2, p) if len({pow(r, e, p) for e in range(p - 1)}) == p - 1)
+        sigma = torsion_symmetry(p, dim)
+        expected = []
+        for x in range(p**dim - 1):
+            digits = [(x + 1) // p**i % p for i in range(dim)]
+            expected.append(sum(r * d % p * p**i for i, d in enumerate(digits)) - 1)
+        assert sigma.tolist() == expected
+
+    @pytest.mark.parametrize("m", [2, 9, 15])
+    def test_no_torsion_symmetry_off_odd_primes(self, m):
+        assert torsion_symmetry(m, 2) is None
 
     def test_torsion_states_capped_by_budget(self, monkeypatch):
         gens = sl2_generators(31)  # 31^2 - 1 = 960 states

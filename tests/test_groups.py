@@ -27,6 +27,7 @@ from thinlab.groups import (
     first_occurrences,
     is_prime,
     matrix_group_order,
+    primitive_root,
     resolve_budget,
     sl2_generators,
     sp_order,
@@ -701,3 +702,13 @@ def test_is_prime():
     assert [n for n in range(50) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     ]
+
+
+def test_primitive_root():
+    # the least r of multiplicative order p - 1
+    for p in [n for n in range(2, 200) if is_prime(n)]:
+        r = primitive_root(p)
+        orders = [next(h for h in range(1, p) if pow(a, h, p) == 1) for a in range(1, r + 1)]
+        assert orders[-1] == p - 1 and max(orders[:-1], default=0) < p - 1
+    with pytest.raises(ValueError, match="not prime"):
+        primitive_root(9)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symmetric_generators, direct_product_of_cyclic
-from thinlab.graphs import cayley_graph, components, from_edges, schreier_graph, torsion_action
+from thinlab.graphs import MultiGraph, cayley_graph, components, from_edges, schreier_graph, torsion_action, torsion_symmetry
 from thinlab import spectra
 from thinlab.spectra import (
     DENSE_CUTOFF,
@@ -340,14 +340,43 @@ class TestLanczosOracles:
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
 
 
+def torsion_graph(p):
+    """The genus-1 torsion Schreier graph with the symmetry a schreier-sweep
+    gives it."""
+    return schreier_graph(torsion_action(sl2_generators(p)), symmetry=torsion_symmetry(p, 2))
+
+
 def spectral_dense_graphs():
     """The graphs the spectral benchmark solves densely: SL2(F_p) Cayley
     graphs for p = 3..13 and the genus-1 torsion Schreier graphs for
-    p = 31, 37, 41."""
+    p = 31, 37, 41, each with the symmetry its builder gives it."""
     return [(f"sl2_{p}", lambda p=p: sl2_graph(p)) for p in (3, 5, 7, 11, 13)] + [
-        (f"torsion_{p}", lambda p=p: schreier_graph(torsion_action(sl2_generators(p))))
-        for p in (31, 37, 41)
+        (f"torsion_{p}", lambda p=p: torsion_graph(p)) for p in (31, 37, 41)
     ]
+
+
+def turned_cycle(n, turn):
+    """The n-cycle with the rotation by ``turn`` as its symmetry."""
+    x = np.arange(n)
+    return schreier_graph(np.stack([(x + 1) % n, (x - 1) % n], axis=1), symmetry=(x + turn) % n)
+
+
+def symmetric_dense_graphs():
+    """spectral_dense_graphs, the Cayley graphs of S5, S6 and Z2xZ3xZ5xZ7,
+    the 12-cycle, whose symmetry has one orbit: 1 x 1 blocks, and the
+    12-cycle turned by 6 and by 4, where lambda1 lies only in the last
+    block decided, j = h/2 = 1 (real) and j = 1 of h = 3 (complex)."""
+    more = [
+        ("S5", symmetric_generators(5)),
+        ("S6", symmetric_generators(6)),
+        ("Z2xZ3xZ5xZ7", direct_product_of_cyclic([2, 3, 5, 7])),
+    ]
+    return (
+        spectral_dense_graphs()
+        + [(name, lambda g=g: cayley_graph(bfs_closure(g), g)) for name, g in more]
+        + [("C12", lambda: cyclic_graph(12))]
+        + [(f"C12 turned by {t}", lambda t=t: turned_cycle(12, t)) for t in (6, 4)]
+    )
 
 
 def shifted_laplacian(graph, shift):
@@ -479,6 +508,118 @@ class TestCertifiedDense:
         assert report.solver == "dense"
         assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
         assert report.residual <= 1e-12
+
+
+def count_packed(monkeypatch):
+    """Count the packed N x N certificates built; they still run."""
+    calls = []
+    packed = spectra._shifted_laplacian_rfp
+
+    def counted(A, shift):
+        calls.append(A.shape[0])
+        return packed(A, shift)
+
+    monkeypatch.setattr(spectra, "_shifted_laplacian_rfp", counted)
+    return calls
+
+
+def without_symmetry(graph):
+    """The same graph with no symmetry: the packed certificate decides."""
+    return MultiGraph(graph.neighbors, label=graph.label)
+
+
+def report_fields(report):
+    return report.lambda1, report.residual, report.zero_multiplicity, report.solver
+
+
+class TestSymmetryBlocks:
+    """The dense certificate on the blocks of a verified graph symmetry,
+    against the packed N x N certificate on the same graphs."""
+
+    @pytest.mark.parametrize("name,build", symmetric_dense_graphs(), ids=[n for n, _ in symmetric_dense_graphs()])
+    def test_blocks_decide_as_the_packed_matrix(self, name, build):
+        graph = build()
+        A = graph.adjacency() / graph.degree
+        orbits = spectra._symmetry_orbits(graph)
+        assert orbits is not None
+        lam = lambda1(graph).lambda1
+        for shift, definite in ((lam - 1e-9, True), (lam + 1e-9, False)):
+            assert spectra._blocks_cholesky(graph, orbits, shift) is definite
+            assert spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, shift)) is definite
+
+    def test_cycle_blocks_are_one_by_one(self):
+        reps, orbit, power, h = spectra._symmetry_orbits(cyclic_graph(12))
+        assert h == 12 and reps.tolist() == [0] and orbit.tolist() == [0] * 12
+        assert sorted(power.tolist()) == list(range(12))
+
+    @pytest.mark.parametrize("name,build", symmetric_dense_graphs(), ids=[n for n, _ in symmetric_dense_graphs()])
+    def test_blocks_report_equals_the_packed_report(self, name, build, monkeypatch):
+        graph = build()
+        plain = lambda1(without_symmetry(graph))
+        packed, eigh_calls = count_packed(monkeypatch), count_eigh(monkeypatch)
+        report = lambda1(graph)
+        assert packed == [] and eigh_calls == []
+        assert report_fields(report) == report_fields(plain)
+        assert np.array_equal(report.eigenvector, plain.eigenvector)
+
+    # name: (graph, sigma of N, whether sigma commutes with the adjacency)
+    REFUSED = {
+        # a bijection with one orbit, but not an automorphism
+        "shift": (lambda: sl2_graph(5), lambda n: np.roll(np.arange(n), 1), False),
+        "identity": (lambda: sl2_graph(5), lambda n: np.arange(n), True),
+        # the reflection x -> -x of the 11-cycle fixes 0
+        "reflection": (lambda: from_edges(11, [(i, (i + 1) % 11) for i in range(11)]), lambda n: -np.arange(n) % n, True),
+        # every permutation commutes with K7 and K5: a fixed point and a
+        # 6-cycle, then orbits of two sizes and no fixed point
+        "K7 fixed point": (lambda: complete_graph(7), lambda n: np.array([0, 2, 3, 4, 5, 6, 1]), True),
+        "K5 sizes 2 and 3": (lambda: complete_graph(5), lambda n: np.array([1, 0, 3, 4, 2]), True),
+        "out of range": (lambda: sl2_graph(5), lambda n: np.arange(1, n + 1), False),
+        "not a bijection": (lambda: sl2_graph(5), lambda n: np.zeros(n, dtype=np.int64), False),
+        "wrong length": (lambda: sl2_graph(5), lambda n: np.arange(n - 1), False),
+        "not integers": (lambda: sl2_graph(5), lambda n: np.arange(n) + 0.0, False),
+    }
+
+    @pytest.mark.parametrize("name", list(REFUSED))
+    def test_refused_symmetry_falls_back_to_the_packed_matrix(self, name, monkeypatch):
+        build, sigma, commutes = self.REFUSED[name]
+        graph = without_symmetry(build())
+        plain = lambda1(graph)
+        graph.symmetry = sigma(graph.n_vertices)
+        if commutes:  # refused for its orbits alone
+            nbrs = graph.neighbors
+            image = graph.symmetry
+            assert np.array_equal(np.sort(image[nbrs], axis=1), np.sort(nbrs[image], axis=1))
+        assert spectra._symmetry_orbits(graph) is None
+        packed, eigh_calls = count_packed(monkeypatch), count_eigh(monkeypatch)
+        report = lambda1(graph)
+        assert packed == [graph.n_vertices] and eigh_calls == []
+        assert report_fields(report) == report_fields(plain)
+
+    def test_any_symmetry_of_k7_is_used(self, monkeypatch):
+        # a 7-cycle commutes with K7's adjacency: one orbit, so 1 x 1
+        # blocks, of which j = 0..3 are factored
+        graph = complete_graph(7)
+        plain = lambda1(graph)
+        graph.symmetry = np.array([1, 2, 3, 4, 5, 6, 0])
+        packed = count_packed(monkeypatch)
+        assert report_fields(lambda1(graph)) == report_fields(plain)
+        assert packed == []
+
+    def test_failed_block_falls_back_to_the_packed_matrix(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_blocks_cholesky", lambda graph, orbits, shift: False)
+        graph = sl2_graph(7)
+        packed = count_packed(monkeypatch)
+        report = lambda1(graph)
+        assert packed == [graph.n_vertices]
+        assert report_fields(report) == report_fields(lambda1(without_symmetry(graph)))
+
+    def test_non_bottom_eigenpair_refused_by_the_blocks(self, monkeypatch):
+        # the blocks, too, refuse an eigenvalue above lambda1, so eigh decides
+        graph = sl2_graph(5)
+        L = np.eye(graph.n_vertices) - graph.dense_adjacency() / graph.degree
+        w = np.linalg.eigvalsh(L)
+        above = float(w[np.flatnonzero(w > w[1] + 1e-3)[0]])
+        assert not spectra._blocks_cholesky(graph, spectra._symmetry_orbits(graph), above - 1e-9)
 
 
 class TestEdgesAndErrors:
@@ -632,8 +773,9 @@ class TestMemory:
     def test_dense_solve_holds_one_dense_matrix(self):
         # numpy and LAPACK work arrays are traced; the certificate factors
         # M's packed upper triangle in place, so the peak is about half an
-        # N x N float64 array (the full M peaked near 1.04 of one)
-        graph = sl2_graph(11)  # N = 1320
+        # N x N float64 array (the full M peaked near 1.04 of one).  With
+        # no symmetry, the packed certificate decides.
+        graph = without_symmetry(sl2_graph(11))  # N = 1320
         n = graph.n_vertices
         tracemalloc.start()
         try:
@@ -685,16 +827,28 @@ class TestMemory:
         # the recurrence alone, A/k already built: no stored basis
         assert lanczos_peak < A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 10 * n * 8
 
-    def test_dense_solve_stays_in_the_blas_buffer(self):
-        # OpenBLAS's GEMM buffer is outside tracemalloc, so the high-water
-        # RSS of a fresh single-threaded process is read.  It is VmHWM, not
-        # ru_maxrss, which a spawned process inherits from its parent's RSS.
-        # A small solve first loads the libraries' code; the solve of
-        # SL2(F13) may then grow the mark by the packed half matrix and 5 MB
-        # of BLAS buffers and vectors.  Building the full N x N matrix grew
-        # it by 38.3 MB here, the packed certificate by 21.9 MB.
+    def test_dense_blocks_solve_holds_no_dense_matrix(self):
+        # the twin of the packed test above: SL2(F13) with left
+        # multiplication by T, of order 13, is certified on 7 blocks of
+        # 168 x 168, at most one held at a time (0.45 MB complex); the
+        # whole solve peaked near 0.05 of N^2 / 2 doubles
+        graph = sl2_graph(13)  # N = 2184
+        n = graph.n_vertices
+        tracemalloc.start()
+        try:
+            report = solve(graph, "dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.solver == "dense"
+        assert peak < 0.1 * n * n / 2 * 8
+
+    @staticmethod
+    def dense_solve_growth(keep_symmetry):
+        """VmHWM growth, in bytes, of the SL2(F13) dense solve in a fresh
+        single-threaded process, with the graph's symmetry or without."""
         script = textwrap.dedent(
-            """
+            f"""
             from thinlab.graphs import cayley_graph
             from thinlab.groups import bfs_closure, sl2_generators
             from thinlab.spectra import lambda1
@@ -709,6 +863,8 @@ class TestMemory:
 
             lambda1(sl2_graph(5))
             graph = sl2_graph(13)
+            if not {keep_symmetry}:
+                graph.symmetry = None
             base = high_water_kb()
             report = lambda1(graph)
             assert report.solver == "dense" and report.n_vertices == 2184
@@ -721,9 +877,26 @@ class TestMemory:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        grown = int(proc.stdout.split()[-1]) * 1024
+        return int(proc.stdout.split()[-1]) * 1024
+
+    def test_dense_solve_stays_in_the_blas_buffer(self):
+        # OpenBLAS's GEMM buffer is outside tracemalloc, so the high-water
+        # RSS of a fresh single-threaded process is read.  It is VmHWM, not
+        # ru_maxrss, which a spawned process inherits from its parent's RSS.
+        # A small solve first loads the libraries' code; the solve of
+        # SL2(F13) without its symmetry may then grow the mark by the packed
+        # half matrix and 5 MB of BLAS buffers and vectors.  Building the
+        # full N x N matrix grew it by 38.3 MB here, the packed certificate
+        # by 21.9 MB.
         n = 2184
-        assert grown <= n * n / 2 * 8 + 5 * 1024 * 1024
+        assert self.dense_solve_growth(keep_symmetry=False) <= n * n / 2 * 8 + 5 * 1024 * 1024
+
+    def test_dense_blocks_solve_stays_below_the_packed_matrix(self):
+        # the twin with the symmetry: the blocks and the Lanczos vectors
+        # grew the mark by 1.1-1.3 MB here, about 6 % of the packed half
+        # matrix's 19.1 MB
+        n = 2184
+        assert self.dense_solve_growth(keep_symmetry=True) <= 0.15 * n * n / 2 * 8
 
     def test_family_sweep_reports_carry_no_eigenvector(self):
         sweep = family_sweep(lambda p: sl2_graph(p), [3, 5, 7])
