@@ -11,11 +11,10 @@ I - A/k has exact zero row sums.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from .elements import GroupElement, identity_like
 from .groups import (
@@ -23,7 +22,6 @@ from .groups import (
     FiniteGroup,
     GeneratorSet,
     check_budget,
-    first_occurrences,
     is_prime,
     primitive_root,
     resolve_budget,
@@ -39,15 +37,17 @@ class MultiGraph:
 
     ``symmetry``, if a builder knows one, is a vertex permutation sigma
     meant to commute with the adjacency, as an (N,) integer array: sigma[u]
-    is u's image.  Nothing checks it here; ``spectra.lambda1`` verifies it
-    from the neighbor table before it splits the Laplacian along its
-    orbits, and ignores it otherwise.
+    is u's image.  A builder may set a function of no arguments instead,
+    which is called on the first read and replaced by its array, so a
+    graph whose sigma is never read never builds it.  Nothing checks sigma
+    here; ``spectra.lambda1`` verifies it from the neighbor table before it
+    splits the Laplacian along its orbits, and ignores it otherwise.
 
     The graph is immutable, so its components, once a search has found
     them (``components`` or ``lambda1``), are kept in ``_comps`` and not
     searched for again."""
 
-    symmetry: np.ndarray | None = None
+    _symmetry: np.ndarray | Callable[[], np.ndarray] | None = None
     _comps: list[np.ndarray] | None = None
 
     def __init__(self, neighbors: np.ndarray, label: str = ""):
@@ -62,8 +62,20 @@ class MultiGraph:
         self.neighbors = nbrs.astype(np.int32, copy=False)
         self.neighbors.flags.writeable = False
 
+    @property
+    def symmetry(self) -> np.ndarray | None:
+        if callable(self._symmetry):
+            self._symmetry = self._symmetry()
+        return self._symmetry
+
+    @symmetry.setter
+    def symmetry(self, sigma: np.ndarray | Callable[[], np.ndarray] | None) -> None:
+        self._symmetry = sigma
+
     @classmethod
-    def _symmetric(cls, neighbors: np.ndarray, label: str, symmetry: np.ndarray | None) -> "MultiGraph":
+    def _symmetric(
+        cls, neighbors: np.ndarray, label: str, symmetry: np.ndarray | Callable[[], np.ndarray] | None
+    ) -> "MultiGraph":
         """The graph on an int32 (N, k) array already known to be a
         symmetric adjacency in range, as schreier_graph's checked move
         arrays are: skips _check_symmetric."""
@@ -156,7 +168,10 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     of largest order h (the first such), which commutes with every right
     multiplication; its orbits are the N / h right cosets of that
     generator's cyclic group.  It is read down the group's BFS tree
-    (``left_multiplication_indices``), and left unset where h = 1."""
+    (``FiniteGroup.left_multiplication``) on its first read, which only the
+    dense certificate makes, and left unset where h = 1.  Until then the
+    graph holds the group's move table and BFS tree for it, not the
+    elements."""
     for g in gens.symmetrized:
         if g not in group:
             raise ValueError(f"generator not in group: {g!r}")
@@ -175,7 +190,7 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     h = max(orders)
     symmetry = None
     if h >= 2:
-        symmetry = group.left_multiplication_indices(gens.elements[orders.index(h)])
+        symmetry = group.left_multiplication(gens.elements[orders.index(h)])
     return schreier_graph(moves, label=label, symmetry=symmetry)
 
 
@@ -198,13 +213,14 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def schreier_graph(
-    moves: np.ndarray, label: str = "", symmetry: np.ndarray | None = None
+    moves: np.ndarray, label: str = "", symmetry: np.ndarray | Callable[[], np.ndarray] | None = None
 ) -> MultiGraph:
     """Graph of a group action: x -- m(x) for every move m; k = number of
     moves.  ``moves`` is the (N, k) array in ``MultiGraph.neighbors``
     layout: row x lists x's image under each move.  Each column must be a
     bijection of range(N), and the columns an inversion-closed multiset.
-    ``symmetry`` becomes the graph's, unchecked (see ``MultiGraph``)."""
+    ``symmetry``, an array or a function that gives one, becomes the
+    graph's, unchecked (see ``MultiGraph``)."""
     moves = np.asarray(moves)
     if moves.ndim != 2:
         raise ValueError("moves must be a 2-d (N, k) array")
@@ -232,33 +248,90 @@ def schreier_graph(
 
 def components(g: MultiGraph) -> list[np.ndarray]:
     """Connected components as sorted read-only vertex index arrays, ordered
-    by their smallest vertex.  A graph's first search is kept, so after
-    ``lambda1`` no sparse adjacency is built here."""
+    by their smallest vertex, searched from the neighbor table.  A graph's
+    first search is kept, so after ``lambda1`` none is repeated here."""
     if not g.n_vertices:
         return []
     if g._comps is None:
-        g._comps = _components(g.adjacency())
+        g._comps = _components(g.neighbors)
     return list(g._comps)
 
 
-def _components(A: scipy.sparse.csr_matrix) -> list[np.ndarray]:
-    """The components of the graph on N >= 1 vertices whose sparse
-    adjacency is A, as ``components`` gives them; a connected graph's one
-    component is returned without a sort."""
-    count, labels = scipy.sparse.csgraph.connected_components(
-        A, directed=True, connection="weak"
-    )
-    if count == 1:
-        members = np.arange(A.shape[0], dtype=np.int64)
+def _components(neighbors: np.ndarray) -> list[np.ndarray]:
+    """The components of the graph on N >= 1 vertices with the (N, k)
+    symmetric neighbor table ``neighbors``, as ``components`` gives them; a
+    connected graph's one component is returned without a sort.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
+    1982), with the edges contracted after each round.  roots[v] is the
+    vertex v's tree hangs from, and a vertex only ever hooks onto a smaller
+    one, so the trees stay a forest whose roots are their least vertices.
+    Round one hooks every vertex onto its smallest neighbor, the row
+    minimum, with no edge list, and pointer jumping takes every vertex to
+    its tree's root.  The edges that still join two roots are contracted
+    onto them for the next round (``_contract``), until none is left.  A
+    root that survives a round has no smaller root next to it, and within
+    two rounds it either gains a child or hooks, so each component's roots
+    at least halve every two rounds: at most 2 ceil(log2 N) rounds.  Each
+    component ends as one tree, rooted at its least vertex."""
+    n, k = neighbors.shape
+    vertices = np.arange(n, dtype=np.int32)
+    roots = _jump(np.minimum(neighbors.min(axis=1), vertices) if k else vertices)
+    # one tree already where every vertex but 0 has a smaller neighbor, as
+    # in the BFS order of a group's Cayley graph on its own generators
+    if np.count_nonzero(roots == vertices) > 1:
+        # each edge between two trees once, from the larger root
+        a = np.broadcast_to(roots[:, np.newaxis], neighbors.shape)
+        b = roots[neighbors]
+        crossing = a > b
+        a, b = a[crossing], b[crossing]
+        del crossing
+        while a.size:
+            a, b = _contract(roots, a, b)
+        roots = _jump(roots)
+    if np.count_nonzero(roots == vertices) == 1:
+        members = np.arange(n, dtype=np.int64)
         members.flags.writeable = False
         return [members]
-    # scipy does not document its label order: key each vertex by the
-    # smallest vertex of its component instead
-    _, smallest = first_occurrences(labels)
-    roots = smallest[labels]
+    # roots[v] is the least vertex of v's component
     members = np.argsort(roots, kind="stable").astype(np.int64)
     members.flags.writeable = False
     return np.split(members, np.flatnonzero(np.diff(roots[members])) + 1)
+
+
+def _jump(roots: np.ndarray) -> np.ndarray:
+    """Pointer jumping: roots = roots[roots] until it stops changing, which
+    takes every vertex to the root of its tree."""
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
+
+
+def _contract(roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round after the first, in place on ``roots``: each edge joins
+    two roots and is listed once, as a -- b with a > b, so each root a
+    hooks onto the smallest b next to it, and the edges that still join
+    two roots are returned, contracted onto them and listed the same way.
+    A root only hooks as an a, onto a root that is an a or stays a root,
+    so pointer jumping among the a's alone takes each to its new root.
+    The other vertices still point to the roots they had, which a last
+    ``_jump`` resolves."""
+    np.minimum.at(roots, a, b)
+    live = np.zeros(roots.size, dtype=bool)
+    live[a] = True
+    live = np.flatnonzero(live)
+    up = roots[live]
+    while True:
+        grand = roots[up]
+        if np.array_equal(grand, up):
+            break
+        roots[live] = up = grand
+    a, b = roots[a], roots[b]
+    crossing = a != b
+    a, b = a[crossing], b[crossing]
+    return np.maximum(a, b), np.minimum(a, b)
 
 
 def quotient_check(

@@ -8,8 +8,16 @@ deduplicating.  ``bfs_closure`` runs it on the identity under right
 multiplication, max(1, min(k, CHUNK // F)) generators per batch on a layer
 of F elements, and keeps the table as the group's ``moves``: the Cayley
 graph of the group's own generators is that table, with no product formed
-twice.  ``matrix_group_order`` runs it on the basis rows of its stabilizer
-chain, all generators per batch.  Every point
+twice.  It passes the engine each generator's inverse, so an edge x*s = y
+found into the next layer also gives y*s^(-1) = x, which is not
+multiplied out or searched again.  ``matrix_group_order`` runs it on the
+basis rows of its stabilizer chain, all generators per batch.
+
+A group's elements are stored in the narrowest signed integer dtype that
+holds 0..m-1 (or 0..d-1 for permutations of d points): int8 for SL2(F_p)
+with p <= 127 and for S_d with d <= 128.  Products are formed in int64 and
+reduced mod m straight into that dtype.  The BFS tree's parents are int32
+and its steps the narrowest dtype that holds k - 1.  Every point
 has one key: an element's is its mixed-radix int64 code (the base-m digits
 of a matrix's entries, or the base-d digits of a permutation's images);
 where m^(n^2) or d^d does not fit below 2^63, or the modulus is 0, the key
@@ -34,6 +42,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,22 +135,37 @@ class GeneratorSet:
         return identity_like(self.elements[0])
 
 
+def _narrowest(top: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -1..top."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
+def _base(kind: str, shape: tuple[int, ...], modulus: int) -> int:
+    """The number of values an entry takes: the degree d of a permutation,
+    the modulus m of a matrix (0 for exact integer matrices)."""
+    return shape[0] if kind == PERMUTATION else modulus
+
+
 def _batch_multiply(kind: str, modulus: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Products of stacked elements, row by row: either side is one element
     or a stack (one more axis than an element), and two stacks broadcast.
 
     Permutations compose as (a*b)(x) = a(b(x)), so a stack on the left
     fancy-indexes its image rows, a stack on the right is looked up in the
-    single element's images, and two stacks take along their last axis.
-    Matrices: batched matmul, reduced mod m unless the modulus is 0 (exact
-    object arithmetic).
+    single element's images, and two stacks take along their last axis; the
+    images keep the left side's dtype.  Matrices: batched matmul in int64,
+    reduced mod m into the narrowest dtype that holds 0..m-1 in the same
+    pass, or exact object arithmetic where the modulus is 0.
     """
     if kind == PERMUTATION:
         if left.ndim == right.ndim:
             return np.take_along_axis(left, right, axis=-1)
         return left[:, right] if left.ndim == 2 else left[right]
-    prods = np.matmul(left, right)
-    return prods % modulus if modulus else prods
+    if not modulus:
+        return np.matmul(left, right)
+    prods = np.matmul(left, right, dtype=np.int64)
+    narrow = np.empty(prods.shape, dtype=_narrowest(modulus - 1))
+    return np.remainder(prods, modulus, out=narrow, casting="unsafe")
 
 
 def _key_powers(kind: str, shape: tuple[int, ...], modulus: int) -> np.ndarray | None:
@@ -152,7 +176,7 @@ def _key_powers(kind: str, shape: tuple[int, ...], modulus: int) -> np.ndarray |
     a permutation's images.  It needs m^(n^2) or d^d below 2^63, and a
     positive modulus.
     """
-    base = shape[0] if kind == PERMUTATION else modulus
+    base = _base(kind, shape, modulus)
     digits = int(np.prod(shape))
     if base == 0 or base**digits >= 2**63:
         return None
@@ -209,7 +233,9 @@ class FiniteGroup:
     membership structure: every lookup is a ``searchsorted`` against them.
     ``moves`` is the read-only (N, k) int32 table of right multiplication
     by the symmetrized generators: moves[i, t] is the index of
-    element(i) * symmetrized[t].
+    element(i) * symmetrized[t].  ``stack`` holds the elements in the
+    narrowest integer dtype their entries fit (see the module docstring);
+    ``element`` gives each back as int64 data.
     """
 
     def __init__(
@@ -251,7 +277,9 @@ class FiniteGroup:
         return self.order
 
     def element(self, i: int) -> GroupElement:
-        return GroupElement(self.kind, np.array(self.stack[i]), self.modulus)
+        row = self.stack[i]
+        data = np.array(row) if row.dtype == object else row.astype(np.int64)
+        return GroupElement(self.kind, data, self.modulus)
 
     def elements(self) -> Iterator[GroupElement]:
         for i in range(self.order):
@@ -301,11 +329,14 @@ class FiniteGroup:
         symmetrized[steps[i]], so g * element(i) is the move of g *
         element(parents[i]) by steps[i], read from ``moves`` a layer at a
         time."""
-        left = np.empty(self.order, dtype=np.int32)
-        left[0] = self.index_of(g)
-        for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
-            left[a:b] = self.moves[left[self._parents[a:b]], self._steps[a:b]]
-        return left
+        return self.left_multiplication(g)()
+
+    def left_multiplication(self, g: GroupElement) -> Callable[[], np.ndarray]:
+        """``left_multiplication_indices(g)`` deferred: a function of no
+        arguments that computes it.  It holds the move table and the BFS
+        tree, not the elements."""
+        tree = self.moves, self._parents, self._steps, self._layer_starts
+        return partial(_left_multiplication, *tree, self.index_of(g))
 
     def conjugation_indices(self, s: GroupElement) -> np.ndarray:
         """Index array of q -> s*q*s^(-1) over all elements q, in one batch."""
@@ -350,6 +381,19 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, kind={self.kind}, label={self.label!r})"
 
 
+def _left_multiplication(
+    moves: np.ndarray, parents: np.ndarray, steps: np.ndarray, layer_starts: tuple[int, ...], start: int
+) -> np.ndarray:
+    """The images of a BFS tree's points under the map that sends point 0
+    to ``start`` and commutes with every move (see
+    ``FiniteGroup.left_multiplication_indices``)."""
+    left = np.empty(moves.shape[0], dtype=np.int32)
+    left[0] = start
+    for a, b in zip(layer_starts[1:], layer_starts[2:]):
+        left[a:b] = moves[left[parents[a:b]], steps[a:b]]
+    return left
+
+
 def _bfs(
     start: np.ndarray,
     act: Callable,
@@ -358,6 +402,7 @@ def _bfs(
     chunk: int | None,
     budget: int,
     what: str,
+    inverse_moves: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Breadth-first orbit of the one-point stack ``start`` under k moves.
 
@@ -374,25 +419,50 @@ def _bfs(
     deduped: a new image gets its discovery index, a known one the stored
     index.
 
+    Where ``inverse_moves`` is given (move inverse_moves[t] undoes move t),
+    each edge into the next layer is looked up once: x under move t is y
+    gives y under move inverse_moves[t] is x, so that entry of the next
+    layer's table is filled in advance, and ``act`` maps each move's
+    remaining points, one move per call.  They are a subsequence of the
+    move-major order, and the skipped images all lie in the previous
+    layer, so the points, the tree and the table are the same as without
+    ``inverse_moves``.
+
     Returns the points in discovery order, their keys sorted and the index
-    of each, their parents and steps (point i is point parents[i] under move
-    steps[i]), the (N, k) int32 move table (row x holds the index of x's
-    image under each move) and the layer starts.
+    of each, their int32 parents and narrow steps (point i is point
+    parents[i] under move steps[i]), the (N, k) int32 move table (row x
+    holds the index of x's image under each move) and the layer starts.
     """
+    step_dtype = _narrowest(k - 1)
     frontier = start
-    points, parents, steps, tables = [start], [np.array([-1])], [np.array([-1])], []
+    root = np.array([-1])
+    points, parents, steps, tables = [start], [root.astype(np.int32)], [root.astype(step_dtype)], []
     starts, count = [0, 1], 1
     # the sorted keys of all finished layers, and the index of each
     seen, seen_at = key(start), np.zeros(1, dtype=np.int32)
+    # the layer's table, move-major: cols[t, x] is the index of point x's
+    # image under move t, -1 until it is known
+    cols = np.full((k, 1), -1, dtype=np.int32)
 
     while True:
         f = frontier.shape[0]
+        flat = cols.reshape(-1)
         batch = k if chunk is None else max(1, min(k, chunk // f))
-        table = np.empty((f, k), dtype=np.int32)
         rows, fresh = [], []  # fresh: the sorted keys new in this layer, with their indices
         for j in range(0, k, batch):
             moves = range(j, min(j + batch, k))
-            images = act(frontier, moves)
+            if inverse_moves is None:
+                slots = slice(j * f, moves.stop * f)
+                images = act(frontier, moves)
+            else:
+                # the (move, point) slots still unknown, move-major
+                slots = np.flatnonzero(flat[j * f : moves.stop * f] < 0) + j * f
+                if not slots.size:
+                    continue
+                t, x = np.divmod(slots, f)
+                cuts = np.searchsorted(t, moves[1:])
+                parts = [act(frontier[r], range(m, m + 1)) for m, r in zip(moves, np.split(x, cuts)) if r.size]
+                images = parts[0] if len(parts) == 1 else np.concatenate(parts)
             uniq, first, inverse = first_occurrences(key(images), return_inverse=True)
             # the index of each distinct image; the key arrays searched are
             # disjoint, so each one searches only what the earlier ones lack
@@ -409,17 +479,23 @@ def _bfs(
                 in_order = new[np.argsort(first[new])]  # the new images, in discovery order
                 at[in_order] = np.arange(count, count + new.size)
                 taken = first[in_order]  # their first positions among the images
-                move, parent = np.divmod(taken, f)
+                move, parent = np.divmod(j * f + taken if inverse_moves is None else slots[taken], f)
                 fresh.append((uniq[new], at[new]))
                 rows.append(images[taken])
-                parents.append(starts[-2] + parent)
-                steps.append(j + move)
+                parents.append((starts[-2] + parent).astype(np.int32))
+                steps.append(move.astype(step_dtype))
                 count += new.size
-            table[:, moves.start : moves.stop] = at[inverse].reshape(len(moves), f).T
-        tables.append(table)
+            flat[slots] = at[inverse]
+        tables.append(cols.T)
         if not rows:
             break
         frontier = np.concatenate(rows)
+        nxt = np.full((k, frontier.shape[0]), -1, dtype=np.int32)
+        if inverse_moves is not None:
+            for t in range(k):
+                x = np.flatnonzero(cols[t] >= starts[-1])  # images in the next layer
+                nxt[inverse_moves[t], cols[t, x] - starts[-1]] = starts[-2] + x
+        cols = nxt
         points.append(frontier)
         starts.append(count)
         # a stable sort is a timsort here: it merges the sorted runs in linear time
@@ -445,12 +521,20 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     CHUNK // F)) generators at a time, so small layers take all k at once
     and the peak is about one frontier of products; new elements are
     counted before they are kept.  The BFS's move table is the group's
-    ``moves``, which ``cayley_graph`` reads.
+    ``moves``, which ``cayley_graph`` reads.  Generator t + r undoes
+    generator t of the r listed ones, so each edge into the next layer is
+    multiplied out once (see ``_bfs``).  The elements are stored in the
+    narrowest dtype their entries fit, except exact integer matrices
+    (modulus 0), which stay object arrays.
     """
     e = gens.identity()
     kind, modulus = e.kind, e.modulus
     powers = _key_powers(kind, e.data.shape, modulus)
     sym = [s.data for s in gens.symmetrized]
+    k, base = len(sym), _base(kind, e.data.shape, modulus)
+    start = e.data[np.newaxis]
+    if base:
+        start = start.astype(_narrowest(base - 1))
 
     def act(rows: np.ndarray, moves: range) -> np.ndarray:
         products = [_batch_multiply(kind, modulus, rows, sym[j]) for j in moves]
@@ -460,7 +544,8 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
         return _keys(rows, kind, modulus, powers)
 
     budget = resolve_budget(budget)
-    found = _bfs(e.data[np.newaxis], act, key, len(sym), CHUNK, budget, "bfs_closure: elements")
+    inverse_moves = (np.arange(k) + k // 2) % k
+    found = _bfs(start, act, key, k, CHUNK, budget, "bfs_closure: elements", inverse_moves)
     return FiniteGroup(gens, *found)
 
 

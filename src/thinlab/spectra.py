@@ -378,8 +378,9 @@ def lambda1(graph: MultiGraph) -> SpectralReport:
     Laplacian is the fallback of both.  A larger one gets "iterative":
     Lanczos on A/k restricted to the constant-free subspace, whose reported
     residual ||L x - lambda1 x|| / ||x|| is at most ``ITERATIVE_TOL``; past
-    10 N steps ``ConvergenceError`` is raised.  The components found are
-    kept on the graph for ``graphs.components``.
+    10 N steps ``ConvergenceError`` is raised.  The components are
+    searched on the neighbor table (``graphs._components``) before the
+    sparse A/k is built, and kept on the graph for ``graphs.components``.
     """
     if graph.degree < 1:
         raise ValueError("lambda1 requires degree k >= 1")
@@ -389,11 +390,12 @@ def lambda1(graph: MultiGraph) -> SpectralReport:
 
     n, k = graph.n_vertices, graph.degree
     t0 = time.perf_counter()
-    # one sparse A gives the components and, scaled in place, A/k: scipy's
-    # A / k multiplies the data by 1 / k, so every bit is the same
-    A = graph.adjacency()
-    comps = _components(A)
+    # the components come from the neighbor table, before the sparse A/k is
+    # built: scaled in place, as scipy's A / k multiplies the data by 1 / k,
+    # so every bit is the same
+    comps = _components(graph.neighbors)
     zm = len(comps)
+    A = graph.adjacency()
     A.data *= 1 / k
     if zm >= 2:
         # lambda1 is 0 with an exact kernel vector, once no edge is seen to

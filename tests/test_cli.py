@@ -369,8 +369,8 @@ class TestRun:
         assert len(calls) == 1
 
     def test_pra_run_builds_one_adjacency(self, tmp_path, monkeypatch):
-        # the solve's sparse A also gives the orbit sizes and the walk's
-        # component
+        # the solve's sparse A is the only one: the orbit sizes and the
+        # walk's component come from its search on the neighbor table
         calls = []
         original = MultiGraph.adjacency
 

@@ -1,6 +1,13 @@
+import gc
 import itertools
+import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,10 +24,11 @@ from thinlab.groups import (
     sl2_generators,
     symmetric_generators,
 )
+from thinlab import graphs as graphs_mod
 from thinlab import origami as origami_mod
 from thinlab.monodromy import standard_symplectic_generators
 from thinlab.origami import origami_graph
-from thinlab.pra import pra_graph
+from thinlab.pra import _UnionFind, pra_graph
 from thinlab.graphs import (
     MultiGraph,
     cayley_graph,
@@ -243,6 +251,21 @@ class TestCayleyMoveTable:
         graph = cayley_graph(full, GeneratorSet([minus_i, t_squared]))
         assert np.array_equal(graph.symmetry, full.indices(left_products(full, t_squared)))
 
+    def test_symmetry_is_built_on_first_read_without_the_elements(self):
+        # the graph holds the move table and BFS tree until sigma is read,
+        # not the group's stack
+        gens = sl2_generators(13)
+        group = bfs_closure(gens)
+        want = group.left_multiplication_indices(gens.elements[0])
+        graph = cayley_graph(group, gens)
+        assert callable(graph._symmetry)
+        stack = weakref.ref(group.stack)
+        del group
+        gc.collect()
+        assert stack() is None
+        assert np.array_equal(graph.symmetry, want)
+        assert graph._symmetry is graph.symmetry
+
     def test_no_symmetry_from_the_identity(self):
         gens = cyclic_generators(1)
         assert cayley_graph(bfs_closure(gens), gens).symmetry is None
@@ -325,6 +348,76 @@ class TestComponents:
         assert (len(comps) == 1) == (closure.order == full.order)
         assert len(comps) == full.order // closure.order
         assert all(len(c) == closure.order for c in comps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**REGULAR_MULTIGRAPH_ARGS)
+    @example(n=1, r=0, seed=0)  # N = 1 and k = 0
+    @example(n=1, r=2, seed=0)  # N = 1: loops only
+    @example(n=7, r=0, seed=0)  # k = 0: one component per vertex
+    @example(n=3, r=3, seed=0)  # loops and parallel edges
+    @example(n=12, r=1, seed=0)  # interleaved cycle components
+    def test_matches_union_find(self, n, r, seed):
+        graph = random_regular_multigraph(n, r, seed)
+        uf = _UnionFind(n)
+        for x, row in enumerate(graph.neighbors.tolist()):
+            for y in row:
+                uf.union(x, y)
+        members: dict[int, list[int]] = {}
+        for x in range(n):
+            members.setdefault(uf.find(x), []).append(x)
+        assert [c.tolist() for c in components(graph)] == list(members.values())
+
+    @staticmethod
+    def long_graph(shape: str, n: int) -> MultiGraph:
+        """A cycle through the n vertices in random order, or the path
+        0, 2, 4, ..., 1, 3, 5, ... as two involutions whose fixed points
+        are its ends: both are far from a labelling that min-label
+        propagation would settle in few rounds."""
+        if shape == "random cycle":
+            order = np.random.default_rng(3).permutation(n)
+            succ = np.empty(n, dtype=np.int64)
+            succ[order] = np.roll(order, -1)
+            return schreier_graph(np.stack([succ, np.argsort(succ)], axis=1))
+        order = np.r_[0:n:2, 1:n:2]
+        moves = []
+        for first in (0, 1):
+            move = np.arange(n)
+            a, b = order[first:-1:2], order[first + 1 :: 2]
+            move[a], move[b] = b, a
+            moves.append(move)
+        return schreier_graph(np.stack(moves, axis=1))
+
+    @pytest.mark.parametrize("shape", ["random cycle", "evens then odds path"])
+    def test_rounds_are_logarithmic(self, shape, monkeypatch):
+        # plain min-label propagation took 26,089 rounds (108 s) on the
+        # random cycle; hooking with contraction takes 2 ceil(log2 N)
+        # rounds at most, the first of them the row minimum
+        n = 100_000
+        graph = self.long_graph(shape, n)
+        rounds = [1]
+        contract = graphs_mod._contract
+
+        def counted(*args):
+            rounds.append(1)
+            return contract(*args)
+
+        monkeypatch.setattr(graphs_mod, "_contract", counted)
+        t0 = time.perf_counter()
+        comps = components(graph)
+        elapsed = time.perf_counter() - t0
+        assert len(comps) == 1 and np.array_equal(comps[0], np.arange(n))
+        assert len(rounds) <= 2 * math.ceil(math.log2(n)) + 2
+        assert elapsed < 5.0
+
+    def test_no_sparse_graph_or_solver_modules_imported(self):
+        # components need no scipy.sparse.csgraph, which would pull in
+        # scipy.sparse.linalg, and nothing else of thinlab imports either
+        script = "import sys, thinlab.cli; print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @settings(max_examples=60, deadline=None)
     @given(**REGULAR_MULTIGRAPH_ARGS)

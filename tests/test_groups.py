@@ -307,8 +307,11 @@ class TestCodedGroups:
             return _keys(rows, e.kind, e.modulus, powers)
 
         tables = []
-        for chunk in (1, None):  # batches of 1 and of k moves
-            found = _bfs(e.data[np.newaxis], act, key, gens.k, chunk, 10**6, "")
+        inverse = (np.arange(gens.k) + gens.k // 2) % gens.k
+        # batches of 1 and of k moves, each with every edge looked up and
+        # with the edges into the next layer looked up once
+        for chunk, inv in itertools.product((1, None), (None, inverse)):
+            found = _bfs(e.data[np.newaxis], act, key, gens.k, chunk, 10**6, "", inv)
             points, sorted_keys, key_index, parents, steps, table, starts = found
             assert np.array_equal(points, group.stack)
             assert np.array_equal(sorted_keys, group._sorted_keys)
@@ -320,40 +323,105 @@ class TestCodedGroups:
             assert table.dtype == np.int32 and table.shape == (group.order, gens.k)
             tables.append(table)
         lookups = np.stack([group.right_multiplication_indices(s) for s in gens.symmetrized], axis=1)
-        assert np.array_equal(tables[0], tables[1])
-        assert np.array_equal(tables[0], lookups)
+        assert all(np.array_equal(table, lookups) for table in tables)
         assert np.array_equal(group.moves, lookups)
         assert not group.moves.flags.writeable
 
     def test_batch_rule_follows_the_frontier(self, monkeypatch):
         # SL2(F47)'s layers (at most 15,886 elements) take all 4 moves at
         # once; with CHUNK at 2,000 the big layers take one move at a time
-        # and the small ones up to four
+        # and the small ones up to four.  A batch multiplies out and keys
+        # only the slots whose image is not in the previous layer: those
+        # are the previous layer's edges, read back through the inverse
+        # move (44.7 % of SL2(F47)'s table)
         gens = sl2_generators(47)
         group = bfs_closure(gens)
-        sizes = np.diff(group._layer_starts + (group.order,))
+        starts = group._layer_starts  # ends at the order
+        sizes = np.diff(starts)
         assert sizes.max() == 15_886 and 4 * sizes.max() <= groups_mod.CHUNK
-        calls = []
+        layer = np.repeat(np.arange(sizes.size), sizes)
+        back = layer[group.moves] == layer[:, np.newaxis] - 1
+        assert round(back.mean(), 3) == 0.447
+        keyed = []
         engine = groups_mod._bfs
 
-        def spy(start, act, key, k, chunk, budget, what):
-            def counted(rows, moves):
-                calls.append((rows.shape[0], moves))
-                return act(rows, moves)
+        def spy(start, act, key, *args):
+            def counted(rows):
+                keyed.append(rows.shape[0])
+                return key(rows)
 
-            return engine(start, counted, key, k, chunk, budget, what)
+            return engine(start, act, counted, *args)
 
         monkeypatch.setattr(groups_mod, "_bfs", spy)
         monkeypatch.setattr(groups_mod, "CHUNK", 2_000)
         small = bfs_closure(gens)
-        batches = set()
-        for f, moves in calls:
-            batch = max(1, min(4, 2_000 // f))
-            assert moves.start % batch == 0 and len(moves) == min(batch, 4 - moves.start)
+        want, batches = [1], set()  # the identity's key first
+        for a, b in zip(starts[:-1], starts[1:]):
+            batch = max(1, min(4, 2_000 // (b - a)))
             batches.add(batch)
+            for j in range(0, 4, batch):
+                slots = int(np.count_nonzero(~back[a:b, j : j + batch]))
+                if slots:
+                    want.append(slots)
+        assert keyed == want
         assert {1, 4} < batches
         assert np.array_equal(small.stack, group.stack)
         assert np.array_equal(small.moves, group.moves)
+
+    @pytest.mark.parametrize(
+        "gens,dtype",
+        [
+            (sl2_generators(47), np.int8),
+            (sl2_generators(127), np.int8),
+            (symmetric_generators(6), np.int8),
+            (sl2_generators(131), np.int16),
+            (cyclic_generators(200), np.int16),
+        ],
+        ids=["sl2_47", "sl2_127", "S6", "sl2_131", "Z200"],
+    )
+    def test_stack_is_narrow(self, gens, dtype):
+        # entries 0..m-1 (or the images 0..d-1) in the narrowest signed
+        # dtype, parents int32 and steps int8 (k - 1 <= 127); the elements
+        # handed out are int64 again
+        group = bfs_closure(gens, budget=3_000_000)
+        assert group.stack.dtype == dtype
+        assert group._parents.dtype == np.int32 and group._steps.dtype == np.int8
+        assert group.element(group.order - 1).data.dtype == np.int64
+        assert group.element(group.order - 1) == multiply(
+            group.element(int(group._parents[-1])), gens.symmetrized[group._steps[-1]]
+        )
+
+    def test_lookups_do_not_depend_on_the_stack_dtype(self):
+        # the lookup columns from the int8 stack of SL2(F47) equal those of
+        # the same group over an int64 stack
+        from thinlab.graphs import torsion_projection
+
+        gens = sl2_generators(47)
+        group = bfs_closure(gens)
+        wide = bfs_closure(gens)
+        wide.stack = group.stack.astype(np.int64)
+        assert group.stack.dtype == np.int8
+        g = group.element(12_345)
+        for s in (*gens.symmetrized, g):
+            assert np.array_equal(group.right_multiplication_indices(s), wide.right_multiplication_indices(s))
+        assert np.array_equal(group.conjugation_indices(g), wide.conjugation_indices(g))
+        assert np.array_equal(group.inverse_indices(), wide.inverse_indices())
+        assert np.array_equal(torsion_projection(group), torsion_projection(wide))
+
+    def test_closure_peak_memory(self):
+        # int8 elements, int32 parents and int8 steps, and no product
+        # formed for an edge back into the previous layer: the peak of
+        # SL2(F47)'s closure went 15.0 -> 8.4 MB here
+        gens = sl2_generators(47)
+        bfs_closure(gens)
+        tracemalloc.start()
+        try:
+            group = bfs_closure(gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.order == 103_776
+        assert peak <= 10_000_000
 
     def test_key_kind_boundary(self):
         # degree 15: 15^15 < 2^63 fits the int64 code; degree 16: 16^16 = 2^64 does not

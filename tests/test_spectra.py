@@ -595,6 +595,17 @@ class TestSymmetryBlocks:
         assert packed == [graph.n_vertices] and eigh_calls == []
         assert report_fields(report) == report_fields(plain)
 
+    def test_only_the_dense_certificate_builds_the_cayley_symmetry(self, monkeypatch):
+        # a Cayley graph's sigma is a function until its first read; an
+        # iterative solve never reads it, a dense one does
+        graph = sl2_graph(7)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 100)
+        assert lambda1(graph).solver == "iterative"
+        assert callable(graph._symmetry)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", DENSE_CUTOFF)
+        assert lambda1(graph).solver == "dense"
+        assert isinstance(graph._symmetry, np.ndarray)
+
     def test_any_symmetry_of_k7_is_used(self, monkeypatch):
         # a 7-cycle commutes with K7's adjacency: one orbit, so 1 x 1
         # blocks, of which j = 0..3 are factored
