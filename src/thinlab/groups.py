@@ -8,10 +8,11 @@ deduplicating.  ``bfs_closure`` runs it on the identity under right
 multiplication, max(1, min(k, CHUNK // F)) generators per batch on a layer
 of F elements, and keeps the table as the group's ``moves``: the Cayley
 graph of the group's own generators is that table, with no product formed
-twice.  It passes the engine each generator's inverse, so an edge x*s = y
+twice.  ``matrix_group_order`` runs it on the basis rows of its stabilizer
+chain, all generators per batch.  Both callers' moves are closed under
+inversion, and the engine is told each move's inverse, so an edge x*s = y
 found into the next layer also gives y*s^(-1) = x, which is not
-multiplied out or searched again.  ``matrix_group_order`` runs it on the
-basis rows of its stabilizer chain, all generators per batch.
+multiplied out or searched again.
 
 A group's elements are stored in the narrowest signed integer dtype that
 holds 0..m-1 (or 0..d-1 for permutations of d points): int8 for SL2(F_p)
@@ -42,7 +43,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -134,7 +135,13 @@ class GeneratorSet:
     def identity(self) -> GroupElement:
         return identity_like(self.elements[0])
 
+    def inverse_positions(self) -> np.ndarray:
+        """inv[t] is the position of symmetrized[t]'s inverse: t + r mod 2r
+        for r listed generators."""
+        return (np.arange(self.k) + self.k // 2) % self.k
 
+
+@lru_cache
 def _narrowest(top: int) -> np.dtype:
     """The narrowest signed integer dtype that holds -1..top."""
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
@@ -259,6 +266,7 @@ class FiniteGroup:
         self._sorted_keys = sorted_keys
         self._key_index = key_index
         self.symmetrized = gens.symmetrized
+        self._inverse_moves = gens.inverse_positions()
         self.moves = moves
         self.moves.flags.writeable = False
         # element i = element(parents[i]) * symmetrized[steps[i]], layer by layer
@@ -323,18 +331,13 @@ class FiniteGroup:
         """Index array of q -> q*s over all elements q, in one batch."""
         return self.indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
 
-    def left_multiplication_indices(self, g: GroupElement) -> np.ndarray:
-        """Index array of q -> g*q over all elements q, propagated down the
-        BFS tree with no product formed: element i is element(parents[i]) *
-        symmetrized[steps[i]], so g * element(i) is the move of g *
-        element(parents[i]) by steps[i], read from ``moves`` a layer at a
-        time."""
-        return self.left_multiplication(g)()
-
     def left_multiplication(self, g: GroupElement) -> Callable[[], np.ndarray]:
-        """``left_multiplication_indices(g)`` deferred: a function of no
-        arguments that computes it.  It holds the move table and the BFS
-        tree, not the elements."""
+        """A function of no arguments that gives the index array of q -> g*q
+        over all elements q.  It holds the move table and the BFS tree, not
+        the elements, and forms no product: element i is
+        element(parents[i]) * symmetrized[steps[i]], so g * element(i) is
+        the move of g * element(parents[i]) by steps[i], read from
+        ``moves`` a layer at a time."""
         tree = self.moves, self._parents, self._steps, self._layer_starts
         return partial(_left_multiplication, *tree, self.index_of(g))
 
@@ -364,8 +367,7 @@ class FiniteGroup:
         in one batch per layer: the inverse of q*s is s^(-1) * q^(-1)."""
         if self._inv_indices is None:
             inv = np.zeros(self.order, dtype=np.int32)
-            sym = np.stack([s.data for s in self.symmetrized])
-            s_inv = sym[(np.arange(len(sym)) + len(sym) // 2) % len(sym)]
+            s_inv = np.stack([s.data for s in self.symmetrized])[self._inverse_moves]
             for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
                 q_inv = self.stack[inv[self._parents[a:b]]]
                 prods = _batch_multiply(self.kind, self.modulus, s_inv[self._steps[a:b]], q_inv)
@@ -386,7 +388,7 @@ def _left_multiplication(
 ) -> np.ndarray:
     """The images of a BFS tree's points under the map that sends point 0
     to ``start`` and commutes with every move (see
-    ``FiniteGroup.left_multiplication_indices``)."""
+    ``FiniteGroup.left_multiplication``)."""
     left = np.empty(moves.shape[0], dtype=np.int32)
     left[0] = start
     for a, b in zip(layer_starts[1:], layer_starts[2:]):
@@ -402,31 +404,28 @@ def _bfs(
     chunk: int | None,
     budget: int,
     what: str,
-    inverse_moves: np.ndarray | None = None,
+    inverse_moves: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Breadth-first orbit of the one-point stack ``start`` under k moves.
 
-    ``act(rows, moves)`` maps a stack of points under the moves of the range
-    ``moves``, move-major, and ``key(rows)`` gives one sortable key per
-    point.  A layer of F points is mapped max(1, min(k, chunk // F)) moves
-    at a time, or all k at once where ``chunk`` is None.  Of a batch's
-    images, the first occurrence of each key is new unless an earlier layer
-    or an earlier batch of this layer holds it, so within a layer points are
-    found move-major, then in parent order, whatever the batch.  New points
-    are counted against ``budget`` (BudgetExceeded(what)) before they are
-    kept.  Next to the sorted keys of the points found so far runs the index
-    of each, so every image's index is known as soon as its batch is
-    deduped: a new image gets its discovery index, a known one the stored
-    index.
-
-    Where ``inverse_moves`` is given (move inverse_moves[t] undoes move t),
+    ``act(rows, moves)`` maps each point rows[i] under move moves[i] (the
+    moves come in nondecreasing order), and ``key(rows)`` gives one
+    sortable key per point.  Move ``inverse_moves[t]`` undoes move t, so
     each edge into the next layer is looked up once: x under move t is y
-    gives y under move inverse_moves[t] is x, so that entry of the next
-    layer's table is filled in advance, and ``act`` maps each move's
-    remaining points, one move per call.  They are a subsequence of the
-    move-major order, and the skipped images all lie in the previous
-    layer, so the points, the tree and the table are the same as without
-    ``inverse_moves``.
+    gives y under move inverse_moves[t] is x, and that entry of the next
+    layer's table is filled in advance.  A layer of F points is taken
+    max(1, min(k, chunk // F)) moves at a time, or all k at once where
+    ``chunk`` is None, and a batch maps the (move, point) slots of its
+    moves whose image is not known yet, move-major, in one ``act`` call.
+    Of a batch's images, the first occurrence of each key is new unless an
+    earlier layer or an earlier batch of this layer holds it, so within a
+    layer points are found move-major, then in parent order, whatever the
+    batch; the slots skipped all lead into the previous layer, so they do
+    not change that order.  New points are counted against ``budget``
+    (BudgetExceeded(what)) before they are kept.  Next to the sorted keys
+    of the points found so far runs the index of each, so every image's
+    index is known as soon as its batch is deduped: a new image gets its
+    discovery index, a known one the stored index.
 
     Returns the points in discovery order, their keys sorted and the index
     of each, their int32 parents and narrow steps (point i is point
@@ -450,19 +449,12 @@ def _bfs(
         batch = k if chunk is None else max(1, min(k, chunk // f))
         rows, fresh = [], []  # fresh: the sorted keys new in this layer, with their indices
         for j in range(0, k, batch):
-            moves = range(j, min(j + batch, k))
-            if inverse_moves is None:
-                slots = slice(j * f, moves.stop * f)
-                images = act(frontier, moves)
-            else:
-                # the (move, point) slots still unknown, move-major
-                slots = np.flatnonzero(flat[j * f : moves.stop * f] < 0) + j * f
-                if not slots.size:
-                    continue
-                t, x = np.divmod(slots, f)
-                cuts = np.searchsorted(t, moves[1:])
-                parts = [act(frontier[r], range(m, m + 1)) for m, r in zip(moves, np.split(x, cuts)) if r.size]
-                images = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # the (move, point) slots still unknown, move-major
+            slots = np.flatnonzero(flat[j * f : min(j + batch, k) * f] < 0) + j * f
+            if not slots.size:
+                continue
+            move, point = np.divmod(slots, f)
+            images = act(frontier[point], move)
             uniq, first, inverse = first_occurrences(key(images), return_inverse=True)
             # the index of each distinct image; the key arrays searched are
             # disjoint, so each one searches only what the earlier ones lack
@@ -479,11 +471,10 @@ def _bfs(
                 in_order = new[np.argsort(first[new])]  # the new images, in discovery order
                 at[in_order] = np.arange(count, count + new.size)
                 taken = first[in_order]  # their first positions among the images
-                move, parent = np.divmod(j * f + taken if inverse_moves is None else slots[taken], f)
                 fresh.append((uniq[new], at[new]))
                 rows.append(images[taken])
-                parents.append((starts[-2] + parent).astype(np.int32))
-                steps.append(move.astype(step_dtype))
+                parents.append((starts[-2] + point[taken]).astype(np.int32))
+                steps.append(move[taken].astype(step_dtype))
                 count += new.size
             flat[slots] = at[inverse]
         tables.append(cols.T)
@@ -491,10 +482,9 @@ def _bfs(
             break
         frontier = np.concatenate(rows)
         nxt = np.full((k, frontier.shape[0]), -1, dtype=np.int32)
-        if inverse_moves is not None:
-            for t in range(k):
-                x = np.flatnonzero(cols[t] >= starts[-1])  # images in the next layer
-                nxt[inverse_moves[t], cols[t, x] - starts[-1]] = starts[-2] + x
+        ahead = np.flatnonzero(flat >= starts[-1])  # the slots whose image is in the next layer
+        t, x = np.divmod(ahead, f)
+        nxt[inverse_moves[t], flat[ahead] - starts[-1]] = starts[-2] + x
         cols = nxt
         points.append(frontier)
         starts.append(count)
@@ -521,9 +511,9 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     CHUNK // F)) generators at a time, so small layers take all k at once
     and the peak is about one frontier of products; new elements are
     counted before they are kept.  The BFS's move table is the group's
-    ``moves``, which ``cayley_graph`` reads.  Generator t + r undoes
-    generator t of the r listed ones, so each edge into the next layer is
-    multiplied out once (see ``_bfs``).  The elements are stored in the
+    ``moves``, which ``cayley_graph`` reads.  Each edge into the next layer
+    is multiplied out once, from its end in the earlier layer (see
+    ``_bfs``).  The elements are stored in the
     narrowest dtype their entries fit, except exact integer matrices
     (modulus 0), which stay object arrays.
     """
@@ -531,21 +521,22 @@ def bfs_closure(gens: GeneratorSet, budget: int | None = None) -> FiniteGroup:
     kind, modulus = e.kind, e.modulus
     powers = _key_powers(kind, e.data.shape, modulus)
     sym = [s.data for s in gens.symmetrized]
-    k, base = len(sym), _base(kind, e.data.shape, modulus)
     start = e.data[np.newaxis]
+    base = _base(kind, e.data.shape, modulus)
     if base:
         start = start.astype(_narrowest(base - 1))
 
-    def act(rows: np.ndarray, moves: range) -> np.ndarray:
-        products = [_batch_multiply(kind, modulus, rows, sym[j]) for j in moves]
-        return products[0] if len(products) == 1 else np.concatenate(products)
+    def act(rows: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        # one product per run of equal moves, with no generator copied per row
+        runs = [0, *(np.flatnonzero(moves[1:] != moves[:-1]) + 1).tolist(), moves.size]
+        parts = [_batch_multiply(kind, modulus, rows[a:b], sym[moves[a]]) for a, b in zip(runs, runs[1:])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def key(rows: np.ndarray) -> np.ndarray:
         return _keys(rows, kind, modulus, powers)
 
     budget = resolve_budget(budget)
-    inverse_moves = (np.arange(k) + k // 2) % k
-    found = _bfs(start, act, key, k, CHUNK, budget, "bfs_closure: elements", inverse_moves)
+    found = _bfs(start, act, key, gens.k, CHUNK, budget, "bfs_closure: elements", gens.inverse_positions())
     return FiniteGroup(gens, *found)
 
 
@@ -571,12 +562,13 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     generators stay inversion-closed: the product for (x, s) is inverted by
     the one for (x*s, s^(-1)), so no matrix is ever inverted here.
 
-    The orbit is ``_bfs`` on e_i, all generators per batch; the transversal
-    follows its BFS tree, and its move table gives the position of each
-    x*s.  Every orbit batch and each level's |orbit| * |generators|
-    Schreier products are checked against the element budget before they
-    are formed, and each orbit's points before they are kept; vector keys
-    need m^n below 2^63.
+    The orbit is ``_bfs`` on e_i, all generators per batch, told each
+    generator's inverse; the transversal follows its BFS tree, and its move
+    table gives the position of each x*s.  The products of every orbit
+    batch (the slots of a layer not already known from the one before) and
+    each level's |orbit| * |generators| Schreier products are checked
+    against the element budget before they are formed, and each orbit's
+    points before they are kept; vector keys need m^n below 2^63.
     ``bfs_closure(gens).order`` is the independent oracle.
     """
     e = gens.identity()
@@ -589,22 +581,22 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     powers = _key_powers("matrix", (n, n), m)
     identity_key = _keys(e.data[np.newaxis], "matrix", m, powers)[0]
 
-    r = len(gens.elements)
     level = np.stack([s.data for s in gens.symmetrized])
-    inv = (np.arange(2 * r) + r) % (2 * r)
+    inv = gens.inverse_positions()  # level[inv[j]] is level[j]^(-1)
     order = 1
     for base in range(n):
         k = level.shape[0]
 
-        def act(rows: np.ndarray, moves: range) -> np.ndarray:
+        def act(rows: np.ndarray, moves: np.ndarray) -> np.ndarray:
             what = f"matrix_group_order: orbit products at base point {base}"
-            check_budget(what, (rows.shape[0], len(moves)), budget)
-            return (np.matmul(rows, level[moves.start : moves.stop]) % m).reshape(-1, n)
+            check_budget(what, (rows.shape[0],), budget)
+            # a matrix per product, no more than the Schreier step below forms
+            return np.matmul(rows[:, np.newaxis], level[moves])[:, 0] % m
 
         what = f"matrix_group_order: orbit points at base point {base}"
         # moved[x, j]: the orbit position of point x times generator j
         points, _, _, parents, steps, moved, starts = _bfs(
-            e.data[base][np.newaxis], act, lambda rows: rows @ vector_powers, k, None, budget, what
+            e.data[base][np.newaxis], act, lambda rows: rows @ vector_powers, k, None, budget, what, inv
         )
         order *= points.shape[0]
         if base == n - 1:

@@ -256,7 +256,7 @@ class TestCayleyMoveTable:
         # not the group's stack
         gens = sl2_generators(13)
         group = bfs_closure(gens)
-        want = group.left_multiplication_indices(gens.elements[0])
+        want = group.left_multiplication(gens.elements[0])()
         graph = cayley_graph(group, gens)
         assert callable(graph._symmetry)
         stack = weakref.ref(group.stack)

@@ -301,17 +301,16 @@ class TestCodedGroups:
         sym = [s.data for s in gens.symmetrized]
 
         def act(rows, moves):
-            return np.concatenate([_batch_multiply(e.kind, e.modulus, rows, sym[j]) for j in moves])
+            # one move at a time, int64 entries
+            parts = [_batch_multiply(e.kind, e.modulus, rows[moves == j], sym[j]) for j in np.unique(moves)]
+            return np.concatenate(parts)
 
         def key(rows):
             return _keys(rows, e.kind, e.modulus, powers)
 
         tables = []
-        inverse = (np.arange(gens.k) + gens.k // 2) % gens.k
-        # batches of 1 and of k moves, each with every edge looked up and
-        # with the edges into the next layer looked up once
-        for chunk, inv in itertools.product((1, None), (None, inverse)):
-            found = _bfs(e.data[np.newaxis], act, key, gens.k, chunk, 10**6, "", inv)
+        for chunk in (1, None):  # batches of 1 and of k moves
+            found = _bfs(e.data[np.newaxis], act, key, gens.k, chunk, 10**6, "", gens.inverse_positions())
             points, sorted_keys, key_index, parents, steps, table, starts = found
             assert np.array_equal(points, group.stack)
             assert np.array_equal(sorted_keys, group._sorted_keys)
@@ -372,18 +371,19 @@ class TestCodedGroups:
         "gens,dtype",
         [
             (sl2_generators(47), np.int8),
-            (sl2_generators(127), np.int8),
+            (GeneratorSet([GroupElement.matrix([[1, 1], [0, 1]], 127)]), np.int8),
             (symmetric_generators(6), np.int8),
-            (sl2_generators(131), np.int16),
+            (GeneratorSet([GroupElement.matrix([[1, 1], [0, 1]], 131)]), np.int16),
             (cyclic_generators(200), np.int16),
         ],
-        ids=["sl2_47", "sl2_127", "S6", "sl2_131", "Z200"],
+        ids=["sl2_47", "unipotent_127", "S6", "unipotent_131", "Z200"],
     )
     def test_stack_is_narrow(self, gens, dtype):
         # entries 0..m-1 (or the images 0..d-1) in the narrowest signed
-        # dtype, parents int32 and steps int8 (k - 1 <= 127); the elements
-        # handed out are int64 again
-        group = bfs_closure(gens, budget=3_000_000)
+        # dtype, whatever the group's size: a unipotent cyclic group sits
+        # on either side of the int8 boundary.  Parents int32 and steps
+        # int8 (k - 1 <= 127); the elements handed out are int64 again
+        group = bfs_closure(gens)
         assert group.stack.dtype == dtype
         assert group._parents.dtype == np.int32 and group._steps.dtype == np.int8
         assert group.element(group.order - 1).data.dtype == np.int64
