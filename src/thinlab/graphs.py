@@ -281,10 +281,9 @@ def _components(neighbors: np.ndarray) -> list[np.ndarray]:
     # in the BFS order of a group's Cayley graph on its own generators
     if np.count_nonzero(roots == vertices) > 1:
         # each edge between two trees once, from the larger root
-        a = np.broadcast_to(roots[:, np.newaxis], neighbors.shape)
-        b = roots[neighbors]
-        crossing = a > b
-        a, b = a[crossing], b[crossing]
+        b = roots.take(neighbors)
+        crossing = roots[:, np.newaxis] > b
+        a, b = np.repeat(roots, np.count_nonzero(crossing, axis=1)), b[crossing]
         del crossing
         while a.size:
             a, b = _contract(roots, a, b)

@@ -454,7 +454,7 @@ def _bfs(
             if not slots.size:
                 continue
             move, point = np.divmod(slots, f)
-            images = act(frontier[point], move)
+            images = act(frontier.take(point, axis=0), move)
             uniq, first, inverse = first_occurrences(key(images), return_inverse=True)
             # the index of each distinct image; the key arrays searched are
             # disjoint, so each one searches only what the earlier ones lack
@@ -472,7 +472,7 @@ def _bfs(
                 at[in_order] = np.arange(count, count + new.size)
                 taken = first[in_order]  # their first positions among the images
                 fresh.append((uniq[new], at[new]))
-                rows.append(images[taken])
+                rows.append(images.take(taken, axis=0))
                 parents.append((starts[-2] + point[taken]).astype(np.int32))
                 steps.append(move[taken].astype(step_dtype))
                 count += new.size
@@ -591,7 +591,7 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
             what = f"matrix_group_order: orbit products at base point {base}"
             check_budget(what, (rows.shape[0],), budget)
             # a matrix per product, no more than the Schreier step below forms
-            return np.matmul(rows[:, np.newaxis], level[moves])[:, 0] % m
+            return np.matmul(rows[:, np.newaxis], level.take(moves, axis=0))[:, 0] % m
 
         what = f"matrix_group_order: orbit points at base point {base}"
         # moved[x, j]: the orbit position of point x times generator j
@@ -608,9 +608,10 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         u_inv = np.empty_like(u)
         u[0] = u_inv[0] = np.eye(n, dtype=np.int64) % m
         for a, b in zip(starts[1:], starts[2:]):
-            u[a:b] = np.matmul(u[parents[a:b]], level[steps[a:b]]) % m
-            u_inv[a:b] = np.matmul(level[inv[steps[a:b]]], u_inv[parents[a:b]]) % m
-        prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv[moved]) % m
+            up, step = parents[a:b], steps[a:b]
+            u[a:b] = np.matmul(u.take(up, axis=0), level.take(step, axis=0)) % m
+            u_inv[a:b] = np.matmul(level.take(inv[step], axis=0), u_inv.take(up, axis=0)) % m
+        prods = np.matmul(np.matmul(u[:, np.newaxis], level) % m, u_inv.take(moved, axis=0)) % m
         prods = prods.reshape(-1, n, n)
         keys = _keys(prods, "matrix", m, powers)
         uniq, first = first_occurrences(keys)
@@ -620,7 +621,7 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
             break
         x, j = np.divmod(first, k)
         inv = _find(uniq, keys[moved[x, j].astype(np.int64) * k + inv[j]])[0]
-        level = prods[first]
+        level = prods.take(first, axis=0)
     return order
 
 
