@@ -19,6 +19,7 @@ import reprlib
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -463,7 +464,8 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         check_torsion_states(p, 2 * genus)  # before any generator is built
         gens = _sweep_generators(genus, "standard", p)
         moves = torsion_action(gens)
-        symmetry = torsion_symmetry(p, 2 * genus)
+        # built on first read, which only the dense certificate makes
+        symmetry = partial(torsion_symmetry, p, 2 * genus)
         graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}", symmetry=symmetry)
         if params["compare_cayley"]:
             built[p] = graph

@@ -19,7 +19,6 @@ from .elements import (
     GroupElement,
     SymplecticForm,
     identity_matrix,
-    inverse,
     multiply,
 )
 from .groups import GeneratorSet, matrix_group_order, sp_order
@@ -111,17 +110,19 @@ def braid_to_matrix(word: BraidWord, chain: ChainConfiguration, modulus: int = 0
     """Image of a braid word under sigma_i -> T_(c_i).
 
     Leftmost letter applied first, so the returned matrix is
-    T(last) ... T(first).  Empty word gives the identity.
+    T(last) ... T(first).  Empty word gives the identity.  A transvection
+    is T = I - v v^T J with (v v^T J)^2 = 0, so T^(-1) = 2I - T exactly.
     """
     if word.strands != 2 * chain.genus + 1:
         raise ValueError(
             f"word has {word.strands} strands, chain expects {2 * chain.genus + 1}"
         )
+    two = 2 * np.eye(2 * chain.genus, dtype=np.int64)
     result = identity_matrix(2 * chain.genus, modulus)
     for letter in word.letters:
         t = transvection(chain.vectors[abs(letter) - 1], chain.form, modulus)
         if letter < 0:
-            t = inverse(t)
+            t = GroupElement.matrix(two - t.data, modulus)
         result = multiply(t, result)
     return result
 

@@ -21,28 +21,24 @@ runs the same Lanczos to a residual of 1e-10, then shows by Cholesky that
 M = L + 2 11^T / N - (lambda1 - 1e-9) I is positive definite.  M moves the
 constant vector to eigenvalue 2, the top of L's spectrum, so success shows
 that no eigenvalue of L on 1-perp lies below lambda1 - 1e-9; a Ritz value
-never lies below the true lambda1, so the two are within 1e-9.
-
-M is factored on blocks where the graph has a symmetry: a vertex
-permutation sigma that its builder knows (left multiplication by a
-generator on a Cayley graph, a primitive root's scalar multiplication on a
-torsion graph).  sigma is first verified from the neighbor table alone: a
-bijection, all orbits of one size h >= 2, and sigma(neighbors(u)) =
-neighbors(sigma(u)) as multisets.  The characters of the cyclic group it
-generates then split M into h blocks of order n = N / h, of which the
-blocks j = 0..h/2 decide (the others are their conjugates); each is
-factored by dpotrf or zpotrf (Serre, Linear Representations of Finite
-Groups, section 7).  SL2(F13)'s certificate is then 7 factorizations of
-168 x 168 instead of one of 2,184 x 2,184.
-
-Without a symmetry, or if it fails a check or a block fails, M is
-factored whole: only its upper triangle is formed, straight from the
-sparse A/k, in LAPACK's rectangular full packed format (about N^2/2
-doubles, N padded to even), and dpftrf factors it in place at level-3 BLAS
-speed (Gustavson et al., ACM TOMS 37(2), 2010).  If Lanczos does not
-converge or that factorisation fails, a symmetric eigendecomposition
-(eigh) of the dense L decides; no other path calls eigh.  Whichever
-factorisation decides, the reported value is the same Lanczos value.
+never lies below the true lambda1, so the two are within 1e-9.  M is
+factored on the blocks of a vertex permutation sigma that the graph's
+builder knows (left multiplication by a generator on a Cayley graph, a
+primitive root's scalar multiplication on a torsion graph), once sigma is
+verified from the neighbor table alone: a bijection, all orbits of one
+size h, and sigma(neighbors(u)) = neighbors(sigma(u)) as multisets.  The
+characters of the cyclic group it generates split M into h blocks of
+order n = N / h, of which the blocks j = 0..h/2 decide (the others are
+their conjugates; Serre, Linear Representations of Finite Groups, section
+7).  Without a symmetry, or if it fails a check, every vertex is its own
+orbit: h = 1, and the one block is M.  Each block's upper triangle is
+written straight from the neighbor table in LAPACK's rectangular full
+packed format (about n^2/2 entries, n padded to even), and dpftrf or
+zpftrf factors it in place at level-3 BLAS speed (Gustavson et al., ACM
+TOMS 37(2), 2010).  SL2(F13)'s certificate is then 7 factorizations of
+order 168 instead of one of order 2,184.  If Lanczos does not converge or
+a block fails, a symmetric eigendecomposition (eigh) of the dense L
+decides; no other path calls eigh.
 """
 
 from __future__ import annotations
@@ -144,66 +140,44 @@ def _dense_laplacian(A) -> np.ndarray:
 
 def _rfp_index(m: int, rows, cols) -> np.ndarray:
     """Positions of the upper-triangle entries (rows <= cols) of an
-    even-order-m symmetric matrix in LAPACK's rectangular full packed (RFP)
+    even-order-m Hermitian matrix in LAPACK's rectangular full packed (RFP)
     array with TRANSR = 'N', UPLO = 'U': the (m + 1) x m/2 column-major
     array whose top holds columns m/2.. of the upper triangle and whose
-    bottom rows hold columns ..m/2 - 1 transposed."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    bottom rows hold columns ..m/2 - 1 conjugate-transposed."""
     h = m // 2
     return np.where(cols >= h, (cols - h) * (m + 1) + rows, rows * (m + 1) + h + 1 + cols)
 
 
-def _shifted_laplacian_rfp(A, shift: float) -> tuple[np.ndarray, int]:
-    """M = L + 2 11^T / N - shift I in RFP, with L = I - A and A the
-    canonical CSR A/k, and the order m it is stored at.  Only the upper
-    triangle is written, from A's entries with col >= row.  An odd N is
-    padded to m = N + 1 by one identity row and column, so the stored
-    matrix is positive definite iff M is."""
-    n = A.shape[0]
-    m = n + n % 2
-    rfp = np.full(m * (m + 1) // 2, 2.0 / n)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    upper = A.indices >= rows
-    rfp[_rfp_index(m, rows[upper], A.indices[upper])] -= A.data[upper]
-    diag = np.arange(n)
-    rfp[_rfp_index(m, diag, diag)] += 1.0 - shift
-    if m > n:
-        pad = _rfp_index(m, np.arange(m), m - 1)
-        rfp[pad] = 0.0
-        rfp[pad[-1]] = 1.0
-    return rfp, m
-
-
 def _rfp_cholesky(rfp: np.ndarray, m: int) -> bool:
-    """True iff the symmetric order-m matrix held in ``rfp`` is positive
-    definite, by LAPACK's level-3 RFP Cholesky M = U^T U (dpftrf), which
-    overwrites ``rfp`` with U and allocates nothing of its size."""
-    _, info = lapack.dpftrf(m, rfp, overwrite_a=1)
+    """True iff the Hermitian order-m matrix held in ``rfp`` is positive
+    definite, by LAPACK's level-3 RFP Cholesky M = U^H U (dpftrf for a
+    float64 buffer, zpftrf for a complex128 one), which overwrites ``rfp``
+    with U and allocates nothing of its size."""
+    pftrf = lapack.zpftrf if rfp.dtype.kind == "c" else lapack.dpftrf
+    _, info = pftrf(m, rfp, overwrite_a=1)
     return info == 0
 
 
-def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The orbits of the graph's ``symmetry`` sigma, verified from the
-    neighbor table alone, or None if sigma is missing or fails a check.
+    neighbor table alone, or the trivial ones, every vertex its own orbit
+    with h = 1, if sigma is missing or fails a check.
 
     sigma must be a bijection of the N vertices whose orbits all have one
-    size h >= 2, and sigma(neighbors(u)) must equal neighbors(sigma(u)) as
+    size h, and sigma(neighbors(u)) must equal neighbors(sigma(u)) as
     multisets for every u, which is exactly sigma commuting with A.
     Returns the orbit representatives (each orbit's smallest vertex, in
     increasing order), each vertex's orbit and its exponent e, with vertex
     w = sigma^e(representative of w's orbit), and h."""
-    sigma, nbrs = graph.symmetry, graph.neighbors
+    sigma, nbrs = np.asarray(graph.symmetry), graph.neighbors
     n = graph.n_vertices
-    if sigma is None:
-        return None
-    sigma = np.asarray(sigma)
+    trivial = np.arange(n), np.arange(n), np.zeros(n, dtype=np.int64), 1
     if sigma.shape != (n,) or sigma.dtype.kind not in "iu":
-        return None
+        return trivial
     if sigma.min() < 0 or sigma.max() >= n or np.bincount(sigma, minlength=n).max() != 1:
-        return None
+        return trivial
     if not np.array_equal(np.sort(sigma[nbrs], axis=1), np.sort(nbrs[sigma], axis=1)):
-        return None
+        return trivial
     # each cycle walked once from its smallest vertex
     perm = sigma.tolist()
     orbit, power, reps, sizes = [-1] * n, [0] * n, [], set()
@@ -215,10 +189,9 @@ def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
                 u, e = perm[u], e + 1
             reps.append(v)
             sizes.add(e)
-    h = sizes.pop()
-    if sizes or h < 2:
-        return None
-    return np.array(reps), np.array(orbit), np.array(power), h
+    if len(sizes) > 1:
+        return trivial
+    return np.array(reps), np.array(orbit), np.array(power), sizes.pop()
 
 
 def _blocks_cholesky(graph: MultiGraph, orbits, shift: float) -> bool:
@@ -233,48 +206,54 @@ def _blocks_cholesky(graph: MultiGraph, orbits, shift: float) -> bool:
     in orbit c', with n = N / h.  The constants are sqrt(h) times the sum
     of the phi_(c,0), so 2 11^T / N is 2 11^T / n in block 0 and 0 in the
     others.  Block h - j is the conjugate of block j, with the same
-    spectrum, so j = 0..h/2 decide.  A real block (j = 0, and j = h/2 for
-    even h) is factored by dpotrf, a complex one by zpotrf."""
+    spectrum, so j = 0..h/2 decide.  The trivial orbits give h = 1 and
+    one block, M itself.
+
+    Each block's upper triangle is written straight from the neighbor
+    table in RFP (``_rfp_index``), an odd n padded to even by one identity
+    row and column, so the stored matrix is positive definite iff the
+    block is, and ``_rfp_cholesky`` factors it: a real block (j = 0, and
+    j = h/2 for even h) as float64, a complex one as complex128."""
     reps, orbit, power, h = orbits
     n, k = reps.size, graph.degree
+    m = n + n % 2
     nbrs = graph.neighbors[reps]
-    cell = (np.arange(n)[:, np.newaxis] * n + orbit[nbrs]).ravel()
-    e = power[nbrs].ravel()
+    rows, slots = np.nonzero(orbit[nbrs] >= np.arange(n)[:, np.newaxis])
+    w = nbrs[rows, slots]
+    cols = orbit[w]
+    cell = _rfp_index(m, rows, cols)
+    # the columns below m/2 are stored transposed, so a complex block holds
+    # their conjugates, omega^(-j e)
+    e = np.where(cols < m // 2, -power[w], power[w])
+    diag = _rfp_index(m, np.arange(n), np.arange(n))
+    pad = _rfp_index(m, np.arange(m), m - 1)
     roots = np.exp(2j * np.pi / h * np.arange(h))
     for j in range(h // 2 + 1):
-        weights = roots[j * e % h] * (-1 / k)
         real = 2 * j % h == 0
-        M = np.empty(n * n, dtype=np.float64 if real else np.complex128)
-        M.real = np.bincount(cell, weights.real, n * n)
-        if not real:
-            M.imag = np.bincount(cell, weights.imag, n * n)
-        M = M.reshape(n, n)
-        if j == 0:
-            M += 2.0 / n
-        M.flat[:: n + 1] += 1.0 - shift
-        # M.T is M's Fortran view: M itself where real, its conjugate,
-        # with the same spectrum, where complex
-        potrf = lapack.dpotrf if real else lapack.zpotrf
-        # the factor overwrites M, and neither outlives its block
-        if potrf(M.T, overwrite_a=1, clean=0)[1] != 0:
+        dtype = np.float64 if real else np.complex128
+        rfp = np.full(m * (m + 1) // 2, 2.0 / n if j == 0 else 0.0, dtype=dtype)
+        weights = roots[j * e % h] * (-1 / k)
+        # unbuffered, so repeated cells sum with no temporary of rfp's size
+        np.add.at(rfp, cell, weights.real if real else weights)
+        rfp[diag] += 1.0 - shift
+        if m > n:
+            rfp[pad] = 0.0
+            rfp[pad[-1]] = 1.0
+        # the factor overwrites rfp, and neither outlives its block
+        if not _rfp_cholesky(rfp, m):
             return False
-        del M
+        del rfp
     return True
 
 
 def _lambda1_certified(graph: MultiGraph, A, n: int) -> tuple[float, float, np.ndarray]:
     """The dense lambda1 of a connected graph: the Lanczos value with a
-    Cholesky certificate that it is the bottom of L's spectrum on 1-perp,
-    or, when Lanczos does not converge or the certificate fails, eigh's.
-    The certificate factors the blocks of a verified graph symmetry, and
-    else, or if a block fails, the packed N x N matrix."""
+    Cholesky certificate that it is the bottom of L's spectrum on 1-perp
+    (``_blocks_cholesky``), or, when Lanczos does not converge or the
+    certificate fails, eigh's."""
     try:
         lam, res, x = _lambda1_lanczos(A, n, _CERTIFIED_TOL, 10 * n)
-        shift = lam - _CERTIFICATE_MARGIN
-        orbits = _symmetry_orbits(graph)
-        if orbits is not None and _blocks_cholesky(graph, orbits, shift):
-            return lam, res, x
-        if _rfp_cholesky(*_shifted_laplacian_rfp(A, shift)):
+        if _blocks_cholesky(graph, _symmetry_orbits(graph), lam - _CERTIFICATE_MARGIN):
             return lam, res, x
     except ConvergenceError:
         pass
@@ -372,10 +351,10 @@ def lambda1(graph: MultiGraph) -> SpectralReport:
     more than 1e-12.  A connected graph of at most ``DENSE_CUTOFF``
     vertices gets solver "dense": a Lanczos value certified the bottom of
     the nonzero spectrum by Cholesky factorisations of the shifted
-    Laplacian.  They run on the n x n blocks of the graph's ``symmetry``
-    where it passes its checks, else on the Laplacian held as a packed
-    upper triangle, and a symmetric eigendecomposition of the dense
-    Laplacian is the fallback of both.  A larger one gets "iterative":
+    Laplacian's packed n x n blocks: those of the graph's ``symmetry``
+    where it passes its checks, else the one block n = N.  A symmetric
+    eigendecomposition of the dense Laplacian decides where they fail or
+    Lanczos does not converge.  A larger one gets "iterative":
     Lanczos on A/k restricted to the constant-free subspace, whose reported
     residual ||L x - lambda1 x|| / ||x|| is at most ``ITERATIVE_TOL``; past
     10 N steps ``ConvergenceError`` is raised.  The components are

@@ -5,6 +5,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from thinlab.cli import (
     run,
     validate_config,
 )
-from thinlab.graphs import MultiGraph, cayley_graph, from_edges, save_graph, to_dot
+from thinlab.graphs import MultiGraph, cayley_graph, from_edges, save_graph, to_dot, torsion_symmetry
 from thinlab.groups import BUDGET_ENV_VAR, BudgetExceeded, bfs_closure, sl2_generators
 from thinlab import spectra as spectra_mod
 from thinlab.spectra import DENSE_CUTOFF, family_sweep, lambda1
@@ -386,17 +387,43 @@ class TestRun:
 
     def test_schreier_sweep_certifies_on_the_blocks(self, tmp_path, monkeypatch):
         # the torsion graphs and the Cayley graphs they are compared with
-        # carry a symmetry that lambda1 verifies, so no dense solve builds
-        # the packed N x N matrix
-        def packed(A, shift):
-            raise AssertionError(f"packed certificate built at N = {A.shape[0]}")
+        # carry a symmetry that lambda1 verifies, so no dense solve falls to
+        # the one N x N block (h = 1)
+        hs = []
+        certificate = spectra_mod._blocks_cholesky
 
-        monkeypatch.setattr(spectra_mod, "_shifted_laplacian_rfp", packed)
+        def on_blocks(graph, orbits, shift):
+            hs.append(orbits[3])
+            return certificate(graph, orbits, shift)
+
+        monkeypatch.setattr(spectra_mod, "_blocks_cholesky", on_blocks)
         config = validate_config(
             {"kind": "schreier-sweep", "genus": 1, "primes": [5, 7, 31], "compare_cayley": True}
         )
         manifest = run(config, out_dir=tmp_path / "out", jobs=1)
         assert not manifest.failed, manifest.tasks
+        # three torsion graphs and SL2(F5), SL2(F7); SL2(F31) is iterative
+        assert len(hs) == 5 and min(hs) > 1
+
+    def test_only_the_dense_certificate_builds_the_torsion_symmetry(self, tmp_path, monkeypatch):
+        # a torsion graph's sigma is a function until its first read; an
+        # iterative solve never reads it, a dense one does (N = 120)
+        graphs = []
+        build = cli_mod.schreier_graph
+
+        def kept(*args, **kwargs):
+            graphs.append(build(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli_mod, "schreier_graph", kept)
+        config = validate_config({"kind": "schreier-sweep", "genus": 1, "primes": [11]})
+        for cutoff in (100, DENSE_CUTOFF):
+            monkeypatch.setattr(spectra_mod, "DENSE_CUTOFF", cutoff)
+            assert not run(config, out_dir=tmp_path / str(cutoff), jobs=1).failed
+        iterative, dense = graphs
+        assert callable(iterative._symmetry)
+        assert isinstance(dense._symmetry, np.ndarray)
+        assert np.array_equal(dense.symmetry, torsion_symmetry(11, 2))
 
     def test_chain_generators_at_genus_1(self, tmp_path):
         # the three chain transvections generate SL2(F_p): k = 6

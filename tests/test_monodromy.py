@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from thinlab.elements import (
+    GroupElement,
     SymplecticForm,
     act_on_vectors,
     identity_matrix,
+    inverse,
     is_symplectic,
     multiply,
 )
@@ -95,6 +97,17 @@ class TestTransvection:
             t2 = multiply(t, t)
             doubled = np.eye(4, dtype=np.int64) - 2 * np.outer(v, v) @ form.gram
             assert t2.data.tolist() == doubled.tolist()
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_inverse_is_two_minus_t(self, g):
+        # braid_to_matrix inverts a letter's transvection as 2I - T, which
+        # must be the exact inverse over Z and mod m
+        chain = build_chain(g)
+        two = 2 * np.eye(2 * g, dtype=np.int64)
+        for v in chain.vectors:
+            for modulus in (0, 7):
+                t = transvection(v, chain.form, modulus)
+                assert GroupElement.matrix(two - t.data, modulus) == inverse(t)
 
 
 class TestBraidWords:

@@ -361,11 +361,21 @@ def turned_cycle(n, turn):
     return schreier_graph(np.stack([(x + 1) % n, (x - 1) % n], axis=1), symmetry=(x + turn) % n)
 
 
+def cycled_complete_graph(n):
+    """K_n with an n-cycle as its symmetry: one orbit, so 1 x 1 blocks,
+    each padded to 2 x 2, of which j = 0..n/2 are factored."""
+    graph = complete_graph(n)
+    graph.symmetry = np.roll(np.arange(n), -1)
+    return graph
+
+
 def symmetric_dense_graphs():
     """spectral_dense_graphs, the Cayley graphs of S5, S6 and Z2xZ3xZ5xZ7,
-    the 12-cycle, whose symmetry has one orbit: 1 x 1 blocks, and the
-    12-cycle turned by 6 and by 4, where lambda1 lies only in the last
-    block decided, j = h/2 = 1 (real) and j = 1 of h = 3 (complex)."""
+    the 12-cycle, whose symmetry has one orbit: 1 x 1 blocks, the 12-cycle
+    turned by 6 and by 4, where lambda1 lies only in the last block
+    decided, j = h/2 = 1 (real) and j = 1 of h = 3 (complex), the 15-cycle
+    turned by 3 (h = 5, complex blocks of odd order 3) and K7 with a
+    7-cycle."""
     more = [
         ("S5", symmetric_generators(5)),
         ("S6", symmetric_generators(6)),
@@ -376,6 +386,7 @@ def symmetric_dense_graphs():
         + [(name, lambda g=g: cayley_graph(bfs_closure(g), g)) for name, g in more]
         + [("C12", lambda: cyclic_graph(12))]
         + [(f"C12 turned by {t}", lambda t=t: turned_cycle(12, t)) for t in (6, 4)]
+        + [("C15 turned by 3", lambda: turned_cycle(15, 3)), ("K7 cycled", lambda: cycled_complete_graph(7))]
     )
 
 
@@ -391,14 +402,49 @@ def shifted_laplacian(graph, shift):
 def packed_padded(S):
     """Independent oracle for the certificate's packing: S padded to even
     order by an identity row and column, upper triangle packed by LAPACK's
-    dtrttf (TRANSR = 'N', UPLO = 'U'), and the padded order."""
+    dtrttf or, for a complex S, ztrttf (TRANSR = 'N', UPLO = 'U'), and the
+    padded order."""
     n = len(S)
     m = n + n % 2
-    P = np.eye(m)
+    P = np.eye(m, dtype=S.dtype)
     P[:n, :n] = S
-    rfp, info = lapack.dtrttf(np.asfortranarray(P))
+    rfp, info = (lapack.ztrttf if S.dtype.kind == "c" else lapack.dtrttf)(np.asfortranarray(P))
     assert info == 0
     return rfp, m
+
+
+def explicit_block(graph, orbits, j, shift):
+    """Independent oracle for block j of the shifted Laplacian on the
+    orbits: I - B_j / k - shift I, plus 2/n on block 0, with B_j[c, c']
+    summed neighbor by neighbor in Python; real where it is, by dtype."""
+    reps, orbit, power, h = orbits
+    n, k = reps.size, graph.degree
+    B = np.zeros((n, n), dtype=complex)
+    for c, r in enumerate(reps.tolist()):
+        for w in graph.neighbors[r].tolist():
+            B[c, orbit[w]] += np.exp(2j * np.pi * j * power[w] / h)
+    M = (1.0 - shift) * np.eye(n) - B / k + (2.0 / n if j == 0 else 0.0)
+    return M.real.copy() if 2 * j % h == 0 else M
+
+
+def packed_blocks(graph, orbits, shift, monkeypatch):
+    """The RFP buffers ``_blocks_cholesky`` hands to ``_rfp_cholesky``,
+    copied before the factorisation, which still runs."""
+    buffers = []
+    factor = spectra._rfp_cholesky
+
+    def recorded(rfp, m):
+        buffers.append(rfp.copy())
+        return factor(rfp, m)
+
+    monkeypatch.setattr(spectra, "_rfp_cholesky", recorded)
+    spectra._blocks_cholesky(graph, orbits, shift)
+    return buffers
+
+
+def trivial_orbits(graph):
+    """The one-block decomposition: every vertex its own orbit, h = 1."""
+    return spectra._symmetry_orbits(without_symmetry(graph))
 
 
 def count_eigh(monkeypatch):
@@ -446,39 +492,61 @@ class TestCertifiedDense:
         assert report.residual <= 1e-10
 
     def test_certificate_is_not_vacuous(self):
-        # SL2(F13), N = 2184: lambda1 has multiplicity 14, and the packed
-        # factorisation separates shifts 2e-9 apart around it
+        # SL2(F13), N = 2184: lambda1 has multiplicity 14, and the one
+        # packed block separates shifts 2e-9 apart around it
         graph = sl2_graph(13)
-        A = graph.adjacency() / graph.degree
+        orbits = trivial_orbits(graph)
         lam = lambda1(graph).lambda1
-        assert spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, lam - 1e-9))
-        assert not spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, lam + 1e-9))
+        assert spectra._blocks_cholesky(graph, orbits, lam - 1e-9)
+        assert not spectra._blocks_cholesky(graph, orbits, lam + 1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 150])
     def test_blocked_cholesky_factors(self, n):
-        # odd n is padded to even; the factor is written into the buffer
-        # passed, so f2py made no copy of it
+        # real and complex; odd n is padded to even; the factor is written
+        # into the buffer passed, so f2py made no copy of it
         rng = np.random.default_rng(n)
-        X = rng.standard_normal((n, n))
-        S = X @ X.T + n * np.eye(n)
-        rfp, m = packed_padded(S)
-        assert spectra._rfp_cholesky(rfp, m)
-        U, info = lapack.dtfttr(m, rfp)
-        assert info == 0
-        assert np.abs(np.triu(U)[:n, :n] - np.linalg.cholesky(S).T).max() <= 1e-12 * n
-        indefinite = S - (np.linalg.eigvalsh(S)[0] + 1e-6) * np.eye(n)
-        assert not spectra._rfp_cholesky(*packed_padded(indefinite))
+        real = rng.standard_normal((n, n))
+        for X, tfttr in ((real, lapack.dtfttr), (real + 1j * rng.standard_normal((n, n)), lapack.ztfttr)):
+            S = X @ X.conj().T + n * np.eye(n)
+            rfp, m = packed_padded(S)
+            assert spectra._rfp_cholesky(rfp, m)
+            U, info = tfttr(m, rfp)
+            assert info == 0
+            assert np.abs(np.triu(U)[:n, :n] - np.linalg.cholesky(S).conj().T).max() <= 1e-12 * n
+            indefinite = S - (np.linalg.eigvalsh(S)[0] + 1e-6) * np.eye(n)
+            assert not spectra._rfp_cholesky(*packed_padded(indefinite))
 
     @pytest.mark.parametrize("n", [120, 15])
-    def test_packed_shifted_laplacian_matches_lapack_packing(self, n):
-        # SL2(F5), and a 15-vertex multigraph with loops and parallel edges
-        # whose odd order is padded
+    def test_packed_shifted_laplacian_matches_lapack_packing(self, n, monkeypatch):
+        # the one block of SL2(F5), and of a 15-vertex multigraph with
+        # loops and parallel edges whose odd order is padded
         graph = sl2_graph(5) if n == 120 else random_connected_multigraph(n, 3, 1, 2, False)
-        A = graph.adjacency() / graph.degree
-        rfp, m = spectra._shifted_laplacian_rfp(A, 0.25)
+        [rfp] = packed_blocks(graph, trivial_orbits(graph), 0.25, monkeypatch)
         expected, _ = packed_padded(shifted_laplacian(graph, 0.25))
-        assert m == graph.n_vertices + graph.n_vertices % 2
+        assert rfp.dtype == np.float64
         assert np.abs(rfp - expected).max() <= 1e-15
+
+    BLOCKED = {
+        "C15 turned by 3": lambda: turned_cycle(15, 3),
+        "K7 cycled": lambda: cycled_complete_graph(7),
+        "C12 turned by 4": lambda: turned_cycle(12, 4),
+        "sl2_5": lambda: sl2_graph(5),
+    }
+
+    @pytest.mark.parametrize("name", list(BLOCKED))
+    def test_blocks_match_lapack_packing(self, name, monkeypatch):
+        # each block j = 0..h/2, real or complex, odd orders padded, against
+        # dtrttf or ztrttf of the block summed entry by entry
+        graph = self.BLOCKED[name]()
+        orbits = spectra._symmetry_orbits(graph)
+        h = orbits[3]
+        # a negative shift: every block is positive definite, so all run
+        buffers = packed_blocks(graph, orbits, -0.25, monkeypatch)
+        assert len(buffers) == h // 2 + 1
+        for j, rfp in enumerate(buffers):
+            expected, _ = packed_padded(explicit_block(graph, orbits, j, -0.25))
+            assert rfp.dtype == expected.dtype
+            assert np.abs(rfp - expected).max() <= 1e-14
 
     def test_non_bottom_eigenpair_falls_back_to_eigh(self, monkeypatch):
         graph = sl2_graph(5)  # N = 120
@@ -510,21 +578,22 @@ class TestCertifiedDense:
         assert report.residual <= 1e-12
 
 
-def count_packed(monkeypatch):
-    """Count the packed N x N certificates built; they still run."""
+def count_certificates(monkeypatch, verdict=None):
+    """Record the h of each certificate ``lambda1`` runs, h = 1 for the one
+    block; they still run, unless a ``verdict`` is given to return."""
     calls = []
-    packed = spectra._shifted_laplacian_rfp
+    certificate = spectra._blocks_cholesky
 
-    def counted(A, shift):
-        calls.append(A.shape[0])
-        return packed(A, shift)
+    def counted(graph, orbits, shift):
+        calls.append(orbits[3])
+        return certificate(graph, orbits, shift) if verdict is None else verdict
 
-    monkeypatch.setattr(spectra, "_shifted_laplacian_rfp", counted)
+    monkeypatch.setattr(spectra, "_blocks_cholesky", counted)
     return calls
 
 
 def without_symmetry(graph):
-    """The same graph with no symmetry: the packed certificate decides."""
+    """The same graph with no symmetry: the one block decides."""
     return MultiGraph(graph.neighbors, label=graph.label)
 
 
@@ -534,18 +603,17 @@ def report_fields(report):
 
 class TestSymmetryBlocks:
     """The dense certificate on the blocks of a verified graph symmetry,
-    against the packed N x N certificate on the same graphs."""
+    against the one packed N x N block of the same graphs."""
 
     @pytest.mark.parametrize("name,build", symmetric_dense_graphs(), ids=[n for n, _ in symmetric_dense_graphs()])
     def test_blocks_decide_as_the_packed_matrix(self, name, build):
         graph = build()
-        A = graph.adjacency() / graph.degree
         orbits = spectra._symmetry_orbits(graph)
-        assert orbits is not None
+        assert orbits[3] > 1
         lam = lambda1(graph).lambda1
         for shift, definite in ((lam - 1e-9, True), (lam + 1e-9, False)):
             assert spectra._blocks_cholesky(graph, orbits, shift) is definite
-            assert spectra._rfp_cholesky(*spectra._shifted_laplacian_rfp(A, shift)) is definite
+            assert spectra._blocks_cholesky(graph, trivial_orbits(graph), shift) is definite
 
     def test_cycle_blocks_are_one_by_one(self):
         reps, orbit, power, h = spectra._symmetry_orbits(cyclic_graph(12))
@@ -556,9 +624,9 @@ class TestSymmetryBlocks:
     def test_blocks_report_equals_the_packed_report(self, name, build, monkeypatch):
         graph = build()
         plain = lambda1(without_symmetry(graph))
-        packed, eigh_calls = count_packed(monkeypatch), count_eigh(monkeypatch)
+        certificates, eigh_calls = count_certificates(monkeypatch), count_eigh(monkeypatch)
         report = lambda1(graph)
-        assert packed == [] and eigh_calls == []
+        assert certificates == [spectra._symmetry_orbits(graph)[3]] and eigh_calls == []
         assert report_fields(report) == report_fields(plain)
         assert np.array_equal(report.eigenvector, plain.eigenvector)
 
@@ -589,10 +657,11 @@ class TestSymmetryBlocks:
             nbrs = graph.neighbors
             image = graph.symmetry
             assert np.array_equal(np.sort(image[nbrs], axis=1), np.sort(nbrs[image], axis=1))
-        assert spectra._symmetry_orbits(graph) is None
-        packed, eigh_calls = count_packed(monkeypatch), count_eigh(monkeypatch)
+        reps, orbit, power, h = spectra._symmetry_orbits(graph)
+        assert h == 1 and np.array_equal(reps, np.arange(graph.n_vertices)) and not power.any()
+        certificates, eigh_calls = count_certificates(monkeypatch), count_eigh(monkeypatch)
         report = lambda1(graph)
-        assert packed == [graph.n_vertices] and eigh_calls == []
+        assert certificates == [1] and eigh_calls == []
         assert report_fields(report) == report_fields(plain)
 
     def test_only_the_dense_certificate_builds_the_cayley_symmetry(self, monkeypatch):
@@ -612,25 +681,30 @@ class TestSymmetryBlocks:
         graph = complete_graph(7)
         plain = lambda1(graph)
         graph.symmetry = np.array([1, 2, 3, 4, 5, 6, 0])
-        packed = count_packed(monkeypatch)
+        certificates = count_certificates(monkeypatch)
         assert report_fields(lambda1(graph)) == report_fields(plain)
-        assert packed == []
+        assert certificates == [7]
 
-    def test_failed_block_falls_back_to_the_packed_matrix(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_blocks_cholesky", lambda graph, orbits, shift: False)
+    def test_refused_certificate_goes_straight_to_eigh(self, monkeypatch):
+        # a failed block is not retried on the one N x N block: eigh decides
         graph = sl2_graph(7)
-        packed = count_packed(monkeypatch)
+        certificates = count_certificates(monkeypatch, verdict=False)
+        eigh_calls = count_eigh(monkeypatch)
         report = lambda1(graph)
-        assert packed == [graph.n_vertices]
-        assert report_fields(report) == report_fields(lambda1(without_symmetry(graph)))
+        assert certificates == [7] and eigh_calls == [1]
+        assert report.solver == "dense"
+        assert abs(report.lambda1 - eigvalsh_lambda1(graph)) <= 1e-12
+        assert report.residual <= 1e-12
 
     def test_non_bottom_eigenpair_refused_by_the_blocks(self, monkeypatch):
-        # the blocks, too, refuse an eigenvalue above lambda1, so eigh decides
+        # the blocks, as the one block, refuse an eigenvalue above lambda1,
+        # so eigh decides
         graph = sl2_graph(5)
         L = np.eye(graph.n_vertices) - graph.dense_adjacency() / graph.degree
         w = np.linalg.eigvalsh(L)
         above = float(w[np.flatnonzero(w > w[1] + 1e-3)[0]])
-        assert not spectra._blocks_cholesky(graph, spectra._symmetry_orbits(graph), above - 1e-9)
+        for orbits in (spectra._symmetry_orbits(graph), trivial_orbits(graph)):
+            assert not spectra._blocks_cholesky(graph, orbits, above - 1e-9)
 
 
 class TestEdgesAndErrors:
@@ -711,12 +785,13 @@ class TestEdgesAndErrors:
         assert lambda1(graph).solver == "iterative"
 
     def test_above_cutoff_never_enters_the_dense_path(self, monkeypatch):
-        # the packed triangle is about N^2 / 2 doubles: 43 GB for SL2(F47),
-        # so nothing above DENSE_CUTOFF may reach it, nor the eigh fallback
+        # the one packed block is about N^2 / 2 doubles: 43 GB for
+        # SL2(F47), so nothing above DENSE_CUTOFF may reach the certificate,
+        # nor the eigh fallback
         def dense_path(*args, **kwargs):
             raise AssertionError("the dense path was entered")
 
-        for name in ("_shifted_laplacian_rfp", "_dense_laplacian"):
+        for name in ("_blocks_cholesky", "_dense_laplacian"):
             monkeypatch.setattr(spectra, name, dense_path)
         monkeypatch.setattr(scipy.linalg, "eigh", dense_path)
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 100)
@@ -785,7 +860,7 @@ class TestMemory:
         # numpy and LAPACK work arrays are traced; the certificate factors
         # M's packed upper triangle in place, so the peak is about half an
         # N x N float64 array (the full M peaked near 1.04 of one).  With
-        # no symmetry, the packed certificate decides.
+        # no symmetry, the one packed block decides.
         graph = without_symmetry(sl2_graph(11))  # N = 1320
         n = graph.n_vertices
         tracemalloc.start()
