@@ -5,8 +5,10 @@ the full symplectic quotients at small odd primes.
 
 Usage: python scripts/pointpush_congruence.py [genus] [primes...]
 
-A quotient refused by the element budget (THINLAB_BUDGET) prints the
-refusal and exits 1.
+A genus that is not an integer >= 1, or a listed prime that is not a
+prime, prints the refusal and exits 1 before anything is built; so does a
+quotient refused by the element budget (THINLAB_BUDGET), when it is
+reached.
 """
 
 import sys
@@ -18,11 +20,25 @@ from thinlab import (
     congruence_report,
     point_pushing_generators,
 )
+from thinlab.groups import is_prime
+
+
+def refuse(why: str) -> int:
+    print(f"refused: {why}", file=sys.stderr)
+    return 1
 
 
 def main() -> int:
-    genus = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    primes = [int(x) for x in sys.argv[2:]] or ([3, 5] if genus <= 2 else [3])
+    try:
+        genus = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+        primes = [int(x) for x in sys.argv[2:]] or ([3, 5] if genus <= 2 else [3])
+    except ValueError as exc:
+        return refuse(f"arguments must be integers: {exc}")
+    if genus < 1:
+        return refuse(f"genus {genus} is not >= 1")
+    bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        return refuse(f"{bad[0]} is not prime")
 
     chain = build_chain(genus)
     words = point_pushing_generators(genus)
@@ -36,8 +52,7 @@ def main() -> int:
     try:
         report = congruence_report(mats, primes)
     except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
+        return refuse(str(exc))
     print(f"all images trivial mod 2: {report.mod2_trivial}")
     print(f"all images trivial mod 4: {report.mod4_trivial}")
     for p, (got, want) in report.prime_orders.items():

@@ -3,6 +3,10 @@
 print per-prime spectral gaps, and fit the esperantist model.
 
 Usage: python scripts/sl2_family_sweep.py [max_prime] [out_dir]
+
+A max_prime that is not an integer >= 3 prints the refusal and exits 1
+before any group is built; so does a sweep that solves fewer than the
+three primes the fit needs, after spectra.csv is written.
 """
 
 import sys
@@ -14,7 +18,14 @@ from thinlab.spectra import esperantist_fit, family_sweep, fit_to_json, write_re
 
 
 def main() -> int:
-    max_prime = int(sys.argv[1]) if len(sys.argv) > 1 else 47
+    arg = sys.argv[1] if len(sys.argv) > 1 else "47"
+    try:
+        max_prime = int(arg)
+    except ValueError:
+        max_prime = 0
+    if max_prime < 3:
+        print(f"refused: max_prime {arg!r} is not an integer >= 3", file=sys.stderr)
+        return 1
     out_dir = Path(sys.argv[2]) if len(sys.argv) > 2 else Path("sl2-sweep-out")
     primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
 
@@ -33,7 +44,11 @@ def main() -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_reports_csv(sweep.reports, out_dir / "spectra.csv")
-    fit = esperantist_fit(sweep.reports)
+    try:
+        fit = esperantist_fit(sweep.reports)
+    except ValueError as exc:  # fewer than three primes solved
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     (out_dir / "esperantist.json").write_text(fit_to_json(fit))
     print(
         f"esperantist fit: lambda1 ~ {fit.c:.4f} * (log N)^(-{fit.exponent:.4f}), "

@@ -52,7 +52,6 @@ from .graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
-    torsion_symmetry,
 )
 from .spectra import (
     ConvergenceError,

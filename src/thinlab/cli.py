@@ -19,7 +19,6 @@ import reprlib
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -36,6 +35,7 @@ from .groups import (
     cyclic_generators,
     direct_product_of_cyclic,
     is_prime,
+    primitive_root,
     resolve_budget,
     sl2_generators,
     sp_order_factors,
@@ -61,7 +61,6 @@ from .graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
-    torsion_symmetry,
 )
 from .spectra import (
     CSV_FIELDS,
@@ -464,8 +463,9 @@ def _run_schreier_sweep(params: dict, seed: int, jobs: int | None, outdir: Path)
         check_torsion_states(p, 2 * genus)  # before any generator is built
         gens = _sweep_generators(genus, "standard", p)
         moves = torsion_action(gens)
-        # built on first read, which only the dense certificate makes
-        symmetry = partial(torsion_symmetry, p, 2 * genus)
+        # scalar multiplication by a primitive root r commutes with every
+        # move; it sends vertex 0, e_1, to r e_1, whose base-p code is r
+        symmetry = primitive_root(p) - 1
         graph = schreier_graph(moves, label=f"torsion_g{genus}_p{p}", symmetry=symmetry)
         if params["compare_cayley"]:
             built[p] = graph

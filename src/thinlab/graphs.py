@@ -11,7 +11,7 @@ I - A/k has exact zero row sums.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
@@ -22,8 +22,6 @@ from .groups import (
     FiniteGroup,
     GeneratorSet,
     check_budget,
-    is_prime,
-    primitive_root,
     resolve_budget,
 )
 
@@ -35,19 +33,17 @@ _DUMP_MAGIC = b"TLG1"
 class MultiGraph:
     """k-regular undirected multigraph in fixed-width adjacency form.
 
-    ``symmetry``, if a builder knows one, is a vertex permutation sigma
-    meant to commute with the adjacency, as an (N,) integer array: sigma[u]
-    is u's image.  A builder may set a function of no arguments instead,
-    which is called on the first read and replaced by its array, so a
-    graph whose sigma is never read never builds it.  Nothing checks sigma
-    here; ``spectra.lambda1`` verifies it from the neighbor table before it
-    splits the Laplacian along its orbits, and ignores it otherwise.
+    ``symmetry``, if a builder knows one, is sigma(0) for a vertex
+    permutation sigma with sigma(neighbors[u, t]) = neighbors[sigma(u), t]
+    for every u and t, which on a connected graph it fixes.  Nothing checks
+    it here; ``spectra.lambda1`` builds and verifies sigma before it splits
+    the Laplacian along its orbits, and ignores it otherwise.
 
     The graph is immutable, so its components, once a search has found
     them (``components`` or ``lambda1``), are kept in ``_comps`` and not
     searched for again."""
 
-    _symmetry: np.ndarray | Callable[[], np.ndarray] | None = None
+    symmetry: int | None = None
     _comps: list[np.ndarray] | None = None
 
     def __init__(self, neighbors: np.ndarray, label: str = ""):
@@ -62,20 +58,8 @@ class MultiGraph:
         self.neighbors = nbrs.astype(np.int32, copy=False)
         self.neighbors.flags.writeable = False
 
-    @property
-    def symmetry(self) -> np.ndarray | None:
-        if callable(self._symmetry):
-            self._symmetry = self._symmetry()
-        return self._symmetry
-
-    @symmetry.setter
-    def symmetry(self, sigma: np.ndarray | Callable[[], np.ndarray] | None) -> None:
-        self._symmetry = sigma
-
     @classmethod
-    def _symmetric(
-        cls, neighbors: np.ndarray, label: str, symmetry: np.ndarray | Callable[[], np.ndarray] | None
-    ) -> "MultiGraph":
+    def _symmetric(cls, neighbors: np.ndarray, label: str, symmetry: int | None) -> "MultiGraph":
         """The graph on an int32 (N, k) array already known to be a
         symmetric adjacency in range, as schreier_graph's checked move
         arrays are: skips _check_symmetric."""
@@ -164,14 +148,11 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     generator set takes the whole table, shared read-only; any other
     generator is multiplied out and looked up.
 
-    The graph's ``symmetry`` is left multiplication by the listed generator
-    of largest order h (the first such), which commutes with every right
-    multiplication; its orbits are the N / h right cosets of that
-    generator's cyclic group.  It is read down the group's BFS tree
-    (``FiniteGroup.left_multiplication``) on its first read, which only the
-    dense certificate makes, and left unset where h = 1.  Until then the
-    graph holds the group's move table and BFS tree for it, not the
-    elements."""
+    The graph's ``symmetry`` is the index of the listed generator g of
+    largest order h (the first such): the image of the identity, vertex 0,
+    under left multiplication by g, which commutes with every right
+    multiplication.  Its orbits are the N / h right cosets of g's cyclic
+    group."""
     for g in gens.symmetrized:
         if g not in group:
             raise ValueError(f"generator not in group: {g!r}")
@@ -187,10 +168,7 @@ def cayley_graph(group: FiniteGroup, gens: GeneratorSet, label: str | None = Non
     if label is None:
         label = f"cayley({gens.label or group.label})"
     orders = [_element_order(g) for g in gens.elements]
-    h = max(orders)
-    symmetry = None
-    if h >= 2:
-        symmetry = group.left_multiplication(gens.elements[orders.index(h)])
+    symmetry = group.index_of(gens.elements[orders.index(max(orders))])
     return schreier_graph(moves, label=label, symmetry=symmetry)
 
 
@@ -212,15 +190,13 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
     return all(np.array_equal(a[i], b[j]) for i, j in zip(order_a, order_b))
 
 
-def schreier_graph(
-    moves: np.ndarray, label: str = "", symmetry: np.ndarray | Callable[[], np.ndarray] | None = None
-) -> MultiGraph:
+def schreier_graph(moves: np.ndarray, label: str = "", symmetry: int | None = None) -> MultiGraph:
     """Graph of a group action: x -- m(x) for every move m; k = number of
     moves.  ``moves`` is the (N, k) array in ``MultiGraph.neighbors``
     layout: row x lists x's image under each move.  Each column must be a
     bijection of range(N), and the columns an inversion-closed multiset.
-    ``symmetry``, an array or a function that gives one, becomes the
-    graph's, unchecked (see ``MultiGraph``)."""
+    ``symmetry``, a vertex or None, becomes the graph's, unchecked (see
+    ``MultiGraph``)."""
     moves = np.asarray(moves)
     if moves.ndim != 2:
         raise ValueError("moves must be a 2-d (N, k) array")
@@ -403,22 +379,6 @@ def torsion_action(gens: GeneratorSet, budget: int | None = None) -> np.ndarray:
             raise ValueError("generator sends a nonzero vector to zero")
         moves[:, t] = codes - 1
     return moves
-
-
-def torsion_symmetry(m: int, dim: int) -> np.ndarray | None:
-    """Multiplication by the least primitive root r mod an odd prime m, as
-    a permutation of ``torsion_action``'s states: entry x is the state of
-    r times the torsion point with base-m code x + 1.  Scalars commute with
-    every matrix, so it commutes with the torsion action, and r has order
-    m - 1 with no nonzero fixed vector below that power, so all its orbits
-    have m - 1 states.  None where m is not an odd prime."""
-    if m < 3 or not is_prime(m):
-        return None
-    check_torsion_states(m, dim)
-    scaled = _all_nonzero_vectors(dim, m)
-    scaled *= primitive_root(m)
-    scaled %= m
-    return (_vector_codes(scaled, m) - 1).astype(np.int32)
 
 
 def torsion_projection(group: FiniteGroup) -> np.ndarray:

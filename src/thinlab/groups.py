@@ -43,7 +43,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -331,16 +331,6 @@ class FiniteGroup:
         """Index array of q -> q*s over all elements q, in one batch."""
         return self.indices(_batch_multiply(self.kind, self.modulus, self.stack, s.data))
 
-    def left_multiplication(self, g: GroupElement) -> Callable[[], np.ndarray]:
-        """A function of no arguments that gives the index array of q -> g*q
-        over all elements q.  It holds the move table and the BFS tree, not
-        the elements, and forms no product: element i is
-        element(parents[i]) * symmetrized[steps[i]], so g * element(i) is
-        the move of g * element(parents[i]) by steps[i], read from
-        ``moves`` a layer at a time."""
-        tree = self.moves, self._parents, self._steps, self._layer_starts
-        return partial(_left_multiplication, *tree, self.index_of(g))
-
     def conjugation_indices(self, s: GroupElement) -> np.ndarray:
         """Index array of q -> s*q*s^(-1) over all elements q, in one batch."""
         q_s_inv = _batch_multiply(self.kind, self.modulus, self.stack, inverse(s).data)
@@ -367,10 +357,11 @@ class FiniteGroup:
         in one batch per layer: the inverse of q*s is s^(-1) * q^(-1)."""
         if self._inv_indices is None:
             inv = np.zeros(self.order, dtype=np.int32)
-            s_inv = np.stack([s.data for s in self.symmetrized])[self._inverse_moves]
+            s_inv = np.stack([s.data for s in self.symmetrized]).take(self._inverse_moves, axis=0)
             for a, b in zip(self._layer_starts[1:], self._layer_starts[2:]):
-                q_inv = self.stack[inv[self._parents[a:b]]]
-                prods = _batch_multiply(self.kind, self.modulus, s_inv[self._steps[a:b]], q_inv)
+                q_inv = self.stack.take(inv.take(self._parents[a:b]), axis=0)
+                s_step = s_inv.take(self._steps[a:b], axis=0)
+                prods = _batch_multiply(self.kind, self.modulus, s_step, q_inv)
                 inv[a:b] = self.indices(prods)
             self._inv_indices = inv
         return self._inv_indices
@@ -381,19 +372,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, kind={self.kind}, label={self.label!r})"
-
-
-def _left_multiplication(
-    moves: np.ndarray, parents: np.ndarray, steps: np.ndarray, layer_starts: tuple[int, ...], start: int
-) -> np.ndarray:
-    """The images of a BFS tree's points under the map that sends point 0
-    to ``start`` and commutes with every move (see
-    ``FiniteGroup.left_multiplication``)."""
-    left = np.empty(moves.shape[0], dtype=np.int32)
-    left[0] = start
-    for a, b in zip(layer_starts[1:], layer_starts[2:]):
-        left[a:b] = moves[left[parents[a:b]], steps[a:b]]
-    return left
 
 
 def _bfs(

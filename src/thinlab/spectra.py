@@ -23,19 +23,20 @@ constant vector to eigenvalue 2, the top of L's spectrum, so success shows
 that no eigenvalue of L on 1-perp lies below lambda1 - 1e-9; a Ritz value
 never lies below the true lambda1, so the two are within 1e-9.  M is
 factored on the blocks of a vertex permutation sigma that the graph's
-builder knows (left multiplication by a generator on a Cayley graph, a
-primitive root's scalar multiplication on a torsion graph), once sigma is
-verified from the neighbor table alone: a bijection, all orbits of one
-size h, and sigma(neighbors(u)) = neighbors(sigma(u)) as multisets.  The
-characters of the cyclic group it generates split M into h blocks of
-order n = N / h, of which the blocks j = 0..h/2 decide (the others are
-their conjugates; Serre, Linear Representations of Finite Groups, section
-7).  Without a symmetry, or if it fails a check, every vertex is its own
-orbit: h = 1, and the one block is M.  Each block's upper triangle is
-written straight from the neighbor table in LAPACK's rectangular full
-packed format (about n^2/2 entries, n padded to even), and dpftrf or
-zpftrf factors it in place at level-3 BLAS speed (Gustavson et al., ACM
-TOMS 37(2), 2010).  SL2(F13)'s certificate is then 7 factorizations of
+builder names by sigma(0) (left multiplication by a generator on a Cayley
+graph, a primitive root's scalar multiplication on a torsion graph).
+sigma is carried from vertex 0 down a BFS tree of the neighbor table and
+verified from it alone: defined everywhere, a bijection, all orbits of
+one size h, and sigma(neighbors[u, t]) = neighbors[sigma(u), t] for every
+column t.  The characters of the cyclic group it generates split M into
+h blocks of order n = N / h, of which the blocks j = 0..h/2 decide (the
+others are their conjugates; Serre, Linear Representations of Finite
+Groups, section 7).  Without a symmetry, or if it fails a check, every
+vertex is its own orbit: h = 1, and the one block is M.  Each block's
+upper triangle is written straight from the neighbor table in LAPACK's
+rectangular full packed format (about n^2/2 entries, n padded to even),
+and dpftrf or zpftrf factors it in place at level-3 BLAS speed
+(Gustavson et al., ACM TOMS 37(2), 2010).  SL2(F13)'s certificate is then 7 factorizations of
 order 168 instead of one of order 2,184.  If Lanczos does not converge or
 a block fails, a symmetric eigendecomposition (eigh) of the dense L
 decides; no other path calls eigh.
@@ -158,25 +159,44 @@ def _rfp_cholesky(rfp: np.ndarray, m: int) -> bool:
     return info == 0
 
 
-def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The orbits of the graph's ``symmetry`` sigma, verified from the
-    neighbor table alone, or the trivial ones, every vertex its own orbit
-    with h = 1, if sigma is missing or fails a check.
+def _symmetry(graph: MultiGraph) -> np.ndarray | None:
+    """The vertex permutation sigma with sigma(0) = ``graph.symmetry`` that
+    commutes with every column of the neighbor table,
+    sigma(neighbors[u, t]) = neighbors[sigma(u), t], or None if there is
+    none.  On a connected graph sigma(0) fixes it: it is carried from
+    vertex 0 down a BFS tree, a layer at a time, each new vertex taking the
+    image of one edge into it, and then checked: reached everywhere, a
+    bijection, and commuting with every column, so no edge disagrees."""
+    start, nbrs, n = graph.symmetry, graph.neighbors, graph.n_vertices
+    if start is None or not 0 <= start < n:
+        return None
+    sigma = np.full(n, -1, dtype=np.int32)
+    sigma[0] = start
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached, images = nbrs.take(frontier, axis=0), nbrs.take(sigma.take(frontier), axis=0)
+        new = sigma.take(reached) < 0
+        reached = reached[new]
+        sigma[reached] = images[new]
+        layer = np.zeros(n, dtype=bool)
+        layer[reached] = True
+        frontier = np.flatnonzero(layer)
+    if (sigma < 0).any() or np.bincount(sigma, minlength=n).max() != 1:
+        return None
+    return sigma if np.array_equal(sigma.take(nbrs), nbrs.take(sigma, axis=0)) else None
 
-    sigma must be a bijection of the N vertices whose orbits all have one
-    size h, and sigma(neighbors(u)) must equal neighbors(sigma(u)) as
-    multisets for every u, which is exactly sigma commuting with A.
+
+def _symmetry_orbits(graph: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The orbits of the graph's symmetry sigma (``_symmetry``), or the
+    trivial ones, every vertex its own orbit with h = 1, if there is none
+    or its orbits are not all of one size h.
+
     Returns the orbit representatives (each orbit's smallest vertex, in
     increasing order), each vertex's orbit and its exponent e, with vertex
     w = sigma^e(representative of w's orbit), and h."""
-    sigma, nbrs = np.asarray(graph.symmetry), graph.neighbors
-    n = graph.n_vertices
+    sigma, n = _symmetry(graph), graph.n_vertices
     trivial = np.arange(n), np.arange(n), np.zeros(n, dtype=np.int64), 1
-    if sigma.shape != (n,) or sigma.dtype.kind not in "iu":
-        return trivial
-    if sigma.min() < 0 or sigma.max() >= n or np.bincount(sigma, minlength=n).max() != 1:
-        return trivial
-    if not np.array_equal(np.sort(sigma[nbrs], axis=1), np.sort(nbrs[sigma], axis=1)):
+    if sigma is None:
         return trivial
     # each cycle walked once from its smallest vertex
     perm = sigma.tolist()

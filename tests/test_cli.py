@@ -22,7 +22,7 @@ from thinlab.cli import (
     run,
     validate_config,
 )
-from thinlab.graphs import MultiGraph, cayley_graph, from_edges, save_graph, to_dot, torsion_symmetry
+from thinlab.graphs import MultiGraph, _all_nonzero_vectors, _vector_codes, cayley_graph, from_edges, save_graph, to_dot
 from thinlab.groups import BUDGET_ENV_VAR, BudgetExceeded, bfs_closure, sl2_generators
 from thinlab import spectra as spectra_mod
 from thinlab.spectra import DENSE_CUTOFF, family_sweep, lambda1
@@ -405,25 +405,41 @@ class TestRun:
         # three torsion graphs and SL2(F5), SL2(F7); SL2(F31) is iterative
         assert len(hs) == 5 and min(hs) > 1
 
+    def test_genus_2_sweep_certifies_on_the_blocks(self, tmp_path, monkeypatch):
+        # Sp4(F_p) on the 80 and 624 nonzero vectors of F_p^4: a primitive
+        # root's scalar multiplication has orbits of p - 1 vectors
+        hs = []
+        certificate = spectra_mod._blocks_cholesky
+
+        def on_blocks(graph, orbits, shift):
+            hs.append(orbits[3])
+            return certificate(graph, orbits, shift)
+
+        monkeypatch.setattr(spectra_mod, "_blocks_cholesky", on_blocks)
+        config = validate_config({"kind": "schreier-sweep", "genus": 2, "primes": [3, 5]})
+        manifest = run(config, out_dir=tmp_path / "out", jobs=1)
+        assert not manifest.failed, manifest.tasks
+        assert hs == [2, 4]
+
     def test_only_the_dense_certificate_builds_the_torsion_symmetry(self, tmp_path, monkeypatch):
-        # a torsion graph's sigma is a function until its first read; an
-        # iterative solve never reads it, a dense one does (N = 120)
-        graphs = []
-        build = cli_mod.schreier_graph
+        # the sweep names sigma by one vertex, r e_1 for the least primitive
+        # root r = 2 mod 11; an iterative solve never builds sigma, a dense
+        # one builds it as scalar multiplication by r (N = 120)
+        built = []
+        symmetry = spectra_mod._symmetry
 
-        def kept(*args, **kwargs):
-            graphs.append(build(*args, **kwargs))
-            return graphs[-1]
+        def recorded(graph):
+            built.append((graph.symmetry, symmetry(graph)))
+            return built[-1][1]
 
-        monkeypatch.setattr(cli_mod, "schreier_graph", kept)
+        monkeypatch.setattr(spectra_mod, "_symmetry", recorded)
         config = validate_config({"kind": "schreier-sweep", "genus": 1, "primes": [11]})
         for cutoff in (100, DENSE_CUTOFF):
             monkeypatch.setattr(spectra_mod, "DENSE_CUTOFF", cutoff)
             assert not run(config, out_dir=tmp_path / str(cutoff), jobs=1).failed
-        iterative, dense = graphs
-        assert callable(iterative._symmetry)
-        assert isinstance(dense._symmetry, np.ndarray)
-        assert np.array_equal(dense.symmetry, torsion_symmetry(11, 2))
+        [(start, sigma)] = built
+        assert start == 2 - 1  # the base-11 code of 2 e_1, less one
+        assert np.array_equal(sigma, _vector_codes(2 * _all_nonzero_vectors(2, 11) % 11, 11) - 1)
 
     def test_chain_generators_at_genus_1(self, tmp_path):
         # the three chain transvections generate SL2(F_p): k = 6

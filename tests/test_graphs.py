@@ -21,6 +21,7 @@ from thinlab.groups import (
     GeneratorSet,
     bfs_closure,
     cyclic_generators,
+    primitive_root,
     sl2_generators,
     symmetric_generators,
 )
@@ -42,8 +43,8 @@ from thinlab.graphs import (
     to_dot,
     torsion_action,
     torsion_projection,
-    torsion_symmetry,
 )
+from thinlab.spectra import _symmetry, _symmetry_orbits
 
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
@@ -233,42 +234,57 @@ class TestCayleyMoveTable:
     )
     def test_symmetry_is_left_multiplication_by_the_longest_generator(self, gens, order):
         # T of order 7, the 6-cycle, and the first of the order-3
-        # transvections; read down the BFS tree, checked against g * x
-        # multiplied out and looked up
+        # transvections: the graph names g, and the sigma lambda1 carries
+        # down a BFS tree from it is g * x multiplied out and looked up
         group = bfs_closure(gens)
         orders = [element_order(g) for g in gens.elements]
         assert max(orders) == order
         g = gens.elements[orders.index(order)]
         graph = cayley_graph(group, gens)
-        assert np.array_equal(graph.symmetry, group.indices(left_products(group, g)))
+        assert graph.symmetry == group.index_of(g)
+        assert np.array_equal(_symmetry(graph), group.indices(left_products(group, g)))
+        assert _symmetry_orbits(graph)[3] == order
+
+    @pytest.mark.parametrize("gens", [sl2_generators(7), symmetric_generators(5)], ids=["sl2_7", "S5"])
+    def test_any_start_names_left_multiplication(self, gens):
+        # left multiplication by any element commutes with every right
+        # multiplication, so every vertex names one: element(i) * x
+        group = bfs_closure(gens)
+        graph = cayley_graph(group, gens)
+        for start in np.random.default_rng(7).choice(group.order, 8, replace=False).tolist():
+            graph.symmetry = start
+            want = group.indices(left_products(group, group.element(start)))
+            assert np.array_equal(_symmetry(graph), want)
 
     def test_symmetry_of_other_generators(self):
         # t^2 (order 7) and -I (order 2) inside SL2(F7): the graph's own
-        # listed generator of largest order, not the group's
+        # listed generator of largest order, not the group's; the graph has
+        # 24 components, so no sigma is carried from vertex 0 to all of it
         full = bfs_closure(sl2_generators(7))
         t_squared = GroupElement.matrix([[1, 2], [0, 1]], 7)
         minus_i = GroupElement.matrix([[6, 0], [0, 6]], 7)
         graph = cayley_graph(full, GeneratorSet([minus_i, t_squared]))
-        assert np.array_equal(graph.symmetry, full.indices(left_products(full, t_squared)))
+        assert graph.symmetry == full.index_of(t_squared)
+        assert _symmetry(graph) is None
 
-    def test_symmetry_is_built_on_first_read_without_the_elements(self):
-        # the graph holds the move table and BFS tree until sigma is read,
-        # not the group's stack
+    def test_graph_holds_neither_the_elements_nor_the_bfs_tree(self):
+        # the symmetry is one vertex: the graph keeps the shared move table
+        # and nothing else of the group
         gens = sl2_generators(13)
         group = bfs_closure(gens)
-        want = group.left_multiplication(gens.elements[0])()
         graph = cayley_graph(group, gens)
-        assert callable(graph._symmetry)
-        stack = weakref.ref(group.stack)
+        held = [weakref.ref(a) for a in (group.stack, group._parents, group._steps)]
         del group
         gc.collect()
-        assert stack() is None
-        assert np.array_equal(graph.symmetry, want)
-        assert graph._symmetry is graph.symmetry
+        assert [ref() for ref in held] == [None] * 3
+        assert graph.symmetry == 1  # T, the first element of the BFS after the identity
 
     def test_no_symmetry_from_the_identity(self):
+        # the identity names sigma = identity: every orbit one vertex, h = 1
         gens = cyclic_generators(1)
-        assert cayley_graph(bfs_closure(gens), gens).symmetry is None
+        graph = cayley_graph(bfs_closure(gens), gens)
+        assert graph.symmetry == 0
+        assert _symmetry_orbits(graph)[3] == 1
 
     def test_other_modulus_is_not_the_groups_own(self):
         # T mod 5 and T mod 7 have the same entries but are not the same element
@@ -476,19 +492,33 @@ class TestSchreier:
 
     @pytest.mark.parametrize("p,dim", [(3, 2), (5, 2), (31, 2), (3, 4)])
     def test_torsion_symmetry_is_scalar_multiplication(self, p, dim):
-        # the least r whose powers are all of F_p^*, times each state's
+        # the least r whose powers are all of F_p^*: r e_1 has base-p code
+        # r, and the sigma carried from vertex r - 1 is r times each state's
         # vector, coded as torsion_action codes it
         r = next(r for r in range(2, p) if len({pow(r, e, p) for e in range(p - 1)}) == p - 1)
-        sigma = torsion_symmetry(p, dim)
+        assert primitive_root(p) == r
+        gens = sl2_generators(p) if dim == 2 else standard_symplectic_generators(dim // 2, p)
+        graph = schreier_graph(torsion_action(gens), symmetry=r - 1)
         expected = []
         for x in range(p**dim - 1):
             digits = [(x + 1) // p**i % p for i in range(dim)]
             expected.append(sum(r * d % p * p**i for i, d in enumerate(digits)) - 1)
-        assert sigma.tolist() == expected
+        assert _symmetry(graph).tolist() == expected
+        assert _symmetry_orbits(graph)[3] == p - 1
 
     @pytest.mark.parametrize("m", [2, 9, 15])
     def test_no_torsion_symmetry_off_odd_primes(self, m):
-        assert torsion_symmetry(m, 2) is None
+        # the sweep names r e_1 for the least primitive root r mod p: at
+        # p = 2 that is 1, so sigma is the identity and h = 1, and off the
+        # primes there is no primitive root to name
+        if m != 2:
+            with pytest.raises(ValueError, match="not prime"):
+                primitive_root(m)
+            return
+        graph = schreier_graph(torsion_action(sl2_generators(m)), symmetry=primitive_root(m) - 1)
+        assert graph.symmetry == 0
+        assert _symmetry(graph).tolist() == [0, 1, 2]
+        assert _symmetry_orbits(graph)[3] == 1
 
     def test_torsion_states_capped_by_budget(self, monkeypatch):
         gens = sl2_generators(31)  # 31^2 - 1 = 960 states

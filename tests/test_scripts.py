@@ -56,3 +56,30 @@ def test_census_summary_refusal_exits_one_without_traceback(tmp_path, arg, env, 
     assert "Traceback" not in proc.stderr + proc.stdout
     if not env:  # a bad degree is refused before any census runs
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "script,args,refusal",
+    [
+        ("sl2_family_sweep.py", ["abc", "{tmp}"], "max_prime 'abc' is not an integer >= 3"),
+        ("sl2_family_sweep.py", ["2", "{tmp}"], "max_prime '2' is not an integer >= 3"),
+        ("pointpush_congruence.py", ["0"], "genus 0 is not >= 1"),
+        ("pointpush_congruence.py", ["1", "4"], "4 is not prime"),
+    ],
+)
+def test_bad_arguments_exit_one_without_traceback(tmp_path, script, args, refusal):
+    # refused before anything is built or printed
+    proc = run_script(tmp_path, script, args)
+    assert proc.returncode == 1, proc.stderr
+    assert f"refused: {refusal}" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert proc.stdout == ""
+
+
+def test_sweep_too_short_to_fit_exits_one_without_traceback(tmp_path):
+    # p = 3 and 5 are solved and written, but the fit needs three primes
+    proc = run_script(tmp_path, "sl2_family_sweep.py", ["5", "{tmp}"])
+    assert proc.returncode == 1, proc.stderr
+    assert "refused: insufficient data: need >= 3 connected graphs, have 2" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert (tmp_path / "spectra.csv").read_text().count("\n") == 3

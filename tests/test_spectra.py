@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +17,25 @@ from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab.groups import bfs_closure, cyclic_generators, sl2_generators, symmetric_generators, direct_product_of_cyclic
-from thinlab.graphs import MultiGraph, cayley_graph, components, from_edges, schreier_graph, torsion_action, torsion_symmetry
+from thinlab.groups import (
+    GeneratorSet,
+    bfs_closure,
+    cyclic_generators,
+    direct_product_of_cyclic,
+    primitive_root,
+    sl2_generators,
+    symmetric_generators,
+)
+from thinlab.graphs import (
+    MultiGraph,
+    cayley_graph,
+    components,
+    from_edges,
+    load_graph,
+    save_graph,
+    schreier_graph,
+    torsion_action,
+)
 from thinlab import spectra
 from thinlab.spectra import (
     DENSE_CUTOFF,
@@ -342,8 +360,9 @@ class TestLanczosOracles:
 
 def torsion_graph(p):
     """The genus-1 torsion Schreier graph with the symmetry a schreier-sweep
-    gives it."""
-    return schreier_graph(torsion_action(sl2_generators(p)), symmetry=torsion_symmetry(p, 2))
+    gives it: vertex 0 is e_1, and r e_1, for r the least primitive root,
+    has base-p code r."""
+    return schreier_graph(torsion_action(sl2_generators(p)), symmetry=primitive_root(p) - 1)
 
 
 def spectral_dense_graphs():
@@ -356,17 +375,29 @@ def spectral_dense_graphs():
 
 
 def turned_cycle(n, turn):
-    """The n-cycle with the rotation by ``turn`` as its symmetry."""
+    """The n-cycle on the moves x -> x + 1 and x -> x - 1, with the
+    rotation by ``turn``, which sends 0 to ``turn``, as its symmetry."""
     x = np.arange(n)
-    return schreier_graph(np.stack([(x + 1) % n, (x - 1) % n], axis=1), symmetry=(x + turn) % n)
+    return schreier_graph(np.stack([(x + 1) % n, (x - 1) % n], axis=1), symmetry=turn)
 
 
 def cycled_complete_graph(n):
-    """K_n with an n-cycle as its symmetry: one orbit, so 1 x 1 blocks,
-    each padded to 2 x 2, of which j = 0..n/2 are factored."""
-    graph = complete_graph(n)
-    graph.symmetry = np.roll(np.arange(n), -1)
-    return graph
+    """K_n, n odd, as the Cayley graph of Z/n on all n - 1 nonzero shifts,
+    with the translation by one shift as its symmetry: an n-cycle, so one
+    orbit and 1 x 1 blocks, each padded to 2 x 2, of which j = 0..n/2 are
+    factored."""
+    shift = cyclic_generators(n).elements[0]
+    gens = GeneratorSet([shift**s for s in range(1, n // 2 + 1)])  # and their inverses
+    return cayley_graph(bfs_closure(cyclic_generators(n)), gens)
+
+
+def reloaded(graph):
+    """The graph through save_graph and load_graph: its rows come back
+    sorted, and it carries no symmetry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.tlg"
+        save_graph(graph, path)
+        return load_graph(path)
 
 
 def symmetric_dense_graphs():
@@ -630,33 +661,31 @@ class TestSymmetryBlocks:
         assert report_fields(report) == report_fields(plain)
         assert np.array_equal(report.eigenvector, plain.eigenvector)
 
-    # name: (graph, sigma of N, whether sigma commutes with the adjacency)
+    # name: (graph, the vertex named as sigma(0))
     REFUSED = {
-        # a bijection with one orbit, but not an automorphism
-        "shift": (lambda: sl2_graph(5), lambda n: np.roll(np.arange(n), 1), False),
-        "identity": (lambda: sl2_graph(5), lambda n: np.arange(n), True),
-        # the reflection x -> -x of the 11-cycle fixes 0
-        "reflection": (lambda: from_edges(11, [(i, (i + 1) % 11) for i in range(11)]), lambda n: -np.arange(n) % n, True),
-        # every permutation commutes with K7 and K5: a fixed point and a
-        # 6-cycle, then orbits of two sizes and no fixed point
-        "K7 fixed point": (lambda: complete_graph(7), lambda n: np.array([0, 2, 3, 4, 5, 6, 1]), True),
-        "K5 sizes 2 and 3": (lambda: complete_graph(5), lambda n: np.array([1, 0, 3, 4, 2]), True),
-        "out of range": (lambda: sl2_graph(5), lambda n: np.arange(1, n + 1), False),
-        "not a bijection": (lambda: sl2_graph(5), lambda n: np.zeros(n, dtype=np.int64), False),
-        "wrong length": (lambda: sl2_graph(5), lambda n: np.arange(n - 1), False),
-        "not integers": (lambda: sl2_graph(5), lambda n: np.arange(n) + 0.0, False),
+        # sigma = identity is verified, but its orbits are single vertices
+        "identity": (lambda: sl2_graph(5), 0),
+        "out of range": (lambda: sl2_graph(5), 120),
+        "negative": (lambda: sl2_graph(5), -1),
+        # (0, 1) is not a scalar multiple of e_1: two edges into one vertex
+        # carry it to different images
+        "conflict": (lambda: torsion_graph(5), 4),
+        # an edge list's columns are not moves: the 11-cycle's map carried
+        # from 0 -> 1 reaches every vertex but sends two to one image
+        "not a bijection": (lambda: from_edges(11, [(i, (i + 1) % 11) for i in range(11)]), 1),
+        # a dump's rows come back sorted, so its columns are not the moves
+        # that left multiplication by T commutes with
+        "loaded dump": (lambda: reloaded(sl2_graph(5)), 1),
     }
 
     @pytest.mark.parametrize("name", list(REFUSED))
     def test_refused_symmetry_falls_back_to_the_packed_matrix(self, name, monkeypatch):
-        build, sigma, commutes = self.REFUSED[name]
-        graph = without_symmetry(build())
-        plain = lambda1(graph)
-        graph.symmetry = sigma(graph.n_vertices)
-        if commutes:  # refused for its orbits alone
-            nbrs = graph.neighbors
-            image = graph.symmetry
-            assert np.array_equal(np.sort(image[nbrs], axis=1), np.sort(nbrs[image], axis=1))
+        build, start = self.REFUSED[name]
+        graph = build()
+        plain = lambda1(without_symmetry(graph))
+        graph.symmetry = start
+        sigma = spectra._symmetry(graph)
+        assert np.array_equal(sigma, np.arange(graph.n_vertices)) if start == 0 else sigma is None
         reps, orbit, power, h = spectra._symmetry_orbits(graph)
         assert h == 1 and np.array_equal(reps, np.arange(graph.n_vertices)) and not power.any()
         certificates, eigh_calls = count_certificates(monkeypatch), count_eigh(monkeypatch)
@@ -665,25 +694,39 @@ class TestSymmetryBlocks:
         assert report_fields(report) == report_fields(plain)
 
     def test_only_the_dense_certificate_builds_the_cayley_symmetry(self, monkeypatch):
-        # a Cayley graph's sigma is a function until its first read; an
-        # iterative solve never reads it, a dense one does
-        graph = sl2_graph(7)
+        # the graph names T by its index; an iterative solve never builds
+        # sigma, a dense one builds it as left multiplication by T
+        built = []
+        symmetry = spectra._symmetry
+
+        def recorded(graph):
+            built.append(symmetry(graph))
+            return built[-1]
+
+        monkeypatch.setattr(spectra, "_symmetry", recorded)
+        gens = sl2_generators(7)
+        group = bfs_closure(gens)
+        graph = cayley_graph(group, gens)
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 100)
-        assert lambda1(graph).solver == "iterative"
-        assert callable(graph._symmetry)
+        assert lambda1(graph).solver == "iterative" and built == []
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", DENSE_CUTOFF)
         assert lambda1(graph).solver == "dense"
-        assert isinstance(graph._symmetry, np.ndarray)
+        T = gens.elements[0]
+        [sigma] = built
+        assert np.array_equal(sigma, group.indices(np.matmul(T.data, group.stack) % 7))
 
     def test_any_symmetry_of_k7_is_used(self, monkeypatch):
-        # a 7-cycle commutes with K7's adjacency: one orbit, so 1 x 1
-        # blocks, of which j = 0..3 are factored
-        graph = complete_graph(7)
-        plain = lambda1(graph)
-        graph.symmetry = np.array([1, 2, 3, 4, 5, 6, 0])
+        # every start but the identity names a 7-cycle that commutes with
+        # K7's shifts: one orbit, so 1 x 1 blocks, of which j = 0..3 are
+        # factored
+        graph = cycled_complete_graph(7)
+        assert np.array_equal(graph.dense_adjacency(), complete_graph(7).dense_adjacency())
+        plain = lambda1(without_symmetry(graph))
         certificates = count_certificates(monkeypatch)
-        assert report_fields(lambda1(graph)) == report_fields(plain)
-        assert certificates == [7]
+        for start in range(1, 7):
+            graph.symmetry = start
+            assert report_fields(lambda1(graph)) == report_fields(plain)
+        assert certificates == [7] * 6
 
     def test_refused_certificate_goes_straight_to_eigh(self, monkeypatch):
         # a failed block is not retried on the one N x N block: eigh decides
@@ -787,11 +830,11 @@ class TestEdgesAndErrors:
     def test_above_cutoff_never_enters_the_dense_path(self, monkeypatch):
         # the one packed block is about N^2 / 2 doubles: 43 GB for
         # SL2(F47), so nothing above DENSE_CUTOFF may reach the certificate,
-        # nor the eigh fallback
+        # nor the eigh fallback, nor build the symmetry it factors on
         def dense_path(*args, **kwargs):
             raise AssertionError("the dense path was entered")
 
-        for name in ("_blocks_cholesky", "_dense_laplacian"):
+        for name in ("_symmetry_orbits", "_blocks_cholesky", "_dense_laplacian"):
             monkeypatch.setattr(spectra, name, dense_path)
         monkeypatch.setattr(scipy.linalg, "eigh", dense_path)
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 100)
