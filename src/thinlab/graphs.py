@@ -18,6 +18,7 @@ import scipy.sparse
 
 from .elements import GroupElement, identity_like
 from .groups import (
+    CHUNK,
     BudgetExceeded,
     FiniteGroup,
     GeneratorSet,
@@ -76,17 +77,20 @@ class MultiGraph:
             raise ValueError("neighbor index out of range")
         # adjacency must be symmetric as a multiset of ordered pairs: the
         # keys u n + v are ascending once each row is sorted, so only the
-        # reversed keys v n + u need a full sort
-        u = np.arange(n, dtype=np.int64)[:, np.newaxis]
-        fwd = self.neighbors.astype(np.int64)
-        bwd = fwd * n
-        bwd += u
-        fwd += u * n
-        fwd.sort(axis=1)
+        # reversed keys v n + u are held, in int64, and sorted; the forward
+        # ones are formed from the sorted int32 rows a block at a time
+        rows = self.neighbors.astype(np.int32)  # in range, so below 2^31
+        rows.sort(axis=1)
+        bwd = np.multiply(rows, n, dtype=np.int64)
+        bwd += np.arange(n, dtype=np.int64)[:, np.newaxis]
         bwd = bwd.ravel()
         bwd.sort()
-        if not np.array_equal(fwd.ravel(), bwd):
-            raise ValueError("adjacency is not symmetric as a multiset")
+        block = max(1, CHUNK // k)
+        for lo in range(0, n, block):
+            fwd = rows[lo : lo + block].astype(np.int64)
+            fwd += np.arange(lo, lo + fwd.shape[0], dtype=np.int64)[:, np.newaxis] * n
+            if not np.array_equal(fwd.ravel(), bwd[lo * k : lo * k + fwd.size]):
+                raise ValueError("adjacency is not symmetric as a multiset")
 
     @property
     def n_vertices(self) -> int:
@@ -315,18 +319,24 @@ def quotient_check(
     """True iff the projection carries the Cayley adjacency onto the
     Schreier adjacency with aggregate multiplicity: for every vertex u the
     projected neighbor multiset of u equals the neighbor multiset of
-    projection[u]."""
+    projection[u].  Both sides are int32 (N, k) tables, each sorted in
+    place row by row."""
     proj = np.asarray(projection, dtype=np.int64)
     if proj.shape != (cayley.n_vertices,):
         raise ValueError("projection must assign one Schreier vertex per Cayley vertex")
     if proj.min() < 0 or proj.max() >= schreier.n_vertices:
         raise ValueError("projection value out of range")
-    if np.unique(proj).size != schreier.n_vertices:
+    proj = proj.astype(np.int32)  # in range, so below 2^31
+    hit = np.zeros(schreier.n_vertices, dtype=bool)
+    hit[proj] = True
+    if not hit.all():
         raise ValueError("projection is not surjective")
     if cayley.degree != schreier.degree:
         return False
-    lhs = np.sort(proj[cayley.neighbors.astype(np.int64)], axis=1)
-    rhs = np.sort(schreier.neighbors[proj].astype(np.int64), axis=1)
+    lhs = proj.take(cayley.neighbors)
+    lhs.sort(axis=1)
+    rhs = schreier.neighbors.take(proj, axis=0)
+    rhs.sort(axis=1)
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -417,9 +427,11 @@ def to_dot(g: MultiGraph) -> str:
 
 def save_graph(g: MultiGraph, path) -> None:
     """Binary adjacency dump: magic, u32 N, u32 k, then each row sorted
-    ascending and delta-encoded as unsigned LEB128 varints.  The varints are
-    coded one seven-bit group at a time, so the temporaries are a few
-    narrow arrays of N*k entries."""
+    ascending and delta-encoded as unsigned LEB128 varints.  Each delta's
+    seven-bit groups are written one group at a time into a row of an
+    (N*k, w) uint8 matrix, w the widest varint, and the first width bytes
+    of every row, read in row order, are the varint stream: no temporary
+    wider than the uint32 deltas."""
     deltas = g.neighbors.astype(np.uint32)  # ids lie below 2^31
     deltas.sort(axis=1)
     np.subtract(deltas[:, 1:], deltas[:, :-1], out=deltas[:, 1:])
@@ -429,17 +441,16 @@ def save_graph(g: MultiGraph, path) -> None:
     widths = np.ones(deltas.size, dtype=np.uint8)
     for t in range(1, 5):
         widths += deltas >= 1 << (7 * t)
-    starts = np.cumsum(widths, dtype=np.int64)
-    body = np.empty(int(starts[-1]) if starts.size else 0, dtype=np.uint8)
-    starts -= widths
-    for t in range(int(widths.max(initial=0))):
-        sel = widths > t
-        group = deltas[sel] >> (7 * t)
-        group &= 0x7F
-        group[widths[sel] > t + 1] |= 0x80
-        pos = starts[sel]
-        pos += t
-        body[pos] = group
+    w = int(widths.max(initial=0))
+    groups = np.empty((deltas.size, w), dtype=np.uint8)
+    shifted = np.empty_like(deltas)
+    for t in range(w):
+        np.right_shift(deltas, 7 * t, out=shifted)
+        shifted &= 0x7F
+        np.bitwise_or(shifted, 0x80, out=shifted, where=widths > t + 1)
+        groups[:, t] = shifted
+    del deltas, shifted
+    body = groups[np.arange(w) < widths[:, np.newaxis]]
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(np.array([g.n_vertices, g.degree], dtype="<u4").tobytes())
@@ -448,9 +459,13 @@ def save_graph(g: MultiGraph, path) -> None:
 
 def load_graph(path, label: str = "") -> MultiGraph:
     """Inverse of save_graph.  A malformed dump (truncated, trailing bytes,
-    neighbor out of range) raises ValueError, and the header is checked
-    against the file length before anything it sizes is allocated.  Like
-    the writer, the reader decodes one seven-bit group at a time."""
+    a varint longer than 5 bytes, neighbor out of range) raises ValueError,
+    and the header is checked against the file length before anything it
+    sizes is allocated.  Like the writer, the reader decodes one seven-bit
+    group at a time: group t of every varint is read at its first byte's
+    position, offset by t, with no position array, and the groups past a
+    varint's width are masked off.  The file's bytes and the decode arrays
+    are dropped before ``MultiGraph`` checks the table."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _DUMP_MAGIC:
@@ -472,24 +487,29 @@ def load_graph(path, label: str = "") -> MultiGraph:
         raise ValueError(f"graph dump has {body.size - used} trailing bytes")
     deltas = np.zeros(0, dtype=np.uint32)
     if n * k:
-        widths = np.diff(ends, prepend=-1)
+        # the widths, cast straight to uint8: a width that wraps is smaller
+        # than it was, so the widths sum to the body's length only if none
+        # wrapped
+        widths = np.empty(n * k, dtype=np.uint8)
+        np.add(ends[:1], 1, out=widths[:1], casting="unsafe")
+        np.subtract(ends[1:], ends[:-1], out=widths[1:], casting="unsafe")
         groups = int(widths.max())
-        if groups > 5:
+        if groups > 5 or int(widths.sum(dtype=np.int64)) != used:
             raise ValueError("graph dump holds a varint longer than 5 bytes")
-        widths = widths.astype(np.uint8)
         starts = ends  # in place: the first byte of each varint
         starts -= widths
         starts += 1
         # four groups fill 28 bits; a fifth needs 35
         deltas = np.zeros(n * k, dtype=np.uint32 if groups < 5 else np.uint64)
         for t in range(groups):
-            sel = widths > t
-            pos = starts[sel]
-            pos += t
-            group = body[pos].astype(deltas.dtype)
+            # body[t:][start] is byte t of the varint at start; past the
+            # body's end it is clipped, and past the width masked off
+            group = body[t:].take(starts, mode="clip")
             group &= 0x7F
-            group <<= 7 * t
-            deltas[sel] |= group
+            group[widths <= t] = 0
+            deltas |= np.left_shift(group, 7 * t, dtype=deltas.dtype)
+        del starts, ends, widths, group
+    del data, body
     deltas = deltas.reshape(n, k)
     # deltas are >= 0, so a row's sum is its largest neighbor; summed in
     # int64 before the narrow cumsum could wrap

@@ -62,7 +62,10 @@ from .elements import (
 DEFAULT_ELEMENT_BUDGET = 2_000_000
 BUDGET_ENV_VAR = "THINLAB_BUDGET"
 MULTIPLICATION_TABLE_ENTRIES = 4_000_000
-CHUNK = 1 << 16  # entries per whole-array step of bfs_closure, closure_orders and the pra module
+# entries per whole-array step of bfs_closure, matrix_group_order's orbit
+# batches, closure_orders, the pra module, MultiGraph's symmetry check and
+# the Lanczos residual
+CHUNK = 1 << 16
 
 
 class BudgetExceeded(RuntimeError):
@@ -395,15 +398,18 @@ def _bfs(
     max(1, min(k, chunk // F)) moves at a time, or all k at once where
     ``chunk`` is None, and a batch maps the (move, point) slots of its
     moves whose image is not known yet, move-major, in one ``act`` call.
-    Of a batch's images, the first occurrence of each key is new unless an
-    earlier layer or an earlier batch of this layer holds it, so within a
+    Every edge back into the previous layer is one of those filled in
+    advance, so an unknown slot's image lies in this layer or the next:
+    of a batch's images, the first occurrence of each key is new unless
+    this layer or an earlier batch of this layer holds it, so within a
     layer points are found move-major, then in parent order, whatever the
     batch; the slots skipped all lead into the previous layer, so they do
     not change that order.  New points are counted against ``budget``
     (BudgetExceeded(what)) before they are kept.  Next to the sorted keys
-    of the points found so far runs the index of each, so every image's
-    index is known as soon as its batch is deduped: a new image gets its
-    discovery index, a known one the stored index.
+    of this layer runs the index of each, so every image's index is known
+    as soon as its batch is deduped: a new image gets its discovery
+    index, a known one the stored index.  The keys of all layers are
+    sorted once, at the end.
 
     Returns the points in discovery order, their keys sorted and the index
     of each, their int32 parents and narrow steps (point i is point
@@ -415,8 +421,10 @@ def _bfs(
     root = np.array([-1])
     points, parents, steps, tables = [start], [root.astype(np.int32)], [root.astype(step_dtype)], []
     starts, count = [0, 1], 1
-    # the sorted keys of all finished layers, and the index of each
-    seen, seen_at = key(start), np.zeros(1, dtype=np.int32)
+    # the sorted keys of this layer, and the index of each; and those of
+    # every layer, in layer order
+    layer, layer_at = key(start), np.zeros(1, dtype=np.int32)
+    keys, keys_at = [layer], [layer_at]
     # the layer's table, move-major: cols[t, x] is the index of point x's
     # image under move t, -1 until it is known
     cols = np.full((k, 1), -1, dtype=np.int32)
@@ -436,8 +444,8 @@ def _bfs(
             uniq, first, inverse = first_occurrences(key(images), return_inverse=True)
             # the index of each distinct image; the key arrays searched are
             # disjoint, so each one searches only what the earlier ones lack
-            pos, found = _find(seen, uniq)
-            at = np.where(found, seen_at[pos], -1)
+            pos, found = _find(layer, uniq)
+            at = np.where(found, layer_at[pos], -1)
             new = np.flatnonzero(~found)
             for earlier, earlier_at in fresh:
                 pos, found = _find(earlier, uniq[new])
@@ -466,13 +474,21 @@ def _bfs(
         cols = nxt
         points.append(frontier)
         starts.append(count)
-        # a stable sort is a timsort here: it merges the sorted runs in linear time
+        # a stable sort is a timsort here: it merges the batches' sorted runs
         fresh_keys, fresh_at = zip(*fresh)
-        seen = np.concatenate([seen, *fresh_keys])
-        by_key = np.argsort(seen, kind="stable")
-        seen, seen_at = seen[by_key], np.concatenate([seen_at, *fresh_at])[by_key]
+        layer = np.concatenate(fresh_keys)
+        by_key = np.argsort(layer, kind="stable")
+        layer, layer_at = layer[by_key], np.concatenate(fresh_at)[by_key]
+        keys.append(layer)
+        keys_at.append(layer_at)
 
-    # joined one list at a time, so only one is ever held twice
+    # joined one list at a time, so only one is ever held twice; each
+    # layer's keys are a sorted run, which the stable sort merges
+    seen = np.concatenate(keys)
+    del keys
+    by_key = np.argsort(seen, kind="stable")
+    seen, seen_at = seen[by_key], np.concatenate(keys_at)[by_key]
+    del keys_at, by_key
     points = np.concatenate(points)
     tables = np.concatenate(tables)
     parents = np.concatenate(parents)
@@ -541,12 +557,14 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
     the one for (x*s, s^(-1)), so no matrix is ever inverted here.
 
     The orbit is ``_bfs`` on e_i, all generators per batch, told each
-    generator's inverse; the transversal follows its BFS tree, and its move
-    table gives the position of each x*s.  The products of every orbit
-    batch (the slots of a layer not already known from the one before) and
-    each level's |orbit| * |generators| Schreier products are checked
-    against the element budget before they are formed, and each orbit's
-    points before they are kept; vector keys need m^n below 2^63.
+    generator's inverse; a batch copies the generators it multiplies by a
+    block of at most CHUNK matrix entries at a time.  The transversal
+    follows its BFS tree, and its move table gives the position of each
+    x*s.  Checked against the element budget before they are formed: the
+    n entries of each vector of every orbit batch (the slots of a layer
+    not already known from the one before), and each level's |orbit| *
+    |generators| Schreier products; each orbit's points are checked
+    before they are kept.  Vector keys need m^n below 2^63.
     ``bfs_closure(gens).order`` is the independent oracle.
     """
     e = gens.identity()
@@ -566,10 +584,16 @@ def matrix_group_order(gens: GeneratorSet, budget: int | None = None) -> int:
         k = level.shape[0]
 
         def act(rows: np.ndarray, moves: np.ndarray) -> np.ndarray:
-            what = f"matrix_group_order: orbit products at base point {base}"
-            check_budget(what, (rows.shape[0],), budget)
-            # a matrix per product, no more than the Schreier step below forms
-            return np.matmul(rows[:, np.newaxis], level.take(moves, axis=0))[:, 0] % m
+            what = f"matrix_group_order: orbit product entries at base point {base}"
+            check_budget(what, rows.shape, budget)
+            # each point's generator is copied to multiply it, so a block of
+            # points at a time: at most CHUNK matrix entries are copied at once
+            block = max(1, CHUNK // (n * n))
+            parts = [
+                np.matmul(rows[a : a + block, np.newaxis], level.take(moves[a : a + block], axis=0))[:, 0] % m
+                for a in range(0, rows.shape[0], block)
+            ]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         what = f"matrix_group_order: orbit points at base point {base}"
         # moved[x, j]: the orbit position of point x times generator j

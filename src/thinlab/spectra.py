@@ -58,6 +58,7 @@ from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 
 from .graphs import MultiGraph, _components
+from .groups import CHUNK
 
 DENSE_CUTOFF = 3000
 ITERATIVE_TOL = 1e-6
@@ -114,8 +115,16 @@ class SpectralReport:
 
 
 def _residual(A, lam: float, x: np.ndarray) -> float:
-    """||L x - lam x|| / ||x|| for L = I - A, with A the sparse A/k."""
-    return float(np.linalg.norm(x - A @ x - lam * x) / np.linalg.norm(x))
+    """||L x - lam x|| / ||x|| for L = I - A, with A the sparse A/k.
+
+    x - A x - lam x is formed in the one buffer of A x, in that order: lam x
+    is subtracted a block at a time, so the floats are those of the whole
+    expression with no second N-sized temporary."""
+    r = A @ x
+    np.subtract(x, r, out=r)
+    for lo in range(0, x.size, CHUNK):
+        r[lo : lo + CHUNK] -= lam * x[lo : lo + CHUNK]
+    return float(np.linalg.norm(r) / np.linalg.norm(x))
 
 
 def _kernel_vector(n: int, comps: list[np.ndarray]) -> np.ndarray:
@@ -314,32 +323,43 @@ def _lanczos_step(A, q: np.ndarray, q_prev: np.ndarray | None, b_prev: float, al
     return w, alpha
 
 
-def _ritz_vector(A, start: np.ndarray, alpha: list[float], beta: list[float], s: np.ndarray) -> np.ndarray:
-    """x = Q s, rebuilding the Lanczos vectors q_1..q_m from the same start."""
-    x = s[0] * start
-    q_prev, q = None, start
+def _start_vector(n: int) -> np.ndarray:
+    """The unit Lanczos start vector on 1-perp, the same bits on every
+    call: each pass generates it from its seed rather than holding it."""
+    start = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
+    start -= start.mean()
+    start /= np.linalg.norm(start)
+    return start
+
+
+def _ritz_vector(A, n: int, alpha: list[float], beta: list[float], s: np.ndarray):
+    """x = Q s, rebuilding the Lanczos vectors q_1..q_m, m = len(s), from
+    the start vector with the stored alphas and betas.  Returns x with
+    q_(m-1) (None for m = 1) and q_m, which are pass one's bit for bit."""
+    q_prev, q = None, _start_vector(n)
+    x = s[0] * q
     for j in range(len(s) - 1):
         w, _ = _lanczos_step(A, q, q_prev, beta[j - 1] if j else 0.0, alpha[j])
         w *= 1.0 / beta[j]
         daxpy(w, x, a=s[j + 1])
         q_prev, q = q, w
-    return x
+    return x, q_prev, q
 
 
 def _lambda1_lanczos(A, n: int, tol: float, maxiter: int) -> tuple[float, float, np.ndarray]:
     """lambda1 = 1 - theta_2 of a connected graph by two-pass Lanczos on A/k
     restricted to 1-perp, where theta_2 is the top eigenvalue.
 
-    Pass one runs the recurrence keeping only q, q_prev and the alpha/beta
-    lists, and checks the top Ritz pair's estimate every ``_RITZ_CHECK``
-    steps; pass two rebuilds the Ritz vector.  A residual above ``tol``
-    resumes pass one from its saved state."""
-    start = np.random.default_rng(_V0_SEED ^ n).standard_normal(n)
-    start -= start.mean()
-    start /= np.linalg.norm(start)
+    Pass one runs the recurrence keeping only q, q_prev, the new w and the
+    alpha/beta lists, and checks the top Ritz pair's estimate every
+    ``_RITZ_CHECK`` steps; pass two rebuilds the Ritz vector.  Pass one's
+    vectors are dropped before pass two, so a solve holds at most four
+    N-vectors.  A residual above ``tol`` resumes pass one: pass two ends on
+    its q_prev and q, and one more step with the stored alpha gives back
+    its w.  No resume follows a breakdown, whose beta is 0."""
     alpha: list[float] = []
     beta: list[float] = []
-    q_prev, q = None, start
+    q_prev, q = None, _start_vector(n)
     while True:
         w, a = _lanczos_step(A, q, q_prev, beta[-1] if beta else 0.0, None)
         b = float(np.linalg.norm(w))
@@ -351,11 +371,17 @@ def _lambda1_lanczos(A, n: int, tol: float, maxiter: int) -> tuple[float, float,
         if breakdown or m % _RITZ_CHECK == 0 or m >= maxiter:
             theta, est, s = _top_ritz(alpha, beta)
             if breakdown or est <= tol:
-                x = _ritz_vector(A, start, alpha, beta, s)
+                # pass one's vectors go before pass two makes its own
+                del q_prev, q, w
+                x, q_prev, q = _ritz_vector(A, n, alpha, beta, s)
                 est = _residual(A, 1.0 - theta, x)
                 if est <= tol:
                     x /= np.linalg.norm(x)
                     return 1.0 - theta, est, x
+                del x
+                if not (breakdown or m >= maxiter):
+                    # pass one's last w, from pass two's last two vectors
+                    w, _ = _lanczos_step(A, q, q_prev, beta[-2] if m > 1 else 0.0, alpha[-1])
             if breakdown or m >= maxiter:
                 raise ConvergenceError(1.0 - theta, est, m)
         w *= 1.0 / b

@@ -705,12 +705,13 @@ class TestMatrixGroupOrder:
         assert matrix_group_order(gens) == bfs_closure(gens).order == 6**5 * 5
 
     def test_budget_names_what_it_counted(self):
-        # SL2(F11): 120 orbit points times 4 generators are 480 Schreier products
+        # SL2(F11): 120 orbit points times 4 generators are 480 Schreier
+        # products; the first orbit batch is 4 vectors of 2 entries
         assert matrix_group_order(sl2_generators(11), budget=480) == 1320
         with pytest.raises(BudgetExceeded, match="Schreier products at base point 0 over the limit of 479$"):
             matrix_group_order(sl2_generators(11), budget=479)
-        with pytest.raises(BudgetExceeded, match="orbit products at base point 0 over the limit of 3$"):
-            matrix_group_order(sl2_generators(11), budget=3)
+        with pytest.raises(BudgetExceeded, match="orbit product entries at base point 0 over the limit of 7$"):
+            matrix_group_order(sl2_generators(11), budget=7)
 
     def test_orbit_points_counted_before_kept(self):
         # 2 generates (Z/101)^*: one base point, 100 orbit points, few products per layer

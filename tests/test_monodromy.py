@@ -249,7 +249,7 @@ class TestCongruenceReport:
         assert time.perf_counter() - start < 5
         assert exc_info.value.budget == 2_000_000
         assert re.fullmatch(
-            r"matrix_group_order: (orbit|Schreier) products at base point \d over the limit of 2000000",
+            r"matrix_group_order: (orbit product entries|Schreier products) at base point \d over the limit of 2000000",
             str(exc_info.value),
         )
 

@@ -37,7 +37,7 @@ def test_pointpush_refusal_exits_one_without_traceback(tmp_path):
     # genus 3 at its default prime 3 is over the default element budget
     proc = run_script(tmp_path, "pointpush_congruence.py", ["3"])
     assert proc.returncode == 1, proc.stderr
-    assert "matrix_group_order: orbit products at base point 2 over the limit of 2000000" in proc.stderr
+    assert "matrix_group_order: orbit product entries at base point 1 over the limit of 2000000" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
 
 

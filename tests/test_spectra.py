@@ -337,25 +337,41 @@ class TestLanczosOracles:
 
     def test_residual_above_tol_resumes(self, monkeypatch):
         # a Ritz pair whose true residual fails tol is not reported: the
-        # recurrence resumes from its saved state and rebuilds a longer one
-        builds = []
+        # recurrence resumes from pass two's last two vectors and rebuilds a
+        # longer one, and its alphas and betas are bit for bit those of an
+        # uninterrupted run of the same length
+        builds, lists = [], []
         ritz_vector = spectra._ritz_vector
         residual = spectra._residual
+        top_ritz = spectra._top_ritz
 
-        def record(A, start, alpha, beta, s):
+        def record(A, n, alpha, beta, s):
             builds.append(len(s))
-            return ritz_vector(A, start, alpha, beta, s)
+            return ritz_vector(A, n, alpha, beta, s)
 
         def fail_first(A, lam, x):
             return 1.0 if len(builds) == 1 else residual(A, lam, x)
 
+        def keep(alpha, beta):
+            lists.append((list(alpha), list(beta)))
+            return top_ritz(alpha, beta)
+
         monkeypatch.setattr(spectra, "_ritz_vector", record)
         monkeypatch.setattr(spectra, "_residual", fail_first)
+        monkeypatch.setattr(spectra, "_top_ritz", keep)
         graph = sl2_graph(13)
         report = solve(graph, "iterative")
         assert len(builds) == 2 and builds[1] > builds[0]
         assert report.residual <= ITERATIVE_TOL
         assert abs(report.lambda1 - arpack_oracle(graph)) <= 1e-8
+        resumed = lists[-1]
+        # no Ritz estimate reaches a tolerance of 0, so this run builds no
+        # Ritz vector before its step cap
+        builds.clear()
+        with pytest.raises(ConvergenceError):
+            lanczos(graph, tol=0.0, maxiter=len(resumed[0]))
+        assert not builds
+        assert lists[-1] == resumed
 
 
 def torsion_graph(p):
@@ -936,10 +952,12 @@ class TestMemory:
         assert two.zero_multiplicity == 2 and calls == []
 
     def test_iterative_solve_stores_no_basis(self):
-        # counted in N-vectors of float64: building the sparse A/k peaks near
-        # 23 on this graph, and the recurrence with its residual check holds
-        # about 8 more than A/k; ARPACK's 20-vector basis and work arrays
-        # took the whole solve near 55
+        # counted in N-vectors of float64: the whole solve peaks near 13 on
+        # this graph, and the recurrence with its residual check grows the
+        # traced memory by about 5: its four vectors and the residual's block
+        # of lam x, all of x at this N (8 when pass one's vectors and the
+        # start vector outlived pass two); ARPACK's 20-vector basis and work
+        # arrays took the whole solve near 55
         graph = sl2_graph(23)  # N = 12144
         n = graph.n_vertices
         tracemalloc.start()
@@ -948,13 +966,14 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
             A = graph.adjacency() / graph.degree
             tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
             spectra._lambda1_lanczos(A, n, ITERATIVE_TOL, 10 * n)
             _, lanczos_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * n * 8
         # the recurrence alone, A/k already built: no stored basis
-        assert lanczos_peak < A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + 10 * n * 8
+        assert lanczos_peak - before < 6 * n * 8
 
     def test_dense_blocks_solve_holds_no_dense_matrix(self):
         # the twin of the packed test above: SL2(F13) with left
